@@ -10,10 +10,11 @@
 //! it without any recomputation through its borrowed-analysis inputs
 //! ([`spillopt_core::SuiteInputs::analyzed`]).
 //!
-//! Only the CFG, the profile, liveness, and the callee-saved usage are
-//! computed eagerly — they decide whether a function needs placement at
-//! all (and usage is derived from the liveness, which is computed once
-//! and shared). Everything else (SCCs, PST, the dense [`DerivedCfg`]
+//! Only the CFG, the profile, and the callee-saved usage are computed
+//! eagerly — they decide whether a function needs placement at all.
+//! Usage is derived from a liveness pass that is not kept: nothing
+//! downstream reads it, and a long-lived session arena holds one cache
+//! per function. Everything else (SCCs, PST, the dense [`DerivedCfg`]
 //! tables, dominators, post-dominators, loops) is built lazily on first
 //! access, so the many functions that use no callee-saved register
 //! ([`AnalysisCache::needs_placement`] returns `false`) pay for none of
@@ -37,9 +38,6 @@ pub struct AnalysisCache {
     pub profile: EdgeProfile,
     /// Which callee-saved registers are busy in which blocks.
     pub usage: CalleeSavedUsage,
-    /// Liveness, computed once and shared (usage derivation consumes it
-    /// eagerly; later consumers reuse the same result).
-    liveness: Liveness,
     cyclic: OnceLock<Vec<CyclicRegion>>,
     pst: OnceLock<Pst>,
     derived: OnceLock<DerivedCfg>,
@@ -50,7 +48,8 @@ pub struct AnalysisCache {
 
 impl AnalysisCache {
     /// Builds the cache for `func` against `profile`, computing only the
-    /// CFG, liveness, and callee-saved usage up front.
+    /// CFG and (through a transient liveness pass) the callee-saved usage
+    /// up front.
     ///
     /// The profile must refer to `func`'s current CFG (edge ids are
     /// stable across register allocation, so a profile measured on the
@@ -72,7 +71,6 @@ impl AnalysisCache {
             cfg,
             profile,
             usage,
-            liveness,
             cyclic: OnceLock::new(),
             pst: OnceLock::new(),
             derived: OnceLock::new(),
@@ -131,11 +129,6 @@ impl AnalysisCache {
         self.loops
             .get_or_init(|| LoopInfo::compute(&self.cfg, self.doms()))
     }
-
-    /// Live ranges (shared with the eager usage derivation).
-    pub fn liveness(&self) -> &Liveness {
-        &self.liveness
-    }
 }
 
 #[cfg(test)]
@@ -167,6 +160,5 @@ mod tests {
         assert_eq!(cache.loops().loops().len(), 0);
         assert!(cache.doms().dominates(cfg.entry(), cfg.entry()));
         let _ = cache.postdoms();
-        let _ = cache.liveness();
     }
 }

@@ -13,9 +13,10 @@
 use crate::pool::try_run_indexed;
 use crate::report::{CrossTargetReport, ModuleReport};
 use crate::session::{run_module, Budget, Engine, Exec, FailurePolicy, TechniqueSet};
-use spillopt_core::{insert_placement, Placement, SpillCostModel};
+use spillopt_core::{insert_placement, SpillCostModel};
 use spillopt_ir::{Cfg, FuncId, Function, Module, RegDiscipline, Target};
 use spillopt_profile::ExecError;
+use spillopt_sync::Arc;
 use spillopt_targets::TargetSpec;
 
 /// The placement strategies the driver compares, in reporting order.
@@ -284,8 +285,9 @@ pub struct ModuleRun {
     /// Deterministic module-level report.
     pub report: ModuleReport,
     /// Allocated (physical, pre-placement) functions, in [`FuncId`]
-    /// order, paired with each selected strategy's placement.
-    allocated: Vec<(Function, Vec<(Strategy, Placement)>)>,
+    /// order; each selected strategy's placement is in the report.
+    /// Shared: a warm session hands out its arena's own copy.
+    allocated: Vec<Arc<Function>>,
     /// Fault ledger: functions contained under `Degrade`/`Skip`, in
     /// [`FuncId`] order. Empty under [`FailurePolicy::Fail`] and on
     /// clean runs.
@@ -298,7 +300,7 @@ impl ModuleRun {
     /// structure).
     pub(crate) fn from_parts(
         report: ModuleReport,
-        allocated: Vec<(Function, Vec<(Strategy, Placement)>)>,
+        allocated: Vec<Arc<Function>>,
         faults: Vec<FunctionFault>,
     ) -> Self {
         ModuleRun {
@@ -330,7 +332,12 @@ impl ModuleRun {
     /// input condition).
     pub fn apply(&self, choice: Option<Strategy>) -> Module {
         let mut out = Module::new(self.report.module.clone());
-        for (i, (func, placements)) in self.allocated.iter().enumerate() {
+        for (i, (func, report)) in self
+            .allocated
+            .iter()
+            .zip(&self.report.functions)
+            .enumerate()
+        {
             // A fault-skipped function passed through unoptimized: its
             // stored function is the *source* (possibly still in virtual
             // registers, never allocated), so it is emitted as-is rather
@@ -340,25 +347,25 @@ impl ModuleRun {
                 .iter()
                 .any(|fault| fault.index == i && fault.action == FaultAction::Skipped);
             if skipped {
-                out.add_func(func.clone());
+                out.add_func(Function::clone(func));
                 continue;
             }
-            let mut func = func.clone();
-            let strategy = choice
-                .unwrap_or_else(|| self.report.functions[i].best.unwrap_or(Strategy::HierJump));
-            if let Some((_, placement)) = placements.iter().find(|(s, _)| *s == strategy) {
+            let mut func = Function::clone(func);
+            let strategy = choice.unwrap_or_else(|| report.best.unwrap_or(Strategy::HierJump));
+            if let Some(chosen) = report.strategy(strategy) {
                 let cfg = Cfg::compute(&func);
-                insert_placement(&mut func, &cfg, placement);
-            } else if !placements.is_empty() {
+                insert_placement(&mut func, &cfg, &chosen.placement);
+            } else if !report.strategies.is_empty() {
                 // The function needed placement but this strategy was
                 // not computed (not in the session's technique set).
                 panic!(
                     "strategy `{}` was not computed for `{}` in this run (computed: {})",
                     strategy.name(),
                     func.name(),
-                    placements
+                    report
+                        .strategies
                         .iter()
-                        .map(|(s, _)| s.name())
+                        .map(|s| s.strategy.name())
                         .collect::<Vec<_>>()
                         .join(", ")
                 );

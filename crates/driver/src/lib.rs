@@ -16,8 +16,8 @@
 //!   and [`Session::cross_target`] all return [`ModuleRun`]s and accept
 //!   an optional streaming [`Observer`];
 //! * [`AnalysisCache`] — every CFG-derived analysis a function's
-//!   placement needs (CFG, dominators, loops, liveness, SCCs, PST,
-//!   profile, callee-saved usage), computed **once** per function and
+//!   placement needs (CFG, dominators, loops, SCCs, PST, profile,
+//!   callee-saved usage), computed **once** per function and
 //!   shared by all selected techniques through
 //!   [`spillopt_core::run_suite`]'s borrowed-analysis inputs;
 //! * [`pool`] — the `std`-only work pool: persistent workers for

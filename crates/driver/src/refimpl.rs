@@ -27,12 +27,13 @@
 use crate::driver::{DriverConfig, DriverError, ModuleRun, ProfileSource, Strategy};
 use crate::report::{FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::reference::run_suite_priced_reference;
-use spillopt_core::{CalleeSavedUsage, Placement, SpillCostModel};
+use spillopt_core::{CalleeSavedUsage, SpillCostModel};
 use spillopt_ir::analysis::loops::sccs;
 use spillopt_ir::{Cfg, FuncId, Function, Liveness, Module, Target};
 use spillopt_profile::{random_walk_profile_reference, EdgeProfile, Machine};
 use spillopt_pst::Pst;
 use spillopt_regalloc::allocate_reference;
+use spillopt_sync::Arc;
 use spillopt_targets::TargetSpec;
 
 /// As [`crate::driver::optimize_module_for`], running the frozen
@@ -86,9 +87,9 @@ pub fn optimize_module_reference(
             )
         });
         let alloc = allocate_reference(&mut func, &target, Some(&profile));
-        let (report, placements) =
+        let report =
             per_function_reference(fid, &func, &target, &costs, profile, alloc.spilled_vregs);
-        (report, (func, placements))
+        (report, Arc::new(func))
     })
     .map_err(|p| DriverError::Panicked {
         unit: module.func(FuncId::from_index(p.index)).name().to_string(),
@@ -116,7 +117,7 @@ fn per_function_reference(
     costs: &SpillCostModel,
     profile: EdgeProfile,
     spilled_vregs: usize,
-) -> (FunctionReport, Vec<(Strategy, Placement)>) {
+) -> FunctionReport {
     let cfg = Cfg::compute(func);
     let liveness = Liveness::compute_reference(func, &cfg, target);
     let usage = CalleeSavedUsage::from_liveness(func, target, &liveness);
@@ -132,7 +133,7 @@ fn per_function_reference(
         best: None,
     };
     if usage.is_empty() {
-        return (report, Vec::new());
+        return report;
     }
 
     let cyclic = sccs(&cfg);
@@ -144,12 +145,12 @@ fn per_function_reference(
         (Strategy::HierExec, suite.hierarchical_exec.placement),
         (Strategy::HierJump, suite.hierarchical_jump.placement),
     ];
-    for ((strategy, placement), cost) in placements.iter().zip(suite.predicted) {
+    for ((strategy, placement), cost) in placements.into_iter().zip(suite.predicted) {
         report.strategies.push(StrategyReport {
-            strategy: *strategy,
+            strategy,
             cost,
             static_count: placement.static_count(),
-            placement: placement.clone(),
+            placement,
         });
     }
     report.best = Some(
@@ -160,5 +161,5 @@ fn per_function_reference(
             .expect("four strategies")
             .strategy,
     );
-    (report, placements.to_vec())
+    report
 }

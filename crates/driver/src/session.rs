@@ -38,7 +38,7 @@ use crate::driver::{
 use crate::pool::{payload_message, try_run_indexed, ItemPanic, Pool, PoolWorkerStats};
 use crate::report::{CrossTargetReport, FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::{
-    run_suite, run_suite_incremental, run_suite_memoized, run_technique, Placement, PlacementMemo,
+    run_suite, run_suite_incremental, run_suite_memoized, run_technique, PlacementMemo,
     PlacementSuite, RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
 use spillopt_ir::{FuncId, Function, Module, Target};
@@ -49,6 +49,7 @@ use spillopt_sync::atomic::{AtomicU64, Ordering};
 use spillopt_sync::{Arc, Mutex};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -370,7 +371,7 @@ pub struct SessionStats {
 /// Arena statistics (see [`Session::arena_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Cached function structures (distinct pre-allocation texts).
+    /// Cached function structures (distinct source functions).
     pub entries: usize,
     /// Lookups served wholesale — the exact (function, profile) pair
     /// was retired before ([`Provenance::Warm`]).
@@ -403,14 +404,17 @@ pub struct ArenaStats {
 /// states — the concurrency skeleton of the analysis arena, generic
 /// over the per-key payload `S` so the model-checked suites can
 /// exercise the exact production lock/atomic protocol with a trivial
-/// payload (see `model_tests`). All bookkeeping (LRU stamps, counters,
-/// the negative cache) lives here; payloads sit behind `Arc<Mutex<S>>`
-/// so lookups clone a pointer under the map lock and per-key work
-/// happens outside it.
+/// payload (see `arena_model_tests`). Keys are 64-bit structural
+/// fingerprints ([`fingerprint`]); a key only *locates* an entry, and
+/// the caller confirms it against the payload (for the analysis arena,
+/// [`StructState::source`] equality). All bookkeeping (LRU stamps,
+/// counters, the negative cache) lives here; payloads sit behind
+/// `Arc<Mutex<S>>` so lookups clone a pointer under the map lock and
+/// per-key work happens outside it.
 pub(crate) struct Arena<S> {
-    /// Key → (LRU stamp, shared state). The stamps live *here*, so
-    /// eviction scans never take a state's own lock.
-    entries: Mutex<HashMap<String, ArenaEntry<S>>>,
+    /// Fingerprint → (LRU stamp, shared state). The stamps live *here*,
+    /// so eviction scans never take a state's own lock.
+    entries: Mutex<HashMap<u64, ArenaEntry<S>>>,
     /// Maximum cached entries (`0` = unbounded).
     capacity: usize,
     /// LRU clock, bumped on every touch.
@@ -421,35 +425,53 @@ pub(crate) struct Arena<S> {
     evictions: AtomicU64,
     regions_refolded: AtomicU64,
     regions_total: AtomicU64,
-    /// Negative cache: keys whose pipeline has failed, with their
-    /// failure count and remaining skip window. Only consulted under
-    /// [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`]; the `Fail`
-    /// hot path never takes this lock.
-    quarantine: Mutex<HashMap<String, Quarantine>>,
+    /// Negative cache: fingerprints whose pipeline has failed, with
+    /// their failure count and remaining skip window. Only consulted
+    /// under [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`]; the
+    /// `Fail` hot path never takes this lock. Unlike `entries`, these
+    /// keys are not confirmed: two functions with one fingerprint would
+    /// share a backoff window, so one could sit out the other's window
+    /// as a quarantined passthrough (recorded in the fault ledger). The
+    /// negative cache is a containment heuristic; every positive hit is
+    /// exact.
+    quarantine: Mutex<HashMap<u64, Quarantine>>,
     quarantined: AtomicU64,
 }
 
 /// The per-session analysis arena, keyed in **two levels** matching the
 /// two levels of input change a re-optimizing service sees:
 ///
-/// 1. **Structure** — the pre-allocation function text. One
-///    [`StructState`] per distinct function holds everything the text
-///    alone determines once an allocation exists: the allocated
-///    function, its [`AnalysisCache`] (CFG, liveness, usage, SCCs, PST,
+/// 1. **Structure** — the source (pre-allocation) function, located by
+///    its structural fingerprint and confirmed by structural equality.
+///    One [`StructState`] per distinct function holds everything the
+///    function alone determines once an allocation exists: the
+///    allocated function, its [`AnalysisCache`] (CFG, usage, SCCs, PST,
 ///    derived tables), and the [`PlacementMemo`] of per-region folded
 ///    products.
 /// 2. **Placement** — the exact edge profile. Each structure keeps its
-///    retired `(report, placements)` outcomes per profile.
+///    retired report (whose strategies carry the placements) per
+///    profile.
 ///
 /// A repeated call with a seen profile is a wholesale hit
-/// ([`Provenance::Warm`]). A call with a *drifted* profile reuses the
-/// whole structure level when the drift leaves the allocation unchanged
-/// — the allocator's only profile input is its per-block weight vector,
-/// so equal weights prove an identical allocation, and unequal weights
-/// re-allocate once and compare — and then re-folds only the PST
-/// regions the [`ProfileDelta`] dirties ([`Provenance::Incremental`]).
-/// Only a drift that changes the allocation itself re-runs the full
-/// cold pipeline.
+/// ([`Provenance::Warm`]): one fingerprint, one equality check, one
+/// profile-map probe, and a clone of the small report — the allocated
+/// function is shared, not copied. A call with a *drifted* profile
+/// reuses the whole structure level when the drift leaves the
+/// allocation unchanged — the allocator's only profile input is its
+/// per-block weight vector, so equal weights prove an identical
+/// allocation, and unequal weights re-allocate once and compare — and
+/// then re-folds only the PST regions the [`ProfileDelta`] dirties
+/// ([`Provenance::Incremental`]). Only a drift that changes the
+/// allocation itself re-runs the full cold pipeline.
+///
+/// The structure key is exact, never coarser than the function: every
+/// field of [`Function`] takes part, including block ids (which the IR
+/// text never prints) and cosmetic block names (block 3 named `None`
+/// and named `Some("bb3")` print the same but are different keys).
+/// Inputs that differ only by names miss where they would share text,
+/// and run cold to the same report bytes. Two different functions with
+/// one fingerprint are told apart by the equality check: the second
+/// lookup is a counted miss that rebuilds the entry cold in place.
 ///
 /// By default the arena grows without bound (entries are exact, never
 /// invalidated); [`OptimizerBuilder::arena_capacity`] bounds the number
@@ -457,8 +479,7 @@ pub(crate) struct Arena<S> {
 /// [`OptimizerBuilder::reuse_analyses`]`(false)` for one-shot or
 /// benchmarking sessions that must re-run the pipeline every time.
 ///
-/// Structure level keys are the pre-allocation function text; the
-/// shared concurrency skeleton is [`Arena`].
+/// The shared concurrency skeleton is [`Arena`].
 pub(crate) type AnalysisArena = Arena<StructState>;
 
 /// One function's entry in the arena's negative cache.
@@ -470,53 +491,105 @@ struct Quarantine {
     skip_remaining: u32,
 }
 
-/// Everything the pre-allocation function text determines for the
-/// session's fixed (target, cost model): the allocation, the analyses,
-/// and the per-region fold memo — plus the per-profile outcomes retired
+/// Everything the source function determines for the session's fixed
+/// (target, cost model): the allocation, the analyses, and the
+/// per-region fold memo — plus the per-profile outcomes retired
 /// against that structure.
 pub(crate) struct StructState {
-    /// The allocated (physical, pre-placement) function.
-    func: Function,
-    /// `func.to_string()`, kept to compare re-allocations cheaply.
-    func_text: String,
+    /// The source (pre-allocation) function this entry was built from.
+    /// Its fingerprint is the entry's key; a lookup serves the entry
+    /// only when the caller's function equals it.
+    source: Function,
+    /// The allocated (physical, pre-placement) function, shared with
+    /// every [`ModuleRun`] this entry retires into.
+    func: Arc<Function>,
     spilled_vregs: usize,
-    /// The allocator's per-block weight vector for the profile the
-    /// structure was last allocated under — its *only* profile input,
-    /// so an equal vector proves the allocation is bit-identical.
-    weights: Vec<u64>,
-    /// Analyses of `func`; `cache.profile` is the memo's base profile.
+    /// Analyses of `func`; `cache.profile` is the memo's base profile
+    /// and the profile `func` was last proven allocated under.
     cache: AnalysisCache,
     /// Per-region folded products; `None` when the function needs no
     /// placement (no callee-saved use).
     memo: Option<PlacementMemo>,
-    /// Retired outcomes per exact profile `(entry_count, edge_counts)`.
-    /// Every entry was produced against the *current* `func` (a cold
-    /// replace clears the map), so a hit clones `func` next to it.
-    outcomes: HashMap<ProfileKey, (FunctionReport, Vec<(Strategy, Placement)>)>,
+    /// Retired reports per exact profile. Every entry was produced
+    /// against the *current* `func` (a cold replace clears the map), so
+    /// a hit shares `func` next to it.
+    outcomes: HashMap<EdgeProfile, FunctionReport>,
 }
 
 /// An LRU stamp paired with the shared per-key state it guards.
 type ArenaEntry<S> = (u64, Arc<Mutex<S>>);
 
-/// The exact-profile key of a [`StructState`] outcome:
-/// `(entry_count, edge_counts)`.
-type ProfileKey = (u64, Vec<u64>);
-
-/// An allocated (physical, pre-placement) function paired with its
-/// selected placements.
-type AllocatedFunction = (Function, Vec<(Strategy, Placement)>);
-
-/// One function's pipeline product: the report, the allocated function
-/// with its placements, and the fault-ledger entry when the function was
-/// contained under [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`].
-type FunctionOutcome = (FunctionReport, AllocatedFunction, Option<FunctionFault>);
+/// One function's pipeline product: the report (whose strategies carry
+/// the placements), the allocated function, and the fault-ledger entry
+/// when the function was contained under
+/// [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`].
+type FunctionOutcome = (FunctionReport, Arc<Function>, Option<FunctionFault>);
 
 /// A cross-target module loader.
 type Loader<'l> = dyn Fn(&TargetSpec) -> Result<(Module, ProfileSource), DriverError> + Sync + 'l;
 
-/// The exact-profile key of a [`StructState`] outcome.
-fn profile_key(profile: &EdgeProfile) -> ProfileKey {
-    (profile.entry_count(), profile.edge_counts().to_vec())
+/// A small deterministic multiply-rotate [`Hasher`]: each word is
+/// folded in as `(state.rotl(5) ^ word) * K`. Not collision-resistant
+/// (nothing here needs that — every fingerprint hit is confirmed by
+/// equality), but several times cheaper than std's SipHash over a
+/// function's instruction stream, and stable across runs.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The arena's structure key: the derived [`Hash`] of the whole source
+/// function (blocks, instructions, layout, frame, counters, names) fed
+/// through a [`FoldHasher`].
+fn fingerprint(func: &Function) -> u64 {
+    let mut hasher = FoldHasher::default();
+    func.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl<S> Arena<S> {
@@ -537,9 +610,9 @@ impl<S> Arena<S> {
     }
 
     /// The cached state for a key, touching its LRU stamp.
-    fn structure(&self, text: &str) -> Option<Arc<Mutex<S>>> {
+    fn structure(&self, key: u64) -> Option<Arc<Mutex<S>>> {
         let mut map = self.entries.lock().unwrap();
-        match map.get_mut(text) {
+        match map.get_mut(&key) {
             Some((stamp, state)) => {
                 *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(state))
@@ -550,16 +623,16 @@ impl<S> Arena<S> {
 
     /// Caches a freshly computed state, evicting the least recently
     /// used one when over capacity.
-    fn insert_structure(&self, text: String, state: S) {
+    fn insert_structure(&self, key: u64, state: S) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.entries.lock().unwrap();
-        map.insert(text.clone(), (stamp, Arc::new(Mutex::new(state))));
+        map.insert(key, (stamp, Arc::new(Mutex::new(state))));
         while self.capacity > 0 && map.len() > self.capacity {
             let victim = map
                 .iter()
-                .filter(|(k, _)| **k != text)
+                .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone());
+                .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
                     map.remove(&k);
@@ -591,21 +664,21 @@ impl<S> Arena<S> {
             .fetch_add(refolds.regions_total as u64, Ordering::Relaxed);
     }
 
-    /// Drops any cached structure for `text`. Called whenever the
+    /// Drops any cached structure for `key`. Called whenever the
     /// function's pipeline failed: a partially updated (or
     /// poisoned-mutex) `StructState` must never be served to a later
     /// call.
-    fn purge(&self, text: &str) {
-        self.entries.lock().unwrap().remove(text);
+    fn purge(&self, key: u64) {
+        self.entries.lock().unwrap().remove(&key);
     }
 
-    /// Records a failed attempt for `text`: purges its cached structure
+    /// Records a failed attempt for `key`: purges its cached structure
     /// and, from the second failure on, opens an exponential-backoff
     /// skip window so a flapping input can't monopolize warm throughput.
-    fn record_failure(&self, text: &str) {
-        self.purge(text);
+    fn record_failure(&self, key: u64) {
+        self.purge(key);
         let mut quarantine = self.quarantine.lock().unwrap();
-        let entry = quarantine.entry(text.to_string()).or_insert(Quarantine {
+        let entry = quarantine.entry(key).or_insert(Quarantine {
             failures: 0,
             skip_remaining: 0,
         });
@@ -617,9 +690,9 @@ impl<S> Arena<S> {
 
     /// Consumes one call of an active quarantine window; `true` means
     /// the caller should skip this function without an attempt.
-    fn quarantine_skip(&self, text: &str) -> bool {
+    fn quarantine_skip(&self, key: u64) -> bool {
         let mut quarantine = self.quarantine.lock().unwrap();
-        match quarantine.get_mut(text) {
+        match quarantine.get_mut(&key) {
             Some(entry) if entry.skip_remaining > 0 => {
                 entry.skip_remaining -= 1;
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -630,11 +703,11 @@ impl<S> Arena<S> {
         }
     }
 
-    /// Clears the failure history of `text` after a successful attempt.
-    fn record_success(&self, text: &str) {
+    /// Clears the failure history of `key` after a successful attempt.
+    fn record_success(&self, key: u64) {
         let mut quarantine = self.quarantine.lock().unwrap();
         if !quarantine.is_empty() {
-            quarantine.remove(text);
+            quarantine.remove(&key);
         }
     }
 
@@ -1173,11 +1246,7 @@ impl Session {
             })?;
 
         // Regroup per module, in input order.
-        type PerModule = (
-            Vec<FunctionReport>,
-            Vec<AllocatedFunction>,
-            Vec<FunctionFault>,
-        );
+        type PerModule = (Vec<FunctionReport>, Vec<Arc<Function>>, Vec<FunctionFault>);
         let mut per_module: Vec<PerModule> = (0..modules.len())
             .map(|_| (Vec::new(), Vec::new(), Vec::new()))
             .collect();
@@ -1387,7 +1456,7 @@ fn module_profiles(
             }
             for (fid, p) in module.func_ids().zip(profiles) {
                 let func = module.func(fid);
-                let edges = spillopt_ir::Cfg::compute(func).num_edges();
+                let edges = spillopt_ir::Cfg::count_edges(func);
                 if p.edge_counts().len() != edges {
                     return Err(DriverError::Config(format!(
                         "profile for function #{} (`{}`) has {} edge count(s) but its CFG has \
@@ -1484,7 +1553,7 @@ fn run_function(
     let _fn_span = spillopt_obs::span("function");
     let source_func = module.func(fid);
     let profile = profile.unwrap_or_else(|| synth_profile(source_func, fid, engine.profile_source));
-    let text = engine.arena.map(|_| source_func.to_string());
+    let key = engine.arena.map(|_| fingerprint(source_func));
     // One wall-clock deadline per function, shared by every attempt
     // (ladder rungs included); iteration caps are per attempt.
     let deadline = engine.budget.deadline_from_now();
@@ -1492,8 +1561,8 @@ fn run_function(
     // Quarantined repeat offenders sit out their backoff window without
     // an attempt (Degrade/Skip only; `Fail` never quarantines).
     if engine.policy != FailurePolicy::Fail {
-        if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
-            if arena.quarantine_skip(text) {
+        if let (Some(arena), Some(key)) = (engine.arena, key) {
+            if arena.quarantine_skip(key) {
                 let (report, alloc) = passthrough(fid, source_func);
                 let fault = FunctionFault {
                     function: source_func.name().to_string(),
@@ -1508,11 +1577,11 @@ fn run_function(
         }
     }
 
-    let error = match attempt_full(module, fid, &profile, engine, text.as_deref(), deadline) {
+    let error = match attempt_full(module, fid, &profile, engine, key, deadline) {
         Ok((report, alloc, provenance)) => {
             if engine.policy != FailurePolicy::Fail {
-                if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
-                    arena.record_success(text);
+                if let (Some(arena), Some(key)) = (engine.arena, key) {
+                    arena.record_success(key);
                 }
             }
             notify_retired(engine, module, &report, provenance)?;
@@ -1524,11 +1593,11 @@ fn run_function(
     // The attempt failed. Never keep (possibly partial) cached state
     // for a failed function; under Degrade/Skip also advance its
     // quarantine entry.
-    if let (Some(arena), Some(text)) = (engine.arena, text.as_deref()) {
+    if let (Some(arena), Some(key)) = (engine.arena, key) {
         if engine.policy == FailurePolicy::Fail {
-            arena.purge(text);
+            arena.purge(key);
         } else {
-            arena.record_failure(text);
+            arena.record_failure(key);
         }
     }
     if engine.policy == FailurePolicy::Fail {
@@ -1589,13 +1658,13 @@ fn attempt_full(
     fid: FuncId,
     profile: &EdgeProfile,
     engine: &Engine<'_>,
-    text: Option<&str>,
+    key: Option<u64>,
     deadline: Option<Instant>,
-) -> Result<(FunctionReport, AllocatedFunction, Provenance), DriverError> {
+) -> Result<(FunctionReport, Arc<Function>, Provenance), DriverError> {
     let function = module.func(fid).name();
     catch_unwind(AssertUnwindSafe(|| {
         let _budget = arm_budget(engine, deadline);
-        attempt_full_inner(module, fid, profile.clone(), engine, text)
+        attempt_full_inner(module, fid, profile, engine, key)
     }))
     .unwrap_or_else(|payload| Err(classify_panic(function, payload)))
 }
@@ -1603,90 +1672,82 @@ fn attempt_full(
 /// The historical pipeline body: resolve against the two-level arena
 /// and run as little of the pipeline as the cached structure allows —
 /// warm wholesale, incremental re-fold on drift, cold only for unseen
-/// functions or allocation-changing drifts.
+/// functions, fingerprint collisions, or allocation-changing drifts.
 fn attempt_full_inner(
     module: &Module,
     fid: FuncId,
-    profile: EdgeProfile,
+    profile: &EdgeProfile,
     engine: &Engine<'_>,
-    text: Option<&str>,
-) -> Result<(FunctionReport, AllocatedFunction, Provenance), DriverError> {
+    key: Option<u64>,
+) -> Result<(FunctionReport, Arc<Function>, Provenance), DriverError> {
     let source_func = module.func(fid);
-    let (Some(arena), Some(text)) = (engine.arena, text) else {
+    let (Some(arena), Some(key)) = (engine.arena, key) else {
         // No arena: the frozen whole-pipeline cold path — also the
         // differential oracle the drift fuzzer compares every
         // incremental result against.
         let mut func = source_func.clone();
         let alloc = {
             let _s = spillopt_obs::span("allocate");
-            allocate(&mut func, engine.target, Some(&profile))
+            allocate(&mut func, engine.target, Some(profile))
         };
-        let cache = AnalysisCache::compute(&func, engine.target, profile);
+        let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
         let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-        let placements = if cache.needs_placement() {
+        if cache.needs_placement() {
             let inputs = suite_inputs(&cache);
             let suite = run_suite(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
                 .map_err(|e| suite_error(&func, e))?;
-            fill_report(&mut report, suite, engine.techniques)
-        } else {
-            Vec::new()
-        };
-        return Ok((report, (func, placements), Provenance::Cold));
+            fill_report(&mut report, suite, engine.techniques);
+        }
+        return Ok((report, Arc::new(func), Provenance::Cold));
     };
 
-    let pkey = profile_key(&profile);
-    if let Some(state) = arena.structure(text) {
+    if let Some(state) = arena.structure(key) {
         let mut guard = state.lock().unwrap();
         let st = &mut *guard;
-        if let Some((report, placements)) = st.outcomes.get(&pkey) {
-            arena.record_hit();
-            let mut report = report.clone();
-            report.index = fid.index();
-            return Ok((
-                report,
-                (st.func.clone(), placements.clone()),
-                Provenance::Warm,
-            ));
+        // The fingerprint located the entry; equality confirms it is
+        // this function's and not a colliding one's.
+        if st.source == *source_func {
+            if let Some(report) = st.outcomes.get(profile) {
+                arena.record_hit();
+                let mut report = report.clone();
+                report.index = fid.index();
+                return Ok((report, Arc::clone(&st.func), Provenance::Warm));
+            }
+            // The profile drifted. The allocator's only profile input is
+            // its per-block weight vector, so equal weights prove the
+            // cached allocation — and every analysis over it — is still
+            // exact; unequal weights re-allocate once and compare.
+            let allocation_unchanged =
+                same_allocation_weights(source_func, profile, &st.cache.profile) || {
+                    let mut func = source_func.clone();
+                    let _s = spillopt_obs::span("allocate");
+                    let alloc = allocate(&mut func, engine.target, Some(profile));
+                    alloc.spilled_vregs == st.spilled_vregs && func == *st.func
+                };
+            if allocation_unchanged {
+                // The re-fold rebases the structure on this profile, so
+                // repeated drifts to its weights take the fast path.
+                let report = refold_incremental(fid, st, engine, profile.clone(), arena)?;
+                st.outcomes.insert(profile.clone(), report.clone());
+                return Ok((report, Arc::clone(&st.func), Provenance::Incremental));
+            }
         }
-        // The profile drifted. The allocator's only profile input is
-        // its per-block weight vector, so equal weights prove the
-        // cached allocation — and every analysis over it — is still
-        // exact; unequal weights re-allocate once and compare.
-        let weights = allocation_weights(source_func, &profile);
-        let allocation_unchanged = weights == st.weights || {
-            let mut func = source_func.clone();
-            let _s = spillopt_obs::span("allocate");
-            let alloc = allocate(&mut func, engine.target, Some(&profile));
-            alloc.spilled_vregs == st.spilled_vregs && func.to_string() == st.func_text
-        };
-        if allocation_unchanged {
-            // Rebase the weight gate so repeated drifts to this weight
-            // vector take the fast equality path.
-            st.weights = weights;
-            let (report, allocated) = refold_incremental(fid, st, engine, profile, arena)?;
-            st.outcomes
-                .insert(pkey, (report.clone(), allocated.1.clone()));
-            return Ok((report, allocated, Provenance::Incremental));
-        }
-        // The drift changed the allocation itself: rebuild the whole
-        // structure cold (the old outcomes priced a different
-        // function, so they are cleared with it).
+        // A colliding function holds this key, or the drift changed the
+        // allocation itself: rebuild the whole structure cold in place
+        // (the old outcomes priced a different function, so they are
+        // cleared with it).
         arena.record_miss();
-        let (new_state, (report, allocated)) = cold_structure(fid, source_func, engine, profile)?;
-        *st = new_state;
-        st.outcomes
-            .insert(pkey, (report.clone(), allocated.1.clone()));
-        return Ok((report, allocated, Provenance::Cold));
+        let (state, report) = cold_structure(fid, source_func, engine, profile)?;
+        *st = state;
+        return Ok((report, Arc::clone(&st.func), Provenance::Cold));
     }
 
     // Unseen function: full cold pipeline, then cache the structure.
     arena.record_miss();
-    let (mut state, (report, allocated)) = cold_structure(fid, source_func, engine, profile)?;
-    state
-        .outcomes
-        .insert(pkey, (report.clone(), allocated.1.clone()));
-    arena.insert_structure(text.to_string(), state);
-    Ok((report, allocated, Provenance::Cold))
+    let (state, report) = cold_structure(fid, source_func, engine, profile)?;
+    let func = Arc::clone(&state.func);
+    arena.insert_structure(key, state);
+    Ok((report, func, Provenance::Cold))
 }
 
 /// One rung of the degradation ladder: a fresh, arena-free,
@@ -1701,7 +1762,7 @@ fn attempt_single(
     engine: &Engine<'_>,
     strategy: Strategy,
     deadline: Option<Instant>,
-) -> Result<(FunctionReport, AllocatedFunction), DriverError> {
+) -> Result<(FunctionReport, Arc<Function>), DriverError> {
     let function = module.func(fid).name();
     catch_unwind(AssertUnwindSafe(|| {
         let _budget = arm_budget(engine, deadline);
@@ -1712,7 +1773,7 @@ fn attempt_single(
         };
         let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
         let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-        let placements = if cache.needs_placement() {
+        if cache.needs_placement() {
             let technique = match strategy {
                 Strategy::Baseline => Technique::EntryExit,
                 Strategy::Shrinkwrap => Technique::Chow,
@@ -1731,14 +1792,11 @@ fn attempt_single(
                 strategy,
                 cost,
                 static_count: placement.static_count(),
-                placement: placement.clone(),
+                placement,
             });
             report.best = Some(strategy);
-            vec![(strategy, placement)]
-        } else {
-            Vec::new()
-        };
-        Ok((report, (func, placements)))
+        }
+        Ok((report, Arc::new(func)))
     }))
     .unwrap_or_else(|payload| Err(classify_panic(function, payload)))
 }
@@ -1746,7 +1804,7 @@ fn attempt_single(
 /// The ladder's last rung: the source function passes through
 /// unoptimized (still pre-allocation). [`crate::ModuleRun::apply`]
 /// emits it as-is, guided by the fault ledger.
-fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, AllocatedFunction) {
+fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Arc<Function>) {
     let insts = source_func
         .block_ids()
         .map(|b| source_func.block(b).insts.len())
@@ -1761,7 +1819,7 @@ fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Allocate
         strategies: Vec::new(),
         best: None,
     };
-    (report, (source_func.clone(), Vec::new()))
+    (report, Arc::new(source_func.clone()))
 }
 
 /// Classifies a caught panic payload into a structured driver error:
@@ -1838,57 +1896,53 @@ fn notify_module_done(engine: &Engine<'_>, report: &ModuleReport) -> Result<(), 
     })
 }
 
-/// The allocator's per-block weight vector — [`allocate`]'s only
-/// profile input (see `spillopt-regalloc`): equal vectors prove
-/// bit-identical allocations, which is what gates the arena's
-/// incremental path.
-fn allocation_weights(func: &Function, profile: &EdgeProfile) -> Vec<u64> {
+/// Whether `func`'s per-block weight vectors under profiles `a` and `b`
+/// are equal — [`allocate`]'s only profile input (see
+/// `spillopt-regalloc`): equal vectors prove bit-identical allocations,
+/// which is what gates the arena's incremental path.
+fn same_allocation_weights(func: &Function, a: &EdgeProfile, b: &EdgeProfile) -> bool {
     func.block_ids()
-        .map(|b| profile.block_count(b).max(1))
-        .collect()
+        .all(|blk| a.block_count(blk).max(1) == b.block_count(blk).max(1))
 }
 
-/// A retired (report, allocated) pair, before the fault-ledger column
-/// of a [`FunctionOutcome`] is attached.
-type Retired = (FunctionReport, AllocatedFunction);
-
 /// Runs the full cold pipeline for one function and packages the result
-/// as an arena [`StructState`] (with its [`PlacementMemo`]) plus the
-/// retired outcome.
+/// as an arena [`StructState`] (with its [`PlacementMemo`], and the
+/// retired report already recorded as its outcome for `profile`) plus
+/// that report.
 fn cold_structure(
     fid: FuncId,
     source_func: &Function,
     engine: &Engine<'_>,
-    profile: EdgeProfile,
-) -> Result<(StructState, Retired), DriverError> {
-    let weights = allocation_weights(source_func, &profile);
+    profile: &EdgeProfile,
+) -> Result<(StructState, FunctionReport), DriverError> {
     let mut func = source_func.clone();
     let alloc = {
         let _s = spillopt_obs::span("allocate");
-        allocate(&mut func, engine.target, Some(&profile))
+        allocate(&mut func, engine.target, Some(profile))
     };
-    let cache = AnalysisCache::compute(&func, engine.target, profile);
+    let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
     let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
-    let (memo, placements) = if cache.needs_placement() {
+    let memo = if cache.needs_placement() {
         let inputs = suite_inputs(&cache);
         let (suite, memo) =
             run_suite_memoized(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
                 .map_err(|e| suite_error(&func, e))?;
-        let placements = fill_report(&mut report, suite, engine.techniques);
-        (Some(memo), placements)
+        fill_report(&mut report, suite, engine.techniques);
+        Some(memo)
     } else {
-        (None, Vec::new())
+        None
     };
+    let mut outcomes = HashMap::new();
+    outcomes.insert(profile.clone(), report.clone());
     let state = StructState {
-        func_text: func.to_string(),
-        func: func.clone(),
+        source: source_func.clone(),
+        func: Arc::new(func),
         spilled_vregs: alloc.spilled_vregs,
-        weights,
         cache,
         memo,
-        outcomes: HashMap::new(),
+        outcomes,
     };
-    Ok((state, (report, (func, placements))))
+    Ok((state, report))
 }
 
 /// Re-establishes one function's placement after a profile drift that
@@ -1901,10 +1955,10 @@ fn refold_incremental(
     engine: &Engine<'_>,
     profile: EdgeProfile,
     arena: &AnalysisArena,
-) -> Result<Retired, DriverError> {
+) -> Result<FunctionReport, DriverError> {
     let delta = ProfileDelta::between(&st.cache.profile, &profile);
     let mut report = report_shell(fid, &st.func, &st.cache, st.spilled_vregs);
-    let placements = match st.memo.as_mut() {
+    match st.memo.as_mut() {
         Some(memo) => {
             let inputs = SuiteInputs::analyzed(
                 &st.cache.usage,
@@ -1922,17 +1976,14 @@ fn refold_incremental(
             )
             .map_err(|e| suite_error(&st.func, e))?;
             arena.record_incremental(refolds);
-            fill_report(&mut report, suite, engine.techniques)
+            fill_report(&mut report, suite, engine.techniques);
         }
         // No callee-saved use: the report is profile-independent and
         // there is nothing to re-fold.
-        None => {
-            arena.record_incremental(RefoldStats::default());
-            Vec::new()
-        }
-    };
+        None => arena.record_incremental(RefoldStats::default()),
+    }
     st.cache.profile = profile;
-    Ok((report, (st.func.clone(), placements)))
+    Ok(report)
 }
 
 /// Maps a core suite technique label to the reporting strategy name.
@@ -1982,20 +2033,15 @@ fn suite_inputs(cache: &AnalysisCache) -> SuiteInputs<'_> {
 }
 
 /// Distills a computed [`PlacementSuite`] into the report's selected
-/// strategies (and the per-strategy placements an applied module run
-/// needs), picking the best by predicted cost.
-fn fill_report(
-    report: &mut FunctionReport,
-    suite: PlacementSuite,
-    techniques: TechniqueSet,
-) -> Vec<(Strategy, Placement)> {
+/// strategies (each carrying the placement an applied module run
+/// inserts), picking the best by predicted cost.
+fn fill_report(report: &mut FunctionReport, suite: PlacementSuite, techniques: TechniqueSet) {
     let entries = [
         (Strategy::Baseline, suite.entry_exit),
         (Strategy::Shrinkwrap, suite.chow),
         (Strategy::HierExec, suite.hierarchical_exec.placement),
         (Strategy::HierJump, suite.hierarchical_jump.placement),
     ];
-    let mut placements = Vec::new();
     for ((strategy, placement), cost) in entries.into_iter().zip(suite.predicted) {
         if !techniques.contains(strategy) {
             continue;
@@ -2004,16 +2050,14 @@ fn fill_report(
             strategy,
             cost,
             static_count: placement.static_count(),
-            placement: placement.clone(),
+            placement,
         });
-        placements.push((strategy, placement));
     }
     report.best = report
         .strategies
         .iter()
         .min_by_key(|s| s.cost)
         .map(|s| s.strategy);
-    placements
 }
 
 /// Converts a placement-validity failure into the driver's structured
@@ -2192,6 +2236,103 @@ mod tests {
         assert!(matches!(err, DriverError::Config(_)), "{err}");
     }
 
+    /// Two distinct sources forced onto one fingerprint: the entry is
+    /// confirmed by equality, so the second function's lookup is a
+    /// counted miss that rebuilds the entry in place — never a hit
+    /// serving the first function's products — and every report equals
+    /// the arena-free pipeline's.
+    #[test]
+    fn fingerprint_collision_is_a_counted_miss_that_replaces_the_entry() {
+        let (module, _, target) = mcf();
+        let costs = SpillCostModel::UNIT;
+        let source = ProfileSource::default();
+        let arena = AnalysisArena::new(0);
+        let mut engine = Engine {
+            target: &target,
+            costs: &costs,
+            profile_source: &source,
+            techniques: TechniqueSet::ALL,
+            exec: Exec::Transient(1),
+            arena: Some(&arena),
+            observer: None,
+            policy: FailurePolicy::Fail,
+            budget: Budget::none(),
+        };
+        let [f, g] = [0, 1].map(FuncId::from_index);
+        assert_ne!(module.func(f), module.func(g));
+        let profile = |fid: FuncId| synth_profile(module.func(fid), fid, &source);
+        let (pf, pg) = (profile(f), profile(g));
+        const SHARED: u64 = 42;
+        let run = |engine: &Engine<'_>, fid, p, key| {
+            let (report, _, provenance) =
+                attempt_full_inner(&module, fid, p, engine, key).expect("attempt");
+            (report.to_json().to_compact(), provenance)
+        };
+
+        let (f_bytes, first) = run(&engine, f, &pf, Some(SHARED));
+        let (g_bytes, second) = run(&engine, g, &pg, Some(SHARED));
+        assert_eq!((first, second), (Provenance::Cold, Provenance::Cold));
+        let stats = arena.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+
+        // The entry now holds `g`: `g` hits, `f` misses and takes it back.
+        assert_eq!(run(&engine, g, &pg, Some(SHARED)).1, Provenance::Warm);
+        assert_eq!(run(&engine, f, &pf, Some(SHARED)).1, Provenance::Cold);
+        let stats = arena.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
+
+        engine.arena = None;
+        assert_eq!(f_bytes, run(&engine, f, &pf, None).0);
+        assert_eq!(g_bytes, run(&engine, g, &pg, None).0);
+    }
+
+    #[test]
+    fn fingerprint_is_structural_and_deterministic() {
+        let (module, _, _) = mcf();
+        let f = module.func(FuncId::from_index(0));
+        assert_eq!(fingerprint(f), fingerprint(&f.clone()));
+        // A cosmetic block name prints the same as no name but is a
+        // different key.
+        let mut fb = spillopt_ir::FunctionBuilder::new("g", 0);
+        let entry = fb.create_block(None);
+        fb.switch_to(entry);
+        fb.ret(None);
+        let unnamed = fb.finish();
+        let mut named = unnamed.clone();
+        named.block_mut(entry).name = Some("bb0".to_string());
+        assert_eq!(named.to_string(), unnamed.to_string());
+        assert_ne!(fingerprint(&named), fingerprint(&unnamed));
+    }
+
+    /// The profile-shape check counts edges without building a CFG;
+    /// the count must be exactly the CFG's on every benchmark module
+    /// and across the stress generator's shapes.
+    #[test]
+    fn edge_count_matches_the_cfg_on_benchgen_and_stress_modules() {
+        let specs = registry();
+        let mut modules: Vec<Module> = Vec::new();
+        for spec in &specs {
+            for bench in spillopt_benchgen::all_benchmarks() {
+                modules.push(build_bench(&bench, &spec.to_target()).module);
+            }
+        }
+        for seed in 0..200u64 {
+            let spec = &specs[seed as usize % specs.len()];
+            modules.push(spillopt_stress::gen_case(&spec.to_target(), seed).module);
+        }
+        for module in &modules {
+            for (_, func) in module.funcs() {
+                assert_eq!(
+                    spillopt_ir::Cfg::count_edges(func),
+                    spillopt_ir::Cfg::compute(func).num_edges(),
+                    "`{}` in `{}`",
+                    func.name(),
+                    module.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn technique_set_parses_and_renders() {
         assert_eq!(TechniqueSet::parse("all").unwrap(), TechniqueSet::ALL);
@@ -2251,13 +2392,21 @@ mod tests {
 /// Model-checked suites for the arena's concurrency skeleton: the
 /// warm-hit/insert, LRU-evict, and quarantine protocols explored over
 /// every interleaving reachable under the preemption bound, on an
-/// `Arena<u32>` (the production lock/atomic structure with a trivial
-/// payload). Run with `cargo test -p spillopt-driver --features model`.
+/// `Arena<u32>` keyed by bare fingerprints (the production lock/atomic
+/// structure with a trivial payload; the equality check that confirms
+/// a fingerprint is exercised by
+/// `tests::fingerprint_collision_is_a_counted_miss_that_replaces_the_entry`).
+/// Run with `cargo test -p spillopt-driver --features model`.
 #[cfg(all(test, feature = "model"))]
 mod arena_model_tests {
     use super::{Arc, Arena};
     use spillopt_sync::model::{check, ModelOptions};
     use spillopt_sync::thread;
+
+    /// Structure fingerprints of the scenarios' functions.
+    const F: u64 = 0xf;
+    const A: u64 = 0xa;
+    const B: u64 = 0xb;
 
     /// Warm-hit vs. insert race: two threads look up the same key and
     /// insert on miss. Under every schedule the arena ends with exactly
@@ -2269,26 +2418,26 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
             let worker = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || match arena.structure("f") {
+                thread::spawn(move || match arena.structure(F) {
                     Some(state) => {
                         arena.record_hit();
                         *state.lock().unwrap()
                     }
                     None => {
                         arena.record_miss();
-                        arena.insert_structure("f".into(), 7);
+                        arena.insert_structure(F, 7);
                         7
                     }
                 })
             };
-            match arena.structure("f") {
+            match arena.structure(F) {
                 Some(state) => {
                     arena.record_hit();
                     assert_eq!(*state.lock().unwrap(), 7);
                 }
                 None => {
                     arena.record_miss();
-                    arena.insert_structure("f".into(), 7);
+                    arena.insert_structure(F, 7);
                 }
             }
             assert_eq!(worker.join().unwrap(), 7);
@@ -2314,15 +2463,18 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(1));
             let worker = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || arena.insert_structure("a".into(), 1))
+                thread::spawn(move || arena.insert_structure(A, 1))
             };
-            arena.insert_structure("b".into(), 2);
+            arena.insert_structure(B, 2);
             worker.join().unwrap();
             let stats = arena.stats();
             assert_eq!(stats.entries, 1, "capacity 1 must hold");
             assert_eq!(stats.evictions, 1, "exactly one insert loses");
             // The survivor is intact and servable.
-            let survivor = ["a", "b"].iter().filter_map(|k| arena.structure(k)).count();
+            let survivor = [A, B]
+                .into_iter()
+                .filter_map(|k| arena.structure(k))
+                .count();
             assert_eq!(survivor, 1);
         });
         eprintln!("model_capacity_evict_race: {} schedules", report.executions);
@@ -2341,13 +2493,13 @@ mod arena_model_tests {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
             let prober = {
                 let arena = Arc::clone(&arena);
-                thread::spawn(move || arena.quarantine_skip("f") as u32)
+                thread::spawn(move || arena.quarantine_skip(F) as u32)
             };
-            arena.record_failure("f");
-            arena.record_failure("f");
+            arena.record_failure(F);
+            arena.record_failure(F);
             let raced = prober.join().unwrap();
             let mut drained = 0u32;
-            while arena.quarantine_skip("f") {
+            while arena.quarantine_skip(F) {
                 drained += 1;
             }
             assert_eq!(
@@ -2355,8 +2507,8 @@ mod arena_model_tests {
                 2,
                 "two failures open a window of exactly 2 skips"
             );
-            arena.record_success("f");
-            assert!(!arena.quarantine_skip("f"), "success clears the window");
+            arena.record_success(F);
+            assert!(!arena.quarantine_skip(F), "success clears the window");
         });
         eprintln!(
             "model_quarantine_window_is_conserved: {} schedules",
@@ -2372,30 +2524,84 @@ mod arena_model_tests {
     fn model_purge_races_active_use() {
         let report = check(ModelOptions::new(), || {
             let arena: Arc<Arena<u32>> = Arc::new(Arena::new(0));
-            arena.insert_structure("f".into(), 1);
+            arena.insert_structure(F, 1);
             let user = {
                 let arena = Arc::clone(&arena);
                 thread::spawn(move || {
-                    arena.structure("f").map(|state| {
+                    arena.structure(F).map(|state| {
                         let mut v = state.lock().unwrap();
                         *v += 10;
                         *v
                     })
                 })
             };
-            arena.record_failure("f"); // purges "f"
+            arena.record_failure(F); // purges F
             let seen = user.join().unwrap();
             assert!(
                 seen.is_none() || seen == Some(11),
                 "a racing user sees the entry fully or not at all: {seen:?}"
             );
             assert!(
-                arena.structure("f").is_none(),
+                arena.structure(F).is_none(),
                 "the purge must win against later lookups"
             );
         });
         eprintln!(
             "model_purge_races_active_use: {} schedules",
+            report.executions
+        );
+        assert!(report.executions > 1);
+    }
+
+    /// Two distinct sources racing on one fingerprint, each running the
+    /// production confirm-or-replace protocol (a located entry serves
+    /// only when its stored source equals the caller's; otherwise the
+    /// caller counts a miss and rebuilds the entry in place). Under
+    /// every schedule neither thread is served the other's payload,
+    /// the arena ends with one entry, and every lookup is counted.
+    #[test]
+    fn model_fingerprint_collision_never_serves_a_foreign_source() {
+        /// One call: `(source, payload)` states keyed by `F`; returns
+        /// the payload the caller was served.
+        fn call(arena: &Arena<(u32, u32)>, source: u32) -> u32 {
+            let payload = source * 10;
+            match arena.structure(F) {
+                Some(state) => {
+                    let mut st = state.lock().unwrap();
+                    if st.0 == source {
+                        arena.record_hit();
+                    } else {
+                        arena.record_miss();
+                        *st = (source, payload);
+                    }
+                    st.1
+                }
+                None => {
+                    arena.record_miss();
+                    arena.insert_structure(F, (source, payload));
+                    payload
+                }
+            }
+        }
+        let report = check(ModelOptions::new(), || {
+            let arena: Arc<Arena<(u32, u32)>> = Arc::new(Arena::new(0));
+            let worker = {
+                let arena = Arc::clone(&arena);
+                thread::spawn(move || call(&arena, 2))
+            };
+            assert_eq!(call(&arena, 1), 10, "source 1 was served a foreign payload");
+            assert_eq!(
+                worker.join().unwrap(),
+                20,
+                "source 2 was served a foreign payload"
+            );
+            let stats = arena.stats();
+            assert_eq!(stats.entries, 1);
+            assert_eq!(stats.hits, 0, "distinct sources never hit each other");
+            assert_eq!(stats.misses, 2);
+        });
+        eprintln!(
+            "model_fingerprint_collision_never_serves_a_foreign_source: {} schedules",
             report.executions
         );
         assert!(report.executions > 1);

@@ -10,10 +10,11 @@ use crate::inst::Inst;
 /// allow spill code to be inserted on critical fall-through edges without an
 /// extra jump instruction, which the paper's jump-edge cost model depends
 /// on.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Block {
     /// Optional human-readable name (e.g. `A`..`P` in the paper's worked
-    /// example). Purely cosmetic.
+    /// example). Cosmetic to every analysis, but part of the block's
+    /// structural equality and hash.
     pub name: Option<String>,
     /// The instructions of the block, in execution order.
     pub insts: Vec<Inst>,

@@ -73,7 +73,7 @@ impl Cfg {
     /// a malformed CFG; verify first.
     pub fn compute(func: &Function) -> Self {
         let n = func.num_blocks();
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity(Cfg::count_edges(func));
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         let mut exit_blocks = Vec::new();
@@ -128,6 +128,21 @@ impl Cfg {
             entry: func.entry(),
             exit_blocks,
         }
+    }
+
+    /// The number of edges [`Cfg::compute`] creates for `func`, counted
+    /// without building the CFG: a jump has one successor edge, a
+    /// conditional branch two, a return none, and a fall-through block
+    /// one.
+    pub fn count_edges(func: &Function) -> usize {
+        func.block_ids()
+            .map(|b| match func.block(b).terminator().map(|t| &t.kind) {
+                Some(InstKind::Jump { .. }) | None => 1,
+                Some(InstKind::Branch { .. }) => 2,
+                Some(InstKind::Return { .. }) => 0,
+                Some(_) => unreachable!("non-terminator returned by terminator()"),
+            })
+            .sum()
     }
 
     /// Returns the entry block.

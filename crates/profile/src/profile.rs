@@ -11,7 +11,7 @@ use std::fmt;
 ///
 /// All the paper's cost models price save/restore locations with these
 /// counts.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct EdgeProfile {
     edge_counts: Vec<u64>,
     entry_count: u64,
