@@ -7,7 +7,7 @@
 //! under criterion's timing loop for local comparisons.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spillopt_driver::driver::{DriverConfig, ProfileSource};
+use spillopt_driver::driver::ProfileSource;
 use spillopt_driver::refimpl::optimize_module_reference;
 use spillopt_driver::OptimizerBuilder;
 use spillopt_ir::Module;
@@ -32,10 +32,7 @@ fn corpus(spec: &TargetSpec, scale: u32, functions: usize) -> Vec<Module> {
 fn bench_module_optimize(c: &mut Criterion) {
     let mut group = c.benchmark_group("module_optimize");
     group.sample_size(10);
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
+    let profile = ProfileSource::default();
     for spec in [
         spillopt_targets::pa_risc_like(),
         spillopt_targets::aarch64_aapcs64(),
@@ -67,7 +64,9 @@ fn bench_module_optimize(c: &mut Criterion) {
             |b, modules| {
                 b.iter(|| {
                     for m in modules {
-                        black_box(optimize_module_reference(m, &spec, &config).expect("optimize"));
+                        black_box(
+                            optimize_module_reference(m, &spec, 1, &profile).expect("optimize"),
+                        );
                     }
                 })
             },

@@ -115,8 +115,6 @@ pub use paper_example::{fig1_example, paper_example, Fig1Example, PaperExample};
 pub use pipeline::{
     run_suite, run_technique, PlacementSuite, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
-#[allow(deprecated)]
-pub use pipeline::{run_suite_analyzed, run_suite_priced, run_suite_with};
 pub use sets::{EdgeShares, SaveRestoreSet};
 pub use solver::{chow_grow_all, chow_points_all, initial_sets_all, RegWords, RegionBusyCounts};
 pub use usage::CalleeSavedUsage;

@@ -6,14 +6,8 @@
 //! driver's cached path), behind one signature — the knobs travel in a
 //! [`SuiteOptions`], and an invalid placement surfaces as a structured
 //! [`SuiteError`] instead of a panic unwinding through whoever scheduled
-//! the function.
-//!
-//! The historical entry-point ladder that grew one variant per
-//! capability (`run_suite_with` for borrowed analyses, `run_suite_priced`
-//! for target pricing, `run_suite_analyzed` for the cached `DerivedCfg`)
-//! is kept as thin `#[deprecated]` shims for one release; every new knob
-//! lands as a field of [`SuiteOptions`] or [`SuiteInputs`] instead of a
-//! fifth free function.
+//! the function. A new knob lands as a field of [`SuiteOptions`] or
+//! [`SuiteInputs`], never as another free function.
 
 use crate::cost::{Cost, CostModel, SpillCostModel};
 use crate::entry_exit::entry_exit_placement;
@@ -440,90 +434,6 @@ pub fn run_technique(
     Ok((placement, cost))
 }
 
-/// The shim bodies: reproduce the historical panic-on-invalid behaviour
-/// exactly (the deprecated entry points documented a panic, and their
-/// remaining callers rely on it).
-fn run_or_panic(cfg: &Cfg, inputs: &SuiteInputs<'_>, options: &SuiteOptions) -> PlacementSuite {
-    run_suite(cfg, inputs, options).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// As [`run_suite`], with SCCs and the PST borrowed from the caller.
-///
-/// # Panics
-///
-/// Panics if any produced placement fails validity checking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_suite` with `SuiteInputs::analyzed` (or `SuiteInputs::compute`)"
-)]
-pub fn run_suite_with(
-    cfg: &Cfg,
-    cyclic: &[CyclicRegion],
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-) -> PlacementSuite {
-    let inputs = SuiteInputs {
-        usage,
-        profile,
-        cyclic: Slice::Borrowed(cyclic),
-        pst: Val::Borrowed(pst),
-        derived: Val::Owned(DerivedCfg::compute(cfg)),
-    };
-    run_or_panic(cfg, &inputs, &SuiteOptions::default())
-}
-
-/// As [`run_suite`], with borrowed SCCs/PST and a target cost model.
-///
-/// # Panics
-///
-/// Panics if any produced placement fails validity checking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_suite` with `SuiteInputs` and `SuiteOptions::priced`"
-)]
-pub fn run_suite_priced(
-    cfg: &Cfg,
-    cyclic: &[CyclicRegion],
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    costs: &SpillCostModel,
-) -> PlacementSuite {
-    let inputs = SuiteInputs {
-        usage,
-        profile,
-        cyclic: Slice::Borrowed(cyclic),
-        pst: Val::Borrowed(pst),
-        derived: Val::Owned(DerivedCfg::compute(cfg)),
-    };
-    run_or_panic(cfg, &inputs, &SuiteOptions::priced(*costs))
-}
-
-/// As [`run_suite`], with every analysis (including the dense
-/// [`DerivedCfg`]) borrowed from the caller.
-///
-/// # Panics
-///
-/// Panics if any produced placement fails validity checking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_suite` with `SuiteInputs::analyzed` and `SuiteOptions::priced`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_suite_analyzed(
-    cfg: &Cfg,
-    derived: &DerivedCfg,
-    cyclic: &[CyclicRegion],
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    costs: &SpillCostModel,
-) -> PlacementSuite {
-    let inputs = SuiteInputs::analyzed(usage, profile, cyclic, pst, derived);
-    run_or_panic(cfg, &inputs, &SuiteOptions::priced(*costs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,33 +489,6 @@ mod tests {
         assert_eq!(a.chow, b.chow);
         assert_eq!(a.hierarchical_jump.placement, b.hierarchical_jump.placement);
         assert_eq!(a.predicted, b.predicted);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_new_entry_point() {
-        let (cfg, usage, profile) = diamond();
-        let cyclic = sccs(&cfg);
-        let pst = Pst::compute(&cfg);
-        let derived = DerivedCfg::compute(&cfg);
-        let inputs = SuiteInputs::analyzed(&usage, &profile, &cyclic, &pst, &derived);
-        let new = run_suite(&cfg, &inputs, &SuiteOptions::default()).expect("valid");
-        let shim = run_suite_with(&cfg, &cyclic, &pst, &usage, &profile);
-        assert_eq!(new.entry_exit, shim.entry_exit);
-        assert_eq!(new.chow, shim.chow);
-        assert_eq!(new.predicted, shim.predicted);
-        let priced = run_suite_priced(&cfg, &cyclic, &pst, &usage, &profile, &SpillCostModel::UNIT);
-        assert_eq!(new.predicted, priced.predicted);
-        let analyzed = run_suite_analyzed(
-            &cfg,
-            &derived,
-            &cyclic,
-            &pst,
-            &usage,
-            &profile,
-            &SpillCostModel::UNIT,
-        );
-        assert_eq!(new.predicted, analyzed.predicted);
     }
 
     #[test]

@@ -684,7 +684,8 @@ fn check_one_reference(
 }
 
 /// Runs every technique through the retired implementations and verifies
-/// the results — the frozen form of [`crate::run_suite_priced`].
+/// the results — the frozen form of [`crate::run_suite`] with
+/// [`crate::SuiteOptions::priced`].
 ///
 /// # Panics
 ///

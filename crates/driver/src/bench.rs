@@ -29,7 +29,7 @@
 //! sections of the JSON record and, via `spillopt bench --trace FILE`,
 //! a Chrome Trace Event file.
 
-use crate::driver::{DriverConfig, DriverError, ProfileSource};
+use crate::driver::{DriverError, ProfileSource};
 use crate::json::Json;
 use crate::refimpl::optimize_module_reference;
 use crate::session::OptimizerBuilder;
@@ -223,10 +223,7 @@ pub fn corpus_for(spec: &TargetSpec, config: &BenchConfig) -> Vec<Module> {
 /// Returns the first driver failure (a panicking pipeline or workload).
 pub fn run_bench(config: &BenchConfig) -> Result<BenchOutcome, DriverError> {
     let specs = registry();
-    let driver_config = DriverConfig {
-        threads: config.threads,
-        profile: ProfileSource::default(),
-    };
+    let profile = ProfileSource::default();
     let mut targets = Vec::new();
     let mut corpus_cases = 0;
     let mut corpus_functions = 0;
@@ -254,7 +251,7 @@ pub fn run_bench(config: &BenchConfig) -> Result<BenchOutcome, DriverError> {
         let mut reports_identical = true;
         for module in &corpus {
             let current = session.optimize(module)?;
-            let reference = optimize_module_reference(module, spec, &driver_config)?;
+            let reference = optimize_module_reference(module, spec, config.threads, &profile)?;
             if current.report.to_json().to_compact() != reference.report.to_json().to_compact() {
                 reports_identical = false;
             }
@@ -269,7 +266,8 @@ pub fn run_bench(config: &BenchConfig) -> Result<BenchOutcome, DriverError> {
                         std::hint::black_box(&optimize_module_reference(
                             module,
                             spec,
-                            &driver_config,
+                            config.threads,
+                            &profile,
                         )?);
                     } else {
                         std::hint::black_box(&session.optimize(module)?);

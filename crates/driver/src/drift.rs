@@ -311,7 +311,7 @@ fn replay(
         check(&warm, spec, module, &profiles, step)?;
         checks += 1;
     }
-    let arena = warm.arena_stats();
+    let arena = warm.stats().arena;
     Ok(ReplayStats {
         checks,
         warm_hits: arena.hits,

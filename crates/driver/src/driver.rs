@@ -1,23 +1,16 @@
-//! The module-scale driver's shared types — and the deprecated
-//! free-function entry points the [`crate::session`] facade replaces.
+//! The module-scale driver's shared types: strategies, profile sources,
+//! errors, the fault ledger, and [`ModuleRun`].
 //!
 //! The pipeline itself (profile → Chaitin/Briggs allocation → one shared
 //! [`crate::cache::AnalysisCache`] → every selected placement technique
 //! via [`spillopt_core::run_suite`]) lives in `crate::session`; build an
 //! [`crate::OptimizerBuilder`] and call [`crate::Session::optimize`].
-//! The free functions kept here (`optimize_module`,
-//! `optimize_module_for`, `cross_target_runs`) are thin `#[deprecated]`
-//! shims over the same engine — byte-identical output, one release of
-//! grace.
 
-use crate::pool::try_run_indexed;
-use crate::report::{CrossTargetReport, ModuleReport};
-use crate::session::{run_module, Budget, Engine, Exec, FailurePolicy, TechniqueSet};
-use spillopt_core::{insert_placement, SpillCostModel};
-use spillopt_ir::{Cfg, FuncId, Function, Module, RegDiscipline, Target};
+use crate::report::ModuleReport;
+use spillopt_core::insert_placement;
+use spillopt_ir::{Cfg, FuncId, Function, Module, RegDiscipline};
 use spillopt_profile::ExecError;
 use spillopt_sync::Arc;
-use spillopt_targets::TargetSpec;
 
 /// The placement strategies the driver compares, in reporting order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,18 +91,6 @@ impl Default for ProfileSource {
     }
 }
 
-/// Configuration of the deprecated free-function entry points (the
-/// session facade carries the same knobs on [`crate::OptimizerBuilder`];
-/// the frozen reference pipeline in [`crate::refimpl`] still reads
-/// this).
-#[derive(Clone, Debug, Default)]
-pub struct DriverConfig {
-    /// Worker threads; `0` = available parallelism, `1` = serial.
-    pub threads: usize,
-    /// Profile source.
-    pub profile: ProfileSource,
-}
-
 /// A driver failure.
 #[derive(Debug)]
 pub enum DriverError {
@@ -139,16 +120,18 @@ pub enum DriverError {
     /// resurface on other threads as opaque `PoisonError` unwraps), and
     /// the driver names the failing unit instead.
     Panicked {
-        /// The function (or target, for cross-target fan-outs) whose
-        /// pipeline died.
+        /// The function whose pipeline died — `module::function` in a
+        /// batch of more than one module — or the target, for
+        /// cross-target fan-outs.
         unit: String,
         /// The panic message.
         message: String,
     },
-    /// A function blew through the session's cooperative [`Budget`]
-    /// (wall-clock deadline or solver-iteration cap). Under
-    /// [`FailurePolicy::Fail`] this surfaces here; under `Degrade`/`Skip`
-    /// it is caught and recorded in the fault ledger instead.
+    /// A function blew through the session's cooperative
+    /// [`Budget`](crate::Budget) (wall-clock deadline or solver-iteration
+    /// cap). Under [`FailurePolicy::Fail`](crate::FailurePolicy::Fail)
+    /// this surfaces here; under `Degrade`/`Skip` it is caught and
+    /// recorded in the fault ledger instead.
     BudgetExceeded {
         /// The function whose pipeline exceeded the budget.
         function: String,
@@ -238,15 +221,16 @@ pub enum FaultAction {
         /// The strategy that rescued the function.
         to: Strategy,
     },
-    /// Every rung failed (or the policy was [`FailurePolicy::Skip`], or
-    /// the function was quarantined): the function passed through
+    /// Every rung failed (or the policy was
+    /// [`FailurePolicy::Skip`](crate::FailurePolicy::Skip), or the
+    /// function was quarantined): the function passed through
     /// unoptimized.
     Skipped,
 }
 
 /// One entry of the per-run fault ledger: a function whose full pipeline
-/// failed under [`FailurePolicy::Degrade`] or [`FailurePolicy::Skip`],
-/// with the original error preserved.
+/// failed under `Degrade` or `Skip` ([`crate::FailurePolicy`]), with
+/// the original error preserved.
 #[derive(Clone, Debug)]
 pub struct FunctionFault {
     /// The function's name.
@@ -289,8 +273,7 @@ pub struct ModuleRun {
     /// Shared: a warm session hands out its arena's own copy.
     allocated: Vec<Arc<Function>>,
     /// Fault ledger: functions contained under `Degrade`/`Skip`, in
-    /// [`FuncId`] order. Empty under [`FailurePolicy::Fail`] and on
-    /// clean runs.
+    /// [`FuncId`] order. Empty under `Fail` and on clean runs.
     faults: Vec<FunctionFault>,
 }
 
@@ -312,7 +295,8 @@ impl ModuleRun {
 
     /// The fault ledger: one entry per function whose full pipeline
     /// failed and was contained (degraded, skipped, or quarantined).
-    /// Empty on clean runs and under [`FailurePolicy::Fail`].
+    /// Empty on clean runs and under
+    /// [`FailurePolicy::Fail`](crate::FailurePolicy::Fail).
     pub fn faults(&self) -> &[FunctionFault] {
         &self.faults
     }
@@ -382,113 +366,12 @@ impl ModuleRun {
     }
 }
 
-/// Runs the driver over `module` under the paper's unit cost model.
-///
-/// # Errors
-///
-/// Returns the first driver failure.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `OptimizerBuilder` and call `Session::optimize`"
-)]
-pub fn optimize_module(
-    module: &Module,
-    target: &Target,
-    config: &DriverConfig,
-) -> Result<ModuleRun, DriverError> {
-    let engine = Engine {
-        target,
-        costs: &SpillCostModel::UNIT,
-        profile_source: &config.profile,
-        techniques: TechniqueSet::ALL,
-        exec: Exec::Transient(config.threads),
-        arena: None,
-        observer: None,
-        policy: FailurePolicy::Fail,
-        budget: Budget::none(),
-    };
-    run_module(module, &engine)
-}
-
-/// As [`optimize_module`], for a registered backend target: the
-/// allocatable set comes from the spec's convention and every placement
-/// decision and predicted cost uses the spec's [`SpillCostModel`].
-///
-/// # Errors
-///
-/// Returns the first driver failure.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `OptimizerBuilder` with `target_spec` and call `Session::optimize`"
-)]
-pub fn optimize_module_for(
-    module: &Module,
-    spec: &TargetSpec,
-    config: &DriverConfig,
-) -> Result<ModuleRun, DriverError> {
-    let target = spec.to_target();
-    let engine = Engine {
-        target: &target,
-        costs: &spec.costs,
-        profile_source: &config.profile,
-        techniques: TechniqueSet::ALL,
-        exec: Exec::Transient(config.threads),
-        arena: None,
-        observer: None,
-        policy: FailurePolicy::Fail,
-        budget: Budget::none(),
-    };
-    run_module(module, &engine)
-}
-
-/// Runs the whole pipeline across every given target and collects the
-/// per-target reports into one [`CrossTargetReport`].
-///
-/// # Errors
-///
-/// Returns the first per-target driver failure.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `OptimizerBuilder` with `all_targets` and call `Session::cross_target`"
-)]
-pub fn cross_target_runs(
-    specs: &[TargetSpec],
-    threads: usize,
-    load: impl Fn(&TargetSpec) -> Result<(Module, ProfileSource), DriverError> + Sync,
-) -> Result<CrossTargetReport, DriverError> {
-    let items: Vec<&TargetSpec> = specs.iter().collect();
-    let outcomes = try_run_indexed(items, threads, |_, spec| {
-        let (module, profile) = load(spec)?;
-        let target = spec.to_target();
-        let engine = Engine {
-            target: &target,
-            costs: &spec.costs,
-            profile_source: &profile,
-            techniques: TechniqueSet::ALL,
-            exec: Exec::Transient(1),
-            arena: None,
-            observer: None,
-            policy: FailurePolicy::Fail,
-            budget: Budget::none(),
-        };
-        run_module(&module, &engine).map(|run| (spec.clone(), run.report))
-    })
-    .map_err(|p| DriverError::Panicked {
-        unit: specs[p.index].name.to_string(),
-        message: p.message(),
-    })?;
-    let mut targets = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        targets.push(outcome?);
-    }
-    Ok(CrossTargetReport::new(targets))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::OptimizerBuilder;
     use spillopt_benchgen::{benchmark_by_name, build_bench};
+    use spillopt_ir::Target;
 
     fn small_bench_module() -> (Module, Vec<(FuncId, Vec<i64>)>, Target) {
         let target = Target::default();

@@ -6,15 +6,17 @@
 //! `spillopt-core` into a whole-module pipeline behind **one**
 //! session-based API:
 //!
-//! * [`OptimizerBuilder`] / [`Session`] — the only supported entry
-//!   point: configure target (preset [`spillopt_ir::Target`], registered
+//! * [`OptimizerBuilder`] / [`Session`] — the one entry point:
+//!   configure target (preset [`spillopt_ir::Target`], registered
 //!   [`spillopt_targets::TargetSpec`] name, or all of them), cost-model
 //!   override, [`ProfileSource`], thread count, and a typed
 //!   [`TechniqueSet`]; `build()` validates once and returns a warm
 //!   session that owns the persistent work pool and a per-session
-//!   analysis arena. [`Session::optimize`], [`Session::optimize_many`],
-//!   and [`Session::cross_target`] all return [`ModuleRun`]s and accept
-//!   an optional streaming [`Observer`];
+//!   analysis arena. [`Session::optimize`],
+//!   [`Session::optimize_profiled`], [`Session::optimize_many`], and
+//!   each target of [`Session::cross_target`] run through one batch
+//!   body, and every method has an `_observed` form that streams
+//!   per-function reports to an [`Observer`];
 //! * [`AnalysisCache`] — every CFG-derived analysis a function's
 //!   placement needs (CFG, dominators, loops, SCCs, PST, profile,
 //!   callee-saved usage), computed **once** per function and
@@ -22,8 +24,8 @@
 //!   [`spillopt_core::run_suite`]'s borrowed-analysis inputs;
 //! * [`pool`] — the `std`-only work pool: persistent workers for
 //!   sessions ([`pool::Pool`]), scoped per-call scheduling for the
-//!   deprecated free functions, deterministic item-order results either
-//!   way;
+//!   stress fan-outs and the reference pipeline, deterministic
+//!   item-order results either way;
 //! * [`mod@bench`] / [`refimpl`] — the perf-trajectory harness: the frozen
 //!   pre-rewrite pipeline kept executable, timed against the current
 //!   one over a seeded stress corpus with byte-identical reports
@@ -46,10 +48,6 @@
 //!   as [`FunctionFault`] entries;
 //! * [`cli`] — the `spillopt` binary: `optimize`, `compare`, `report`,
 //!   `stress`, `bench`, `list-benches`, `list-targets`.
-//!
-//! The pre-session free functions (`optimize_module`,
-//! `optimize_module_for`, `cross_target_runs`) are kept as
-//! `#[deprecated]` shims over the same engine for one release.
 //!
 //! # Examples
 //!
@@ -85,7 +83,7 @@
 //! // Warm reuse: the second optimize of the same module is served from
 //! // the session's analysis arena — and is still byte-identical.
 //! let again = session.optimize(&bench.module).unwrap();
-//! assert!(session.arena_stats().hits > 0);
+//! assert!(session.stats().arena.hits > 0);
 //! assert_eq!(run.report.to_json().to_compact(),
 //!            again.report.to_json().to_compact());
 //!
@@ -114,11 +112,8 @@ pub mod stress;
 pub use bench::{run_bench, BenchConfig, BenchOutcome};
 pub use cache::AnalysisCache;
 pub use drift::{run_drift, DriftConfig, DriftFailure, DriftSummary, DEFAULT_DRIFT_STEPS};
-#[allow(deprecated)]
-pub use driver::{cross_target_runs, optimize_module, optimize_module_for};
 pub use driver::{
-    DriverConfig, DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource,
-    Strategy,
+    DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource, Strategy,
 };
 pub use faults::{run_faults, FaultConfig, FaultFailure, FaultSummary, FAULT_SITES};
 pub use json::Json;

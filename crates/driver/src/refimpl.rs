@@ -17,14 +17,15 @@
 //!   (per-register Chow fixpoints, hash-keyed hierarchical bookkeeping,
 //!   hash-map share/cost accounting, per-register validation).
 //!
-//! Its [`ModuleReport`] is byte-identical to
-//! [`crate::driver::optimize_module_for`]'s — the rewrite changed *how*
-//! the answers are computed, never the answers — which `spillopt bench`
-//! asserts on every run before it reports the wall-clock ratio. Keeping
+//! Its [`ModuleReport`] is byte-identical to an arena-free
+//! [`crate::Session::optimize`]'s on the same target spec and profile
+//! source — the rewrite changed *how* the answers are computed, never
+//! the answers — which `spillopt bench` asserts on every run before it
+//! reports the wall-clock ratio. Keeping
 //! the baseline executable (instead of a number in a README) makes the
 //! speedup reproducible on any machine, forever.
 
-use crate::driver::{DriverConfig, DriverError, ModuleRun, ProfileSource, Strategy};
+use crate::driver::{DriverError, ModuleRun, ProfileSource, Strategy};
 use crate::report::{FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::reference::run_suite_priced_reference;
 use spillopt_core::{CalleeSavedUsage, SpillCostModel};
@@ -36,18 +37,20 @@ use spillopt_regalloc::allocate_reference;
 use spillopt_sync::Arc;
 use spillopt_targets::TargetSpec;
 
-/// As [`crate::driver::optimize_module_for`], running the frozen
-/// reference pipeline end to end (serial; the bench times both arms at
-/// the same thread count).
+/// Optimizes `module` for `spec` through the frozen reference pipeline
+/// end to end, with per-function profiles from `profile`, on `threads`
+/// workers (`0` = available parallelism, `1` = serial; the bench times
+/// both arms at the same thread count).
 pub fn optimize_module_reference(
     module: &Module,
     spec: &TargetSpec,
-    config: &DriverConfig,
+    threads: usize,
+    profile: &ProfileSource,
 ) -> Result<ModuleRun, DriverError> {
     let target = spec.to_target();
     let costs = spec.costs;
     // Stage 1 (serial): training profiles, if a workload is given.
-    let profiles: Vec<Option<EdgeProfile>> = match &config.profile {
+    let profiles: Vec<Option<EdgeProfile>> = match profile {
         ProfileSource::Workload(runs) => {
             let mut vm = Machine::new(module, &target);
             vm.set_fuel(1 << 30);
@@ -67,14 +70,14 @@ pub fn optimize_module_reference(
     };
 
     let items: Vec<(FuncId, Option<EdgeProfile>)> = module.func_ids().zip(profiles).collect();
-    let outcomes = crate::pool::try_run_indexed(items, config.threads, |index, (fid, profile)| {
+    let outcomes = crate::pool::try_run_indexed(items, threads, |index, (fid, measured)| {
         let mut func = module.func(fid).clone();
-        let profile = profile.unwrap_or_else(|| {
+        let profile = measured.unwrap_or_else(|| {
             let ProfileSource::Synthetic {
                 walks,
                 max_steps,
                 seed,
-            } = &config.profile
+            } = profile
             else {
                 unreachable!("workload profiles are precomputed")
             };

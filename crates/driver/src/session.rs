@@ -1,11 +1,7 @@
 //! The session-based optimizer facade: [`OptimizerBuilder`] → [`Session`].
 //!
-//! Four PRs of growth left the public surface as a ladder of free
-//! functions — `optimize_module` / `optimize_module_for` /
-//! `cross_target_runs` here, `run_suite` × four variants in
-//! `spillopt-core` — where every new capability forced another variant
-//! and a sweep of call sites. This module collapses the ladder into the
-//! one shape every future subsystem (serving, sharding, incremental
+//! Every module-scale entry point of the workspace goes through the one
+//! shape every future subsystem (serving, sharding, incremental
 //! reoptimization) plugs into:
 //!
 //! * [`OptimizerBuilder`] — declare *what* to optimize for: a target (a
@@ -24,6 +20,10 @@
 //!   [`FunctionReport`]s are delivered **as functions retire** from the
 //!   pool (progress for the CLI today, the backpressure hook for a
 //!   future server).
+//!
+//! Behind the facade, every module call — `optimize`,
+//! `optimize_profiled`, `optimize_many`, their `_observed` forms, and
+//! each target of `cross_target` — runs one private batch body.
 //!
 //! Reports stay deterministic: everything in a [`ModuleRun`] — including
 //! its JSON bytes — is a pure function of the inputs and the session's
@@ -48,6 +48,7 @@ use spillopt_regalloc::allocate;
 use spillopt_sync::atomic::{AtomicU64, Ordering};
 use spillopt_sync::{Arc, Mutex};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -368,7 +369,7 @@ pub struct SessionStats {
     pub pool_workers: Vec<PoolWorkerStats>,
 }
 
-/// Arena statistics (see [`Session::arena_stats`]).
+/// Arena statistics (see [`Session::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Cached function structures (distinct source functions).
@@ -1011,8 +1012,8 @@ impl Session {
         self.pool.threads()
     }
 
-    /// Arena statistics; all-zero for sessions built with
-    /// [`OptimizerBuilder::reuse_analyses`]`(false)`.
+    /// Arena statistics, equal to `stats().arena`; all-zero for sessions
+    /// built with [`OptimizerBuilder::reuse_analyses`]`(false)`.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena
             .as_ref()
@@ -1039,33 +1040,27 @@ impl Session {
         }
     }
 
-    fn engine<'e>(
-        &'e self,
-        st: &'e SessionTarget,
-        observer: Option<&'e dyn Observer>,
-    ) -> Engine<'e> {
-        self.engine_with(st, &self.profile, observer)
-    }
-
-    /// As [`Session::engine`], with a per-call profile source override
-    /// (the [`Session::optimize_profiled`] path).
-    fn engine_with<'e>(
-        &'e self,
-        st: &'e SessionTarget,
-        source: &'e ProfileSource,
-        observer: Option<&'e dyn Observer>,
-    ) -> Engine<'e> {
-        Engine {
+    /// Runs `modules` through [`run_batch`] on the session's single
+    /// target, pool and arena.
+    fn run(
+        &self,
+        modules: &[Module],
+        profiles: Option<&[EdgeProfile]>,
+        observer: Option<&dyn Observer>,
+    ) -> Result<Vec<ModuleRun>, DriverError> {
+        let st = self.single_target()?;
+        let engine = Engine {
             target: &st.target,
             costs: &st.costs,
-            profile_source: source,
+            profile_source: &self.profile,
             techniques: self.techniques,
-            exec: Exec::Pool(&self.pool),
+            pool: Some(&self.pool),
             arena: self.arena.as_ref(),
             observer,
             policy: self.failure_policy,
             budget: self.budget,
-        }
+        };
+        run_batch(&engine, modules, profiles)
     }
 
     /// Optimizes one module on the session pool.
@@ -1076,7 +1071,8 @@ impl Session {
     /// invalid placement ([`DriverError::InvalidPlacement`]), or a
     /// panicking pipeline.
     pub fn optimize(&self, module: &Module) -> Result<ModuleRun, DriverError> {
-        self.optimize_inner(module, None)
+        self.run(std::slice::from_ref(module), None, None)
+            .map(only_run)
     }
 
     /// As [`Session::optimize`], streaming per-function reports to
@@ -1090,16 +1086,8 @@ impl Session {
         module: &Module,
         observer: &dyn Observer,
     ) -> Result<ModuleRun, DriverError> {
-        self.optimize_inner(module, Some(observer))
-    }
-
-    fn optimize_inner(
-        &self,
-        module: &Module,
-        observer: Option<&dyn Observer>,
-    ) -> Result<ModuleRun, DriverError> {
-        let st = self.single_target()?;
-        run_module(module, &self.engine(st, observer))
+        self.run(std::slice::from_ref(module), None, Some(observer))
+            .map(only_run)
     }
 
     /// Optimizes one module under explicit measured per-function edge
@@ -1125,7 +1113,8 @@ impl Session {
         module: &Module,
         profiles: &[EdgeProfile],
     ) -> Result<ModuleRun, DriverError> {
-        self.optimize_profiled_inner(module, profiles, None)
+        self.run(std::slice::from_ref(module), Some(profiles), None)
+            .map(only_run)
     }
 
     /// As [`Session::optimize_profiled`], streaming per-function
@@ -1140,18 +1129,8 @@ impl Session {
         profiles: &[EdgeProfile],
         observer: &dyn Observer,
     ) -> Result<ModuleRun, DriverError> {
-        self.optimize_profiled_inner(module, profiles, Some(observer))
-    }
-
-    fn optimize_profiled_inner(
-        &self,
-        module: &Module,
-        profiles: &[EdgeProfile],
-        observer: Option<&dyn Observer>,
-    ) -> Result<ModuleRun, DriverError> {
-        let st = self.single_target()?;
-        let source = ProfileSource::Profiles(profiles.to_vec());
-        run_module(module, &self.engine_with(st, &source, observer))
+        self.run(std::slice::from_ref(module), Some(profiles), Some(observer))
+            .map(only_run)
     }
 
     /// Materializes the per-function edge profiles the session's
@@ -1167,14 +1146,13 @@ impl Session {
     /// [`Session::optimize`] would.
     pub fn resolve_profiles(&self, module: &Module) -> Result<Vec<EdgeProfile>, DriverError> {
         let st = self.single_target()?;
-        let profiles = module_profiles(module, &st.target, &self.profile)?;
-        Ok(module
-            .func_ids()
-            .zip(profiles)
-            .map(|(fid, p)| {
-                p.unwrap_or_else(|| synth_profile(module.func(fid), fid, &self.profile))
-            })
-            .collect())
+        Ok(match module_profiles(module, &st.target, &self.profile)? {
+            Some(profiles) => profiles.into_owned(),
+            None => module
+                .func_ids()
+                .map(|fid| synth_profile(module.func(fid), fid, &self.profile))
+                .collect(),
+        })
     }
 
     /// Optimizes a batch of modules, fanning **all** their functions out
@@ -1186,7 +1164,7 @@ impl Session {
     ///
     /// Returns the first driver failure across the batch.
     pub fn optimize_many(&self, modules: &[Module]) -> Result<Vec<ModuleRun>, DriverError> {
-        self.optimize_many_inner(modules, None)
+        self.run(modules, None, None)
     }
 
     /// As [`Session::optimize_many`], streaming per-function reports.
@@ -1199,89 +1177,7 @@ impl Session {
         modules: &[Module],
         observer: &dyn Observer,
     ) -> Result<Vec<ModuleRun>, DriverError> {
-        self.optimize_many_inner(modules, Some(observer))
-    }
-
-    fn optimize_many_inner(
-        &self,
-        modules: &[Module],
-        observer: Option<&dyn Observer>,
-    ) -> Result<Vec<ModuleRun>, DriverError> {
-        let st = self.single_target()?;
-        if modules.len() > 1
-            && matches!(
-                self.profile,
-                ProfileSource::Workload(_) | ProfileSource::Profiles(_)
-            )
-        {
-            return Err(DriverError::Config(
-                "a training workload (or an explicit profile vector) names one specific \
-                 module's functions and cannot drive a multi-module batch; use synthetic \
-                 profiles, or one `optimize` call per module with its own profile session"
-                    .to_string(),
-            ));
-        }
-        let engine = self.engine(st, observer);
-
-        // Stage 1 (serial): per-module training profiles.
-        let mut items: Vec<(usize, FuncId, Option<EdgeProfile>)> = Vec::new();
-        for (mi, module) in modules.iter().enumerate() {
-            let profiles = module_profiles(module, engine.target, engine.profile_source)?;
-            items.extend(module.func_ids().zip(profiles).map(|(fid, p)| (mi, fid, p)));
-        }
-        let coords: Vec<(usize, FuncId)> = items.iter().map(|(mi, fid, _)| (*mi, *fid)).collect();
-
-        // Stage 2 (parallel): every function of every module, one batch.
-        let outcomes = engine
-            .exec
-            .run(items, |_, (mi, fid, profile)| {
-                run_function(&modules[mi], fid, profile, &engine)
-            })
-            .map_err(|p| {
-                let (mi, fid) = coords[p.index];
-                DriverError::Panicked {
-                    unit: format!("{}::{}", modules[mi].name(), modules[mi].func(fid).name()),
-                    message: p.message(),
-                }
-            })?;
-
-        // Regroup per module, in input order.
-        type PerModule = (Vec<FunctionReport>, Vec<Arc<Function>>, Vec<FunctionFault>);
-        let mut per_module: Vec<PerModule> = (0..modules.len())
-            .map(|_| (Vec::new(), Vec::new(), Vec::new()))
-            .collect();
-        for ((mi, _), outcome) in coords.into_iter().zip(outcomes) {
-            let (report, allocated, fault) = match outcome {
-                Ok(o) => o,
-                // Contained failures name the function; batch callers
-                // get the module prefixed (matching the panic path).
-                Err(DriverError::Panicked { unit, message }) => {
-                    return Err(DriverError::Panicked {
-                        unit: format!("{}::{unit}", modules[mi].name()),
-                        message,
-                    })
-                }
-                Err(e) => return Err(e),
-            };
-            per_module[mi].0.push(report);
-            per_module[mi].1.push(allocated);
-            per_module[mi].2.extend(fault);
-        }
-        let mut runs = Vec::with_capacity(modules.len());
-        for (module, (reports, allocated, faults)) in modules.iter().zip(per_module) {
-            let run = ModuleRun::from_parts(
-                ModuleReport::new(
-                    module.name().to_string(),
-                    engine.target.name().to_string(),
-                    reports,
-                ),
-                allocated,
-                faults,
-            );
-            notify_module_done(&engine, &run.report)?;
-            runs.push(run);
-        }
-        Ok(runs)
+        self.run(modules, None, Some(observer))
     }
 
     /// Runs the whole pipeline across every session target and collects
@@ -1345,15 +1241,16 @@ impl Session {
                     costs: &st.costs,
                     profile_source: &profile,
                     techniques: self.techniques,
-                    // Serial within the worker: the target fan-out is
+                    // Inline within the worker: the target fan-out is
                     // the parallelism.
-                    exec: Exec::Transient(1),
+                    pool: None,
                     arena: None,
                     observer,
                     policy: self.failure_policy,
                     budget: self.budget,
                 };
-                run_module(&module, &engine).map(|run| (spec.clone(), run.report))
+                let run = only_run(run_batch(&engine, std::slice::from_ref(&module), None)?);
+                Ok((spec.clone(), run.report))
             })
             .map_err(|p| DriverError::Panicked {
                 unit: self.targets[p.index].target.name().to_string(),
@@ -1367,51 +1264,53 @@ impl Session {
     }
 }
 
-/// How a module run schedules its per-function work.
-pub(crate) enum Exec<'e> {
-    /// Scoped threads spawned for this call (`0` = auto, `1` = inline) —
-    /// the deprecated free functions' schedule.
-    Transient(usize),
-    /// The session's persistent pool.
-    Pool(&'e Pool),
+/// The run of a one-module batch.
+fn only_run(mut runs: Vec<ModuleRun>) -> ModuleRun {
+    runs.pop().expect("one module in, one run out")
 }
 
-impl Exec<'_> {
+/// One batch's full configuration. A session builds one per call over
+/// its single target, pool and arena; [`Session::cross_target`] builds
+/// one per target, inline and arena-free.
+struct Engine<'e> {
+    target: &'e Target,
+    costs: &'e SpillCostModel,
+    /// Where profiles come from for functions without a per-call one.
+    profile_source: &'e ProfileSource,
+    techniques: TechniqueSet,
+    /// The persistent pool, or `None` to run inline on the calling
+    /// thread.
+    pool: Option<&'e Pool>,
+    arena: Option<&'e AnalysisArena>,
+    observer: Option<&'e dyn Observer>,
+    policy: FailurePolicy,
+    budget: Budget,
+}
+
+impl Engine<'_> {
+    /// Runs `work` over `items` on the engine's executor, results in
+    /// item order.
     fn run<I, T, F>(&self, items: Vec<I>, work: F) -> Result<Vec<T>, ItemPanic>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        match self {
-            Exec::Transient(threads) => try_run_indexed(items, *threads, work),
-            Exec::Pool(pool) => pool.run_batch(items, work),
+        match self.pool {
+            Some(pool) => pool.run_batch(items, work),
+            None => try_run_indexed(items, 1, work),
         }
     }
 }
 
-/// One module run's full configuration — the session's and the
-/// deprecated free functions' shared engine. Everything downstream of
-/// this struct is identical on both paths, which is what keeps the
-/// facade byte-compatible with the entry points it replaces.
-pub(crate) struct Engine<'e> {
-    pub target: &'e Target,
-    pub costs: &'e SpillCostModel,
-    pub profile_source: &'e ProfileSource,
-    pub techniques: TechniqueSet,
-    pub exec: Exec<'e>,
-    pub arena: Option<&'e AnalysisArena>,
-    pub observer: Option<&'e dyn Observer>,
-    pub policy: FailurePolicy,
-    pub budget: Budget,
-}
-
-/// Stage 1 (serial): training profiles, if a workload is given.
-fn module_profiles(
+/// Stage 1 (serial): the profiles `source` yields for `module` —
+/// measured once for a workload, borrowed for explicit profiles, and
+/// `None` for synthetic sources (synthesized lazily per function).
+fn module_profiles<'s>(
     module: &Module,
     target: &Target,
-    source: &ProfileSource,
-) -> Result<Vec<Option<EdgeProfile>>, DriverError> {
+    source: &'s ProfileSource,
+) -> Result<Option<Cow<'s, [EdgeProfile]>>, DriverError> {
     match source {
         ProfileSource::Workload(runs) => {
             // A workload's `FuncId`s name one specific module's
@@ -1434,44 +1333,48 @@ fn module_profiles(
             for (f, args) in runs {
                 vm.call(*f, args).map_err(DriverError::Workload)?;
             }
-            Ok(module
-                .func_ids()
-                .map(|f| Some(vm.edge_profile(f)))
-                .collect())
+            Ok(Some(Cow::Owned(
+                module.func_ids().map(|f| vm.edge_profile(f)).collect(),
+            )))
         }
-        ProfileSource::Synthetic { .. } => Ok(module.func_ids().map(|_| None).collect()),
+        ProfileSource::Synthetic { .. } => Ok(None),
         ProfileSource::Profiles(profiles) => {
-            // Explicit profiles are positional over one specific
-            // module's functions; shape mismatches are certainly the
-            // wrong-module mistake — reject them up front, per-module.
-            if profiles.len() != module.num_funcs() {
-                return Err(DriverError::Config(format!(
-                    "explicit profile vector has {} profile(s) but module `{}` has {} \
-                     function(s); profiles are per-module — build the vector for the module \
-                     being optimized",
-                    profiles.len(),
-                    module.name(),
-                    module.num_funcs()
-                )));
-            }
-            for (fid, p) in module.func_ids().zip(profiles) {
-                let func = module.func(fid);
-                let edges = spillopt_ir::Cfg::count_edges(func);
-                if p.edge_counts().len() != edges {
-                    return Err(DriverError::Config(format!(
-                        "profile for function #{} (`{}`) has {} edge count(s) but its CFG has \
-                         {} edge(s); per-module profiles must be measured on the module being \
-                         optimized",
-                        fid.index(),
-                        func.name(),
-                        p.edge_counts().len(),
-                        edges
-                    )));
-                }
-            }
-            Ok(profiles.iter().cloned().map(Some).collect())
+            check_profiles(module, profiles)?;
+            Ok(Some(Cow::Borrowed(profiles)))
         }
     }
+}
+
+/// Explicit profiles are positional over one specific module's
+/// functions; shape mismatches are certainly the wrong-module mistake —
+/// reject them up front, per module.
+fn check_profiles(module: &Module, profiles: &[EdgeProfile]) -> Result<(), DriverError> {
+    if profiles.len() != module.num_funcs() {
+        return Err(DriverError::Config(format!(
+            "explicit profile vector has {} profile(s) but module `{}` has {} \
+             function(s); profiles are per-module — build the vector for the module \
+             being optimized",
+            profiles.len(),
+            module.name(),
+            module.num_funcs()
+        )));
+    }
+    for (fid, p) in module.func_ids().zip(profiles) {
+        let func = module.func(fid);
+        let edges = spillopt_ir::Cfg::count_edges(func);
+        if p.edge_counts().len() != edges {
+            return Err(DriverError::Config(format!(
+                "profile for function #{} (`{}`) has {} edge count(s) but its CFG has \
+                 {} edge(s); per-module profiles must be measured on the module being \
+                 optimized",
+                fid.index(),
+                func.name(),
+                p.edge_counts().len(),
+                edges
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The deterministic synthetic profile [`ProfileSource::Synthetic`]
@@ -1496,41 +1399,110 @@ fn synth_profile(func: &Function, fid: FuncId, source: &ProfileSource) -> EdgePr
     )
 }
 
-/// Runs one module through the engine: profile → allocate → analyses →
-/// selected techniques, per function on the engine's executor.
-pub(crate) fn run_module(module: &Module, engine: &Engine<'_>) -> Result<ModuleRun, DriverError> {
-    let profiles = module_profiles(module, engine.target, engine.profile_source)?;
-    let items: Vec<(FuncId, Option<EdgeProfile>)> = module.func_ids().zip(profiles).collect();
-    let outcomes = engine
-        .exec
-        .run(items, |_, (fid, profile)| {
-            run_function(module, fid, profile, engine)
+/// The one module-batch body behind every session entry point: profile
+/// → allocate → analyses → selected techniques for every function of
+/// every module, as one batch on the engine's executor.
+///
+/// `profiles`, when given, overrides the engine's profile source for a
+/// one-module batch and is borrowed, never copied. A batch of more than
+/// one module names its failing units `module::function`; a one-module
+/// batch names the function alone.
+fn run_batch(
+    engine: &Engine<'_>,
+    modules: &[Module],
+    profiles: Option<&[EdgeProfile]>,
+) -> Result<Vec<ModuleRun>, DriverError> {
+    let multi = modules.len() > 1;
+    if multi
+        && (profiles.is_some()
+            || matches!(
+                engine.profile_source,
+                ProfileSource::Workload(_) | ProfileSource::Profiles(_)
+            ))
+    {
+        return Err(DriverError::Config(
+            "a training workload (or an explicit profile vector) names one specific \
+             module's functions and cannot drive a multi-module batch; use synthetic \
+             profiles, or one `optimize` call per module with its own profile session"
+                .to_string(),
+        ));
+    }
+    let unit = |mi: usize, function: &str| {
+        if multi {
+            format!("{}::{function}", modules[mi].name())
+        } else {
+            function.to_string()
+        }
+    };
+
+    // Stage 1 (serial): per-module profiles.
+    let resolved = modules
+        .iter()
+        .map(|module| match profiles {
+            Some(profiles) => {
+                check_profiles(module, profiles).map(|()| Some(Cow::Borrowed(profiles)))
+            }
+            None => module_profiles(module, engine.target, engine.profile_source),
         })
-        .map_err(|p| DriverError::Panicked {
-            unit: module.func(FuncId::from_index(p.index)).name().to_string(),
-            message: p.message(),
+        .collect::<Result<Vec<_>, _>>()?;
+    let coords: Vec<(usize, FuncId)> = modules
+        .iter()
+        .enumerate()
+        .flat_map(|(mi, module)| module.func_ids().map(move |fid| (mi, fid)))
+        .collect();
+
+    // Stage 2 (parallel): every function of every module, one batch.
+    let outcomes = engine
+        .run(coords.clone(), |_, (mi, fid)| {
+            let profile = resolved[mi].as_deref().map(|p| &p[fid.index()]);
+            run_function(&modules[mi], fid, profile, engine)
+        })
+        .map_err(|p| {
+            let (mi, fid) = coords[p.index];
+            DriverError::Panicked {
+                unit: unit(mi, modules[mi].func(fid).name()),
+                message: p.message(),
+            }
         })?;
 
-    let mut reports = Vec::with_capacity(outcomes.len());
-    let mut allocated = Vec::with_capacity(outcomes.len());
-    let mut faults = Vec::new();
-    for outcome in outcomes {
-        let (report, alloc, fault) = outcome?;
-        reports.push(report);
-        allocated.push(alloc);
-        faults.extend(fault);
+    // Regroup per module, in input order (`coords` is module-major).
+    let mut outcomes = outcomes.into_iter();
+    let mut runs = Vec::with_capacity(modules.len());
+    for (mi, module) in modules.iter().enumerate() {
+        let mut reports = Vec::with_capacity(module.num_funcs());
+        let mut allocated = Vec::with_capacity(module.num_funcs());
+        let mut faults = Vec::new();
+        for outcome in outcomes.by_ref().take(module.num_funcs()) {
+            let (report, alloc, fault) = outcome.map_err(|e| match e {
+                // Contained failures name the function; name the unit
+                // as the panic path does.
+                DriverError::Panicked {
+                    unit: function,
+                    message,
+                } => DriverError::Panicked {
+                    unit: unit(mi, &function),
+                    message,
+                },
+                e => e,
+            })?;
+            reports.push(report);
+            allocated.push(alloc);
+            faults.extend(fault);
+        }
+        runs.push(ModuleRun::from_parts(
+            ModuleReport::new(
+                module.name().to_string(),
+                engine.target.name().to_string(),
+                reports,
+            ),
+            allocated,
+            faults,
+        ));
     }
-    let run = ModuleRun::from_parts(
-        ModuleReport::new(
-            module.name().to_string(),
-            engine.target.name().to_string(),
-            reports,
-        ),
-        allocated,
-        faults,
-    );
-    notify_module_done(engine, &run.report)?;
-    Ok(run)
+    for run in &runs {
+        notify_module_done(engine, &run.report)?;
+    }
+    Ok(runs)
 }
 
 /// One function's pipeline, inside a containment boundary: the attempt
@@ -1545,14 +1517,21 @@ pub(crate) fn run_module(module: &Module, engine: &Engine<'_>) -> Result<ModuleR
 fn run_function(
     module: &Module,
     fid: FuncId,
-    profile: Option<EdgeProfile>,
+    profile: Option<&EdgeProfile>,
     engine: &Engine<'_>,
 ) -> Result<FunctionOutcome, DriverError> {
-    // Outermost per-function span: on transient/serial executors this is
-    // the flush boundary (on the persistent pool, `pool_job` wraps it).
+    // Outermost per-function span: inline this is the flush boundary
+    // (on the persistent pool, `pool_job` wraps it).
     let _fn_span = spillopt_obs::span("function");
     let source_func = module.func(fid);
-    let profile = profile.unwrap_or_else(|| synth_profile(source_func, fid, engine.profile_source));
+    let synthesized;
+    let profile = match profile {
+        Some(profile) => profile,
+        None => {
+            synthesized = synth_profile(source_func, fid, engine.profile_source);
+            &synthesized
+        }
+    };
     let key = engine.arena.map(|_| fingerprint(source_func));
     // One wall-clock deadline per function, shared by every attempt
     // (ladder rungs included); iteration caps are per attempt.
@@ -1577,7 +1556,7 @@ fn run_function(
         }
     }
 
-    let error = match attempt_full(module, fid, &profile, engine, key, deadline) {
+    let error = match attempt_full(module, fid, profile, engine, key, deadline) {
         Ok((report, alloc, provenance)) => {
             if engine.policy != FailurePolicy::Fail {
                 if let (Some(arena), Some(key)) = (engine.arena, key) {
@@ -1632,7 +1611,7 @@ fn run_function(
                 continue;
             }
             if let Ok((report, alloc)) =
-                attempt_single(module, fid, &profile, engine, strategy, deadline)
+                attempt_single(module, fid, profile, engine, strategy, deadline)
             {
                 spillopt_obs::count("fault_degraded", 1);
                 let fault = fault_entry(FaultAction::Degraded { to: strategy });
@@ -2133,9 +2112,9 @@ mod tests {
             .build()
             .expect("valid");
         let cold = session.optimize(&module).expect("first run");
-        assert_eq!(session.arena_stats().hits, 0);
+        assert_eq!(session.stats().arena.hits, 0);
         let warm = session.optimize(&module).expect("second run");
-        let stats = session.arena_stats();
+        let stats = session.stats().arena;
         assert!(stats.hits > 0, "second run never hit the arena: {stats:?}");
         assert_eq!(
             cold.report.to_json().to_compact(),
@@ -2252,7 +2231,7 @@ mod tests {
             costs: &costs,
             profile_source: &source,
             techniques: TechniqueSet::ALL,
-            exec: Exec::Transient(1),
+            pool: None,
             arena: Some(&arena),
             observer: None,
             policy: FailurePolicy::Fail,

@@ -38,11 +38,20 @@ fn cross_target_report_is_bit_identical_across_thread_counts() {
         serial, auto,
         "auto-threads cross-target JSON differs from serial"
     );
-    // Every registered target contributed a full report.
+    // Every registered target contributed a full report, and its section
+    // is byte for byte the report of a single-target session's
+    // `optimize` on the same module and workload: the inline per-target
+    // run inside the fan-out is the session's own batch path.
     for spec in registry() {
         assert!(
             serial.contains(&format!(r#""target":"{}""#, spec.name)),
             "cross-target report is missing {}",
+            spec.name
+        );
+        let single = run_bench_on(&spec, "mcf").to_json().to_compact();
+        assert!(
+            serial.contains(&single),
+            "{}: cross-target section differs from a single-target `optimize`",
             spec.name
         );
     }

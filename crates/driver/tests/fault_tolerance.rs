@@ -244,7 +244,7 @@ fn quarantine_backs_off_repeat_offenders_then_readmits() {
         assert_eq!(run.faults().len(), 1, "call {call}");
         assert_eq!(run.faults()[0].kind, FaultKind::Quarantined, "call {call}");
     }
-    assert_eq!(sess.arena_stats().quarantined, 2);
+    assert_eq!(sess.stats().arena.quarantined, 2);
 
     // The window has elapsed: the function is readmitted, succeeds, and
     // the report is byte-identical to a fault-free session's.
@@ -262,7 +262,7 @@ fn quarantine_backs_off_repeat_offenders_then_readmits() {
     let clean = fresh.optimize(&module).expect("clean run");
     assert!(clean.faults().is_empty());
     assert_eq!(clean.report.to_json().to_compact(), oracle);
-    assert_eq!(fresh.arena_stats().quarantined, 0);
+    assert_eq!(fresh.stats().arena.quarantined, 0);
 }
 
 /// An observer that panics in a chosen callback.

@@ -161,7 +161,7 @@ fn dirty_ledger_refolds_strictly_fewer_regions_than_the_function_total() {
         .optimize_profiled(&built.module, &profiles)
         .expect("drifted run");
 
-    let arena = session.arena_stats();
+    let arena = session.stats().arena;
     assert!(
         arena.incremental > 0,
         "drift did not take the incremental path: {arena:?}"
@@ -231,7 +231,7 @@ fn bounded_arena_evicts_lru_structures() {
 
     let first = session.optimize(&module).expect("first run");
     let second = session.optimize(&module).expect("second run");
-    let arena = session.arena_stats();
+    let arena = session.stats().arena;
     assert!(arena.evictions > 0, "capacity 1 never evicted: {arena:?}");
     assert!(arena.entries <= 1, "over capacity: {arena:?}");
     // Eviction costs reuse, never correctness.

@@ -32,6 +32,4 @@ pub mod experiments;
 pub mod report;
 pub mod runner;
 
-#[allow(deprecated)]
-pub use runner::run_benchmark_priced;
 pub use runner::{run_benchmark, run_named_benchmark, BenchResult, Technique};

@@ -368,25 +368,6 @@ pub fn profile_workload(
     Ok(module.func_ids().map(|f| m.edge_profile(f)).collect())
 }
 
-/// The historical priced variant; [`run_benchmark`] now takes the cost
-/// model directly.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if any stage fails or any technique changes
-/// program behaviour.
-#[deprecated(
-    since = "0.2.0",
-    note = "`run_benchmark` now takes the cost model directly"
-)]
-pub fn run_benchmark_priced(
-    spec: &BenchSpec,
-    target: &Target,
-    costs: &SpillCostModel,
-) -> Result<BenchResult, PipelineError> {
-    run_benchmark(spec, target, costs)
-}
-
 /// Convenience: generate and run one named benchmark under the paper's
 /// unit cost model.
 ///

@@ -13,21 +13,17 @@
 //! 3. the word-parallel validator against the per-register one (as
 //!    violation sets);
 //! 4. the end-to-end module pipeline — profile, allocation, analyses,
-//!    suite, report — against the frozen pre-rewrite pipeline
-//!    (`spillopt_driver::refimpl`), as `ModuleReport` JSON bytes.
+//!    suite, report — of an arena-free serial `Session` against the
+//!    frozen pre-rewrite pipeline (`spillopt_driver::refimpl`), as
+//!    `ModuleReport` JSON bytes.
 //!
 //! The same equality gate runs at module scale inside `spillopt bench`
 //! on every CI run; these tests keep the per-layer diagnosis sharp.
-//!
-//! This file (with `tests/session_facade.rs`) is the sanctioned caller
-//! of the deprecated pre-session entry points: the shims must stay
-//! byte-identical to the paths that replaced them until they are
-//! removed.
-#![allow(deprecated)]
 
-use spillopt_core::{CalleeSavedUsage, RegWords};
-use spillopt_driver::driver::{optimize_module_for, DriverConfig, ProfileSource};
+use spillopt_core::{run_suite, CalleeSavedUsage, RegWords, SuiteInputs, SuiteOptions};
+use spillopt_driver::driver::ProfileSource;
 use spillopt_driver::refimpl::optimize_module_reference;
+use spillopt_driver::OptimizerBuilder;
 use spillopt_ir::analysis::loops::sccs;
 use spillopt_ir::{Cfg, DerivedCfg};
 use spillopt_profile::random_walk_profile;
@@ -96,8 +92,13 @@ fn suite_and_validator_match_reference_on_stress_modules() {
             }
             let cyclic = sccs(&cfg);
             let pst = Pst::compute(&cfg);
-            let fast =
-                spillopt_core::run_suite_priced(&cfg, &cyclic, &pst, &usage, &profile, &spec.costs);
+            let derived = DerivedCfg::compute(&cfg);
+            let fast = run_suite(
+                &cfg,
+                &SuiteInputs::analyzed(&usage, &profile, &cyclic, &pst, &derived),
+                &SuiteOptions::priced(spec.costs),
+            )
+            .expect("valid placements");
             let slow = spillopt_core::reference::run_suite_priced_reference(
                 &cfg,
                 &cyclic,
@@ -156,18 +157,24 @@ fn suite_and_validator_match_reference_on_stress_modules() {
 
 #[test]
 fn module_reports_are_byte_identical_to_frozen_pipeline() {
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
+    let profile = ProfileSource::default();
     for spec in registry() {
         let target = spec.to_target();
+        // Arena-free and serial: every call runs the whole cold pipeline
+        // in the reference's schedule.
+        let session = OptimizerBuilder::new()
+            .target_spec(spec.clone())
+            .profile(profile.clone())
+            .reuse_analyses(false)
+            .threads(1)
+            .build()
+            .expect("valid session");
         // A few small cases plus one scaled-up module-sized case.
         for (seed, scale) in [(0, 1), (1, 1), (2, 1), (3, 4)] {
             let case = spillopt_stress::gen_case_scaled(&target, seed, scale);
-            let current = optimize_module_for(&case.module, &spec, &config).expect("current");
+            let current = session.optimize(&case.module).expect("current");
             let reference =
-                optimize_module_reference(&case.module, &spec, &config).expect("reference");
+                optimize_module_reference(&case.module, &spec, 1, &profile).expect("reference");
             assert_eq!(
                 current.report.to_json().to_compact(),
                 reference.report.to_json().to_compact(),

@@ -1,16 +1,9 @@
-//! Differential tests for the session-based API redesign: the new
-//! `OptimizerBuilder`/`Session` facade must be **byte-identical** to the
-//! deprecated free-function entry points it replaces, and a warm session
-//! must answer exactly like a cold one.
-//!
-//! This file (with `tests/differential_solver.rs`) is the sanctioned
-//! caller of the deprecated shims — the comparison is its purpose.
-#![allow(deprecated)]
+//! Differential tests for the session facade's batch path: a batch of
+//! modules must answer exactly like independent calls, and a warm
+//! session exactly like a cold one.
 
-use spillopt::{OptimizerBuilder, ProfileSource};
-use spillopt_driver::{cross_target_runs, optimize_module, optimize_module_for, DriverConfig};
+use spillopt::OptimizerBuilder;
 use spillopt_ir::Target;
-use spillopt_targets::registry;
 
 /// Stress-generated modules for one target (the adversarial corpus the
 /// SPEC stand-ins never produce).
@@ -22,78 +15,6 @@ fn stress_modules(
     seeds
         .map(|seed| spillopt_stress::gen_case_scaled(target, seed, scale).module)
         .collect()
-}
-
-/// The acceptance gate of the redesign: on every registered target, the
-/// deprecated `optimize_module_for` shim and the new `Session` produce
-/// byte-identical `ModuleReport` JSON over stress-generated modules.
-#[test]
-fn session_matches_deprecated_shims_byte_for_byte_on_every_target() {
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
-    for spec in registry() {
-        let target = spec.to_target();
-        let session = OptimizerBuilder::new()
-            .target_spec(spec.clone())
-            .threads(1)
-            .build()
-            .expect("valid session");
-        for (seed, module) in stress_modules(&target, 0..4, 2).iter().enumerate() {
-            let old = optimize_module_for(module, &spec, &config).expect("deprecated shim");
-            let new = session.optimize(module).expect("session");
-            assert_eq!(
-                old.report.to_json().to_compact(),
-                new.report.to_json().to_compact(),
-                "facade diverged from shim: target {} seed {seed}",
-                spec.name
-            );
-        }
-    }
-}
-
-/// The preset-target shim (`optimize_module`, unit costs) against a
-/// session built from the same preset `Target`.
-#[test]
-fn session_matches_deprecated_preset_target_shim() {
-    let target = Target::default();
-    let config = DriverConfig {
-        threads: 1,
-        profile: ProfileSource::default(),
-    };
-    let session = OptimizerBuilder::new()
-        .target(target.clone())
-        .threads(1)
-        .build()
-        .expect("valid session");
-    for module in stress_modules(&target, 0..4, 2) {
-        let old = optimize_module(&module, &target, &config).expect("deprecated shim");
-        let new = session.optimize(&module).expect("session");
-        assert_eq!(
-            old.report.to_json().to_compact(),
-            new.report.to_json().to_compact()
-        );
-    }
-}
-
-/// `Session::cross_target` against the deprecated `cross_target_runs`,
-/// over the same loader.
-#[test]
-fn session_cross_target_matches_deprecated_fan_out() {
-    let specs = registry();
-    let load = |spec: &spillopt_targets::TargetSpec| {
-        let module = spillopt_stress::gen_case_scaled(&spec.to_target(), 7, 2).module;
-        Ok((module, ProfileSource::default()))
-    };
-    let old = cross_target_runs(&specs, 2, load).expect("deprecated fan-out");
-    let session = OptimizerBuilder::new()
-        .all_targets()
-        .threads(2)
-        .build()
-        .expect("valid session");
-    let new = session.cross_target(load).expect("session fan-out");
-    assert_eq!(old.to_json().to_compact(), new.to_json().to_compact());
 }
 
 /// Warm-session batching: `optimize_many` over N modules must equal N
