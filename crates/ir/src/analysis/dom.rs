@@ -399,14 +399,7 @@ mod tests {
 
     /// 0 -> 1 -> 3, 0 -> 2 -> 3, 3 -> 4; plus back edge 4 -> 1.
     fn graph() -> Graph {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        g.add_edge(4, 1);
-        g
+        Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 1)])
     }
 
     #[test]
@@ -434,8 +427,7 @@ mod tests {
 
     #[test]
     fn unreachable_nodes() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
+        let g = Graph::from_edges(3, &[(0, 1)]);
         let t = DomTree::compute(&g, 0);
         assert!(!t.is_reachable(2));
         assert!(!t.dominates(0, 2));
@@ -476,21 +468,20 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_fixed_graphs() {
-        for g in [graph(), {
-            let mut g = Graph::new(7);
-            // An irreducible-ish mess.
-            g.add_edge(0, 1);
-            g.add_edge(0, 2);
-            g.add_edge(1, 3);
-            g.add_edge(2, 3);
-            g.add_edge(3, 1);
-            g.add_edge(3, 4);
-            g.add_edge(4, 5);
-            g.add_edge(5, 4);
-            g.add_edge(4, 6);
-            g.add_edge(2, 6);
-            g
-        }] {
+        // The second graph is an irreducible-ish mess.
+        let mess = [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 1),
+            (3, 4),
+            (4, 5),
+            (5, 4),
+            (4, 6),
+            (2, 6),
+        ];
+        for g in [graph(), Graph::from_edges(7, &mess)] {
             let t = DomTree::compute(&g, 0);
             for a in 0..g.num_nodes() {
                 for b in 0..g.num_nodes() {

@@ -3,58 +3,72 @@
 
 use crate::cfg::Cfg;
 
-/// A directed graph over dense node indices `0..n`.
+/// A directed graph over dense node indices `0..n`, immutable once built.
+///
+/// Both adjacency directions are stored in compressed sparse row (CSR)
+/// form: one offset array and one flat target array per direction, four
+/// allocations whatever the node count. Each node's
+/// successors (and predecessors) keep the order their edges were given
+/// in, so depth-first orders — and everything numbered from them, such
+/// as dominator trees — follow the edge list exactly.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    succs: Vec<Vec<u32>>,
-    preds: Vec<Vec<u32>>,
+    succ_off: Vec<u32>,
+    succ: Vec<u32>,
+    pred_off: Vec<u32>,
+    pred: Vec<u32>,
 }
 
 impl Graph {
-    /// Creates a graph with `n` nodes and no edges.
-    pub fn new(n: usize) -> Self {
+    /// Builds the graph with `n` nodes and the directed edges `u -> v`
+    /// of `edges`, in order (parallel edges and self-loops allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`.
+    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+        let (succ_off, succ) = csr(n, edges.iter().copied());
+        let (pred_off, pred) = csr(n, edges.iter().map(|&(u, v)| (v, u)));
         Graph {
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
+            succ_off,
+            succ,
+            pred_off,
+            pred,
         }
     }
 
     /// Returns the number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.succs.len()
+        self.succ_off.len().saturating_sub(1)
     }
 
-    /// Adds a directed edge `u -> v` (parallel edges allowed).
-    pub fn add_edge(&mut self, u: usize, v: usize) {
-        self.succs[u].push(v as u32);
-        self.preds[v].push(u as u32);
-    }
-
-    /// Returns the successors of `u`.
+    /// Returns the successors of `u`, in edge order.
     pub fn succs(&self, u: usize) -> &[u32] {
-        &self.succs[u]
+        &self.succ[self.succ_off[u] as usize..self.succ_off[u + 1] as usize]
     }
 
-    /// Returns the predecessors of `u`.
+    /// Returns the predecessors of `u`, in edge order.
     pub fn preds(&self, u: usize) -> &[u32] {
-        &self.preds[u]
+        &self.pred[self.pred_off[u] as usize..self.pred_off[u + 1] as usize]
     }
 
     /// Returns the reversed graph.
     pub fn reversed(&self) -> Graph {
         Graph {
-            succs: self.preds.clone(),
-            preds: self.succs.clone(),
+            succ_off: self.pred_off.clone(),
+            succ: self.pred.clone(),
+            pred_off: self.succ_off.clone(),
+            pred: self.succ.clone(),
         }
     }
 
     /// Builds the graph of a CFG (nodes are block indices).
     pub fn from_cfg(cfg: &Cfg) -> Graph {
-        let mut g = Graph::new(cfg.num_blocks());
-        for (_, e) in cfg.edges() {
-            g.add_edge(e.from.index(), e.to.index());
-        }
-        g
+        let edges: Vec<(usize, usize)> = cfg
+            .edges()
+            .map(|(_, e)| (e.from.index(), e.to.index()))
+            .collect();
+        Graph::from_edges(cfg.num_blocks(), &edges)
     }
 
     /// Builds the *augmented* graph of a CFG: blocks `0..n` plus a virtual
@@ -64,14 +78,12 @@ impl Graph {
     /// Returns the graph and the virtual exit's index.
     pub fn from_cfg_with_virtual_exit(cfg: &Cfg) -> (Graph, usize) {
         let n = cfg.num_blocks();
-        let mut g = Graph::new(n + 1);
-        for (_, e) in cfg.edges() {
-            g.add_edge(e.from.index(), e.to.index());
-        }
-        for &b in cfg.exit_blocks() {
-            g.add_edge(b.index(), n);
-        }
-        (g, n)
+        let edges: Vec<(usize, usize)> = cfg
+            .edges()
+            .map(|(_, e)| (e.from.index(), e.to.index()))
+            .chain(cfg.exit_blocks().iter().map(|b| (b.index(), n)))
+            .collect();
+        (Graph::from_edges(n + 1, &edges), n)
     }
 
     /// Depth-first preorder from `root` (unreachable nodes omitted).
@@ -123,17 +135,33 @@ impl Graph {
     }
 }
 
+/// One CSR direction by a stable counting sort on the source endpoint:
+/// returns `(offsets, targets)` with `offsets.len() == n + 1`, each
+/// node's targets in the order the pairs were given.
+fn csr(n: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for (u, _) in pairs.clone() {
+        off[u + 1] += 1;
+    }
+    for i in 1..=n {
+        off[i] += off[i - 1];
+    }
+    let mut next = off.clone();
+    let mut targets = vec![0u32; off[n] as usize];
+    for (u, v) in pairs {
+        assert!(v < n, "edge endpoint {v} out of range {n}");
+        targets[next[u] as usize] = v as u32;
+        next[u] += 1;
+    }
+    (off, targets)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn diamond() -> Graph {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g
+        Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
     #[test]
@@ -144,6 +172,14 @@ mod tests {
         let r = g.reversed();
         assert_eq!(r.succs(3), &[1, 2]);
         assert_eq!(r.preds(0), &[1, 2]);
+    }
+
+    #[test]
+    fn keeps_per_node_edge_order() {
+        let g = Graph::from_edges(3, &[(0, 2), (1, 2), (0, 1), (0, 2), (2, 0)]);
+        assert_eq!(g.succs(0), &[2, 1, 2]);
+        assert_eq!(g.preds(2), &[0, 1, 0]);
+        assert_eq!(g.succs(2), &[0]);
     }
 
     #[test]
@@ -162,8 +198,8 @@ mod tests {
 
     #[test]
     fn skips_unreachable() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.preorder(0), vec![0, 1]);
         assert_eq!(g.postorder(0).len(), 2);
     }

@@ -10,15 +10,9 @@ use spillopt_ir::{display, parse_function, Graph};
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..14).prop_flat_map(|n| {
         proptest::collection::vec((0usize..n, 0usize..n), n - 1..3 * n).prop_map(move |pairs| {
-            let mut g = Graph::new(n);
             // Spine so everything is reachable from 0.
-            for v in 1..n {
-                g.add_edge(v - 1, v);
-            }
-            for (u, v) in pairs {
-                g.add_edge(u, v);
-            }
-            g
+            let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).chain(pairs).collect();
+            Graph::from_edges(n, &edges)
         })
     })
 }

@@ -76,12 +76,12 @@ impl AugGraph {
         // Split graph: nodes 0..=n are blocks + END; node n+1+i is the
         // mid-point of augmented edge i.
         let m = edges.len();
-        let mut split = Graph::new(n + 1 + m);
-        for (i, e) in edges.iter().enumerate() {
-            let mid = n + 1 + i;
-            split.add_edge(e.from, mid);
-            split.add_edge(mid, e.to);
-        }
+        let split_edges: Vec<(usize, usize)> = edges
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| [(e.from, n + 1 + i), (n + 1 + i, e.to)])
+            .collect();
+        let split = Graph::from_edges(n + 1 + m, &split_edges);
         let doms = DomTree::compute(&split, cfg.entry().index());
         let pdoms = DomTree::compute_reversed(&split, end);
 
@@ -123,12 +123,12 @@ impl AugGraph {
         // Split graph: nodes 0..=n are blocks + END; node n+1+i is the
         // mid-point of augmented edge i.
         let m = edges.len();
-        let mut split = Graph::new(n + 1 + m);
-        for (i, e) in edges.iter().enumerate() {
-            let mid = n + 1 + i;
-            split.add_edge(e.from, mid);
-            split.add_edge(mid, e.to);
-        }
+        let split_edges: Vec<(usize, usize)> = edges
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| [(e.from, n + 1 + i), (n + 1 + i, e.to)])
+            .collect();
+        let split = Graph::from_edges(n + 1 + m, &split_edges);
         let doms = DomTree::compute_reference(&split, cfg.entry().index());
         let pdoms = DomTree::compute_reference(&split.reversed(), end);
 

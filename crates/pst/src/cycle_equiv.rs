@@ -25,7 +25,9 @@ use rand::{Rng, SeedableRng};
 ///
 /// `edges` are `(u, v)` endpoint pairs over nodes `0..num_nodes`
 /// (self-loops and parallel edges allowed). Returns a class id per edge;
-/// equal ids mean cycle equivalent.
+/// equal ids mean cycle equivalent. Class ids are numbered by first
+/// appearance: edge 0 is in class 0, and the first edge of every new
+/// class takes the next id.
 ///
 /// Edges on no cycle at all (bridges) all receive the all-zero label and
 /// therefore share a class; in the augmented CFG every edge lies on a cycle
@@ -37,12 +39,30 @@ use rand::{Rng, SeedableRng};
 /// exit is always connected once augmented).
 pub fn cycle_equivalence_classes(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u32> {
     let labels = edge_labels(num_nodes, edges);
-    // Group by label.
-    let mut class_of_label: std::collections::HashMap<u128, u32> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(edges.len());
-    for &l in &labels {
-        let next = class_of_label.len() as u32;
-        out.push(*class_of_label.entry(l).or_insert(next));
+    // Group equal labels by sorting edge indices on (label, index): each
+    // run's first index is the class's first appearance.
+    let mut by_label: Vec<u32> = (0..labels.len() as u32).collect();
+    by_label.sort_unstable_by_key(|&i| (labels[i as usize], i));
+    let mut first = vec![0u32; labels.len()];
+    let mut run_start = 0;
+    for (k, &i) in by_label.iter().enumerate() {
+        if labels[i as usize] != labels[by_label[run_start] as usize] {
+            run_start = k;
+        }
+        first[i as usize] = by_label[run_start];
+    }
+    // Number the classes in first-appearance order; a class's first
+    // edge precedes every other member, so its id is already set.
+    let mut out = vec![0u32; labels.len()];
+    let mut next = 0u32;
+    for i in 0..labels.len() {
+        let f = first[i] as usize;
+        if f == i {
+            out[i] = next;
+            next += 1;
+        } else {
+            out[i] = out[f];
+        }
     }
     out
 }
@@ -53,11 +73,25 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
         assert!(edges.is_empty());
         return Vec::new();
     }
-    // Undirected adjacency with edge ids.
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_nodes];
+    // Undirected adjacency with edge ids, in CSR form: node `u`'s
+    // incidences are `adj[off[u]..off[u + 1]]`, in edge order (a
+    // self-loop appears twice), exactly the order per-node lists would
+    // hold — so the DFS below builds the same spanning tree.
+    let mut off = vec![0usize; num_nodes + 1];
+    for &(u, v) in edges {
+        off[u + 1] += 1;
+        off[v + 1] += 1;
+    }
+    for i in 1..=num_nodes {
+        off[i] += off[i - 1];
+    }
+    let mut fill = off.clone();
+    let mut adj = vec![(0usize, 0usize); off[num_nodes]];
     for (i, &(u, v)) in edges.iter().enumerate() {
-        adj[u].push((v, i));
-        adj[v].push((u, i));
+        adj[fill[u]] = (v, i);
+        fill[u] += 1;
+        adj[fill[v]] = (u, i);
+        fill[v] += 1;
     }
 
     // Iterative undirected DFS building a spanning tree.
@@ -72,8 +106,8 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
     visited[0] = true;
     order.push(0);
     while let Some(&mut (u, ref mut ci)) = stack.last_mut() {
-        if *ci < adj[u].len() {
-            let (v, e) = adj[u][*ci];
+        if off[u] + *ci < off[u + 1] {
+            let (v, e) = adj[off[u] + *ci];
             *ci += 1;
             if !visited[v] && !edge_used[e] {
                 visited[v] = true;

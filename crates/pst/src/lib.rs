@@ -18,7 +18,8 @@
 //! * [`regions`] — dominance chains, canonical and **maximal** regions
 //!   (the paper uses maximal; canonical are kept for the ablation);
 //! * [`tree`] — the [`Pst`] itself with containment and traversal
-//!   queries; [`verify`] — invariant checking for tests.
+//!   queries; [`verify`] — invariant checking and tree comparison for
+//!   tests.
 //!
 //! # Examples
 //!
@@ -63,4 +64,4 @@ pub use augment::{AugEdge, AugEdgeRef, AugGraph};
 pub use cycle_equiv::{cycle_equivalence_classes, cycle_equivalence_classes_oracle, edge_labels};
 pub use regions::{SeseChains, SesePair};
 pub use tree::{Pst, Region, RegionBoundary, RegionId};
-pub use verify::verify_pst;
+pub use verify::{pst_differences, verify_pst};

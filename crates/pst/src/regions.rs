@@ -20,11 +20,13 @@ pub struct SesePair {
 }
 
 /// The dominance chains of every cycle-equivalence class with ≥ 2 members.
+///
+/// The chains are stored back to back in one flat array: chain `k` is
+/// `edges[bounds[k]..bounds[k + 1]]`.
 #[derive(Clone, Debug)]
 pub struct SeseChains {
-    /// Each chain is a dominance-ordered list of augmented-edge indices
-    /// (virtual top edge excluded).
-    pub chains: Vec<Vec<usize>>,
+    edges: Vec<usize>,
+    bounds: Vec<usize>,
 }
 
 impl SeseChains {
@@ -35,49 +37,79 @@ impl SeseChains {
     /// post-dominates `a` for consecutive members) fails — with exact
     /// arithmetic this never happens on the augmented graph of a valid
     /// CFG, but splitting keeps the construction sound unconditionally.
+    /// Chains come out in class-id order.
     pub fn compute(aug: &AugGraph) -> Self {
         let undirected: Vec<(usize, usize)> = aug.edges.iter().map(|e| (e.from, e.to)).collect();
         let classes = cycle_equivalence_classes(aug.num_blocks + 1, &undirected);
 
+        // Group the members of every class by a stable counting sort on
+        // the class id: class `c` is `members[start[c]..start[c + 1]]`,
+        // in edge order. The virtual top edge is never a boundary.
         let num_classes = classes.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
+        let is_top = |i: usize| matches!(aug.edges[i].what, AugEdgeRef::Top);
+        let mut start = vec![0usize; num_classes + 1];
         for (i, &c) in classes.iter().enumerate() {
-            if matches!(aug.edges[i].what, AugEdgeRef::Top) {
-                continue; // the virtual top edge is never a boundary
+            if !is_top(i) {
+                start[c as usize + 1] += 1;
             }
-            members[c as usize].push(i);
+        }
+        for c in 1..=num_classes {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        let mut members = vec![0usize; start[num_classes]];
+        for (i, &c) in classes.iter().enumerate() {
+            if !is_top(i) {
+                members[fill[c as usize]] = i;
+                fill[c as usize] += 1;
+            }
         }
 
-        let mut chains = Vec::new();
-        for mut m in members {
+        let mut chains = SeseChains {
+            edges: Vec::with_capacity(members.len()),
+            bounds: vec![0],
+        };
+        for c in 0..num_classes {
+            let m = &mut members[start[c]..start[c + 1]];
             if m.len() < 2 {
                 continue;
             }
             m.sort_by_key(|&e| aug.edge_depth(e));
             // Split into maximal valid runs.
-            let mut run: Vec<usize> = vec![m[0]];
+            chains.edges.push(m[0]);
             for &e in &m[1..] {
-                let prev = *run.last().expect("non-empty run");
-                if aug.edge_dominates(prev, e) && aug.edge_postdominates(e, prev) {
-                    run.push(e);
-                } else {
-                    if run.len() >= 2 {
-                        chains.push(std::mem::take(&mut run));
-                    }
-                    run = vec![e];
+                let prev = *chains.edges.last().expect("non-empty run");
+                if !(aug.edge_dominates(prev, e) && aug.edge_postdominates(e, prev)) {
+                    chains.close_run();
                 }
+                chains.edges.push(e);
             }
-            if run.len() >= 2 {
-                chains.push(run);
-            }
+            chains.close_run();
         }
-        SeseChains { chains }
+        chains
+    }
+
+    /// Ends the run open at the back of `edges`: kept as a chain if it
+    /// has ≥ 2 members, dropped otherwise.
+    fn close_run(&mut self) {
+        let run_start = *self.bounds.last().expect("bounds start at 0");
+        if self.edges.len() - run_start >= 2 {
+            self.bounds.push(self.edges.len());
+        } else {
+            self.edges.truncate(run_start);
+        }
+    }
+
+    /// The chains, each a dominance-ordered slice of augmented-edge
+    /// indices (virtual top edge excluded).
+    pub fn chains(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.bounds.windows(2).map(|w| &self.edges[w[0]..w[1]])
     }
 
     /// All canonical (smallest) SESE regions: consecutive chain pairs.
     pub fn canonical_regions(&self) -> Vec<SesePair> {
         let mut out = Vec::new();
-        for chain in &self.chains {
+        for chain in self.chains() {
             for w in chain.windows(2) {
                 out.push(SesePair {
                     entry: w[0],
@@ -92,8 +124,7 @@ impl SeseChains {
     /// (the paper's Section 4 definition: the exit post-dominates every
     /// class member's exit and the entry dominates every member's entry).
     pub fn maximal_regions(&self) -> Vec<SesePair> {
-        self.chains
-            .iter()
+        self.chains()
             .map(|chain| SesePair {
                 entry: *chain.first().expect("chains have ≥ 2 members"),
                 exit: *chain.last().expect("chains have ≥ 2 members"),
@@ -141,8 +172,7 @@ mod tests {
         // D->END: one chain contains entry->A and D->END (cycle
         // equivalent through the top edge).
         let spine = chains
-            .chains
-            .iter()
+            .chains()
             .find(|c| c.len() >= 2)
             .expect("at least one chain");
         // First edge of spine dominates last and is postdominated by it.
@@ -177,8 +207,9 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let aug = AugGraph::build(&cfg);
         let chains = SeseChains::compute(&aug);
-        assert_eq!(chains.chains.len(), 1);
-        assert_eq!(chains.chains[0].len(), 3); // A->B, B->C, C->END
+        let all: Vec<&[usize]> = chains.chains().collect();
+        assert_eq!(all.len(), 1);
+        assert_eq!(all[0].len(), 3); // A->B, B->C, C->END
         let maximal = chains.maximal_regions();
         assert_eq!(maximal.len(), 1);
         let canon = chains.canonical_regions();

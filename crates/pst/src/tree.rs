@@ -82,15 +82,19 @@ pub struct Pst {
 impl Pst {
     /// Computes the PST of a CFG.
     ///
-    /// The construction is linear-time in the spirit of Johnson et al.
-    /// (cycle equivalence via spanning-tree XOR labelling) except for the
-    /// containment bookkeeping, which is O(regions × blocks) — negligible
-    /// at compiler scales and irrelevant to the paper's complexity claims
-    /// about the placement algorithm itself.
+    /// Cycle equivalence is linear in the augmented graph (spanning-tree
+    /// XOR labelling, see [`crate::cycle_equiv`]) and the split-graph
+    /// dominator trees are built on CSR adjacency. The containment
+    /// bookkeeping is not linear: each region's block set costs O(blocks)
+    /// dominance queries, and the parent of each region is its smallest
+    /// strict superset, found by an O(regions²) scan of word-parallel
+    /// subset tests over block counts computed once. At compiler scales
+    /// this is small next to the placement passes, and it does not touch
+    /// the paper's complexity claims about the placement algorithm
+    /// itself.
     pub fn compute(cfg: &Cfg) -> Self {
         let aug = AugGraph::build(cfg);
         let chains = SeseChains::compute(&aug);
-        let maximal = chains.maximal_regions();
         let n = cfg.num_blocks();
 
         let boundary_of = |edge_idx: usize| match aug.edges[edge_idx].what {
@@ -99,7 +103,8 @@ impl Pst {
             AugEdgeRef::Top => unreachable!("top edge is never a boundary"),
         };
 
-        // Root region.
+        // Regions in discovery order: the root, then one per maximal
+        // SESE pair.
         let mut all = DenseBitSet::new(n);
         for b in 0..n {
             all.insert(b);
@@ -113,8 +118,7 @@ impl Pst {
             blocks: all,
             depth: 0,
         }];
-
-        for pair in &maximal {
+        for pair in chains.maximal_regions() {
             let mut blocks = DenseBitSet::new(n);
             for b in 0..n {
                 if aug.edge_dominates_block(pair.entry, b)
@@ -135,20 +139,19 @@ impl Pst {
                 depth: 0,
             });
         }
+        let count: Vec<usize> = regions.iter().map(|r| r.blocks.count()).collect();
 
-        // Parent = smallest strict superset.
-        let mut order: Vec<usize> = (1..regions.len()).collect();
-        order.sort_by_key(|&i| regions[i].blocks.count());
-        for &i in &order {
+        // Parent = smallest strict superset (the first one on ties).
+        for i in 1..regions.len() {
             let mut best: usize = 0; // root
             let mut best_count = usize::MAX;
             for j in 0..regions.len() {
-                if j == i {
-                    continue;
-                }
-                let cj = regions[j].blocks.count();
-                let ci = regions[i].blocks.count();
-                if cj > ci && regions[i].blocks.is_subset(&regions[j].blocks) && cj < best_count {
+                let cj = count[j];
+                if j != i
+                    && cj > count[i]
+                    && cj < best_count
+                    && regions[i].blocks.is_subset(&regions[j].blocks)
+                {
                     best = j;
                     best_count = cj;
                 }
@@ -169,22 +172,11 @@ impl Pst {
             r.children.sort_by_key(|c| keys[c.index()]);
         }
 
-        // Depths.
-        let mut stack = vec![RegionId(0)];
-        while let Some(r) = stack.pop() {
-            let d = regions[r.index()].depth;
-            let children = regions[r.index()].children.clone();
-            for c in children {
-                regions[c.index()].depth = d + 1;
-                stack.push(c);
-            }
-        }
-
         // Innermost region per block: smallest containing region wins.
         let mut block_region = vec![RegionId(0); n];
         let mut assigned = vec![false; n];
         let mut by_size: Vec<usize> = (0..regions.len()).collect();
-        by_size.sort_by_key(|&i| regions[i].blocks.count());
+        by_size.sort_by_key(|&i| count[i]);
         for &i in &by_size {
             for b in regions[i].blocks.iter() {
                 if !assigned[b] {
@@ -220,17 +212,20 @@ impl Pst {
         for (new, old) in preorder.iter().enumerate() {
             new_id[old.index()] = new as u32;
         }
-        let mut arena: Vec<Region> = Vec::with_capacity(regions.len());
+        // Move each region into its preorder slot, renumbered; a parent
+        // precedes its children, so depths follow in the same pass.
+        let mut slots: Vec<Option<Region>> = regions.into_iter().map(Some).collect();
+        let mut regions: Vec<Region> = Vec::with_capacity(slots.len());
         for &old in &preorder {
-            let mut r = regions[old.index()].clone();
+            let mut r = slots[old.index()].take().expect("each region moved once");
             r.id = RegionId(new_id[old.index()]);
             r.parent = r.parent.map(|p| RegionId(new_id[p.index()]));
             for c in &mut r.children {
                 *c = RegionId(new_id[c.index()]);
             }
-            arena.push(r);
+            r.depth = r.parent.map_or(0, |p| regions[p.index()].depth + 1);
+            regions.push(r);
         }
-        let regions = arena;
         for br in &mut block_region {
             *br = RegionId(new_id[br.index()]);
         }

@@ -2,8 +2,9 @@
 //! property tests).
 
 use crate::augment::{AugEdgeRef, AugGraph};
-use crate::tree::{Pst, Region, RegionBoundary};
-use spillopt_ir::Cfg;
+use crate::tree::{Pst, Region, RegionBoundary, RegionId};
+use spillopt_ir::{BlockId, Cfg, DenseBitSet};
+use std::collections::HashMap;
 
 /// Checks PST invariants against its CFG. Returns human-readable
 /// violation descriptions (empty = valid).
@@ -104,8 +105,7 @@ pub fn verify_pst(cfg: &Cfg, pst: &Pst) -> Vec<String> {
     if post.len() != pst.num_regions() {
         errs.push("postorder length mismatch".to_string());
     }
-    let pos: std::collections::HashMap<_, _> =
-        post.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let pos: HashMap<_, _> = post.iter().enumerate().map(|(i, &r)| (r, i)).collect();
     for r in pst.regions() {
         for &c in &r.children {
             if pos[&c] >= pos[&r.id] {
@@ -114,6 +114,63 @@ pub fn verify_pst(cfg: &Cfg, pst: &Pst) -> Vec<String> {
         }
     }
 
+    errs
+}
+
+/// Compares two PSTs of the same CFG up to region numbering. Returns
+/// human-readable differences (empty = the same tree).
+///
+/// A region is identified by its entry, exit and block set. The two
+/// trees agree when they hold the same multiset of regions, every
+/// region has the same parent in both, and every block has the same
+/// innermost region. Ids, child order and postorder may differ.
+pub fn pst_differences(a: &Pst, b: &Pst) -> Vec<String> {
+    type Key<'p> = (RegionBoundary, RegionBoundary, &'p DenseBitSet);
+    fn key(r: &Region) -> Key<'_> {
+        (r.entry, r.exit, &r.blocks)
+    }
+    let mut errs = Vec::new();
+    let mut in_b: HashMap<Key<'_>, RegionId> = HashMap::new();
+    for r in b.regions() {
+        if in_b.insert(key(r), r.id).is_some() {
+            errs.push(format!("second tree holds {} twice", r.id));
+        }
+    }
+    // `to_b[i]` is the region of `b` matching region `i` of `a`.
+    let mut to_b: Vec<Option<RegionId>> = vec![None; a.num_regions()];
+    for r in a.regions() {
+        match in_b.remove(&key(r)) {
+            Some(id) => to_b[r.id.index()] = Some(id),
+            None => errs.push(format!(
+                "{} ({:?} -> {:?}, blocks {:?}) has no match",
+                r.id, r.entry, r.exit, r.blocks
+            )),
+        }
+    }
+    for (_, id) in in_b {
+        errs.push(format!("{id} of the second tree has no match"));
+    }
+    if !errs.is_empty() {
+        return errs;
+    }
+    let map = |r: RegionId| to_b[r.index()].expect("every region matched");
+    for r in a.regions() {
+        let parent = b.region(map(r.id)).parent;
+        if r.parent.map(map) != parent {
+            errs.push(format!("{}: parent {:?} vs {:?}", r.id, r.parent, parent));
+        }
+    }
+    let num_blocks = a.region(a.root()).blocks.capacity();
+    for bi in 0..num_blocks {
+        let blk = BlockId::from_index(bi);
+        let (ra, rb) = (
+            a.innermost_region_of_block(blk),
+            b.innermost_region_of_block(blk),
+        );
+        if map(ra) != rb {
+            errs.push(format!("innermost region of {blk}: {ra} vs {rb}"));
+        }
+    }
     errs
 }
 
@@ -143,5 +200,8 @@ mod tests {
         let pst = Pst::compute(&cfg);
         let errs = verify_pst(&cfg, &pst);
         assert!(errs.is_empty(), "{errs:?}");
+        let reference = Pst::compute_reference(&cfg);
+        let diffs = pst_differences(&pst, &reference);
+        assert!(diffs.is_empty(), "{diffs:?}");
     }
 }

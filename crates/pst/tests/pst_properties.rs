@@ -1,10 +1,13 @@
 //! Property tests for the PST substrate: the fast cycle-equivalence
 //! labelling must match the exact fundamental-cycle-matrix oracle on
 //! random connected multigraphs, and PSTs of random structured CFGs must
-//! satisfy every structural invariant.
+//! satisfy every structural invariant and match the frozen reference
+//! construction up to region numbering.
 
 use proptest::prelude::*;
-use spillopt_pst::{cycle_equivalence_classes, cycle_equivalence_classes_oracle, verify_pst, Pst};
+use spillopt_pst::{
+    cycle_equivalence_classes, cycle_equivalence_classes_oracle, pst_differences, verify_pst, Pst,
+};
 
 /// Random connected multigraph: a random spanning tree plus extra edges
 /// (parallel edges and self-loops allowed).
@@ -99,6 +102,22 @@ mod structured {
             let b = Pst::compute(&cfg);
             prop_assert_eq!(a.num_regions(), b.num_regions());
             prop_assert_eq!(a.postorder(), b.postorder());
+        }
+
+        /// `compute` builds the same tree as the frozen
+        /// `compute_reference` up to numbering, and numbers it in
+        /// preorder.
+        #[test]
+        fn pst_matches_reference_up_to_numbering(seed in 0u64..100_000, budget in 5usize..40) {
+            let cfg = generated_cfg(seed, budget);
+            let pst = Pst::compute(&cfg);
+            let diffs = pst_differences(&pst, &Pst::compute_reference(&cfg));
+            prop_assert!(diffs.is_empty(), "{diffs:?}");
+            for r in pst.regions() {
+                if let Some(p) = r.parent {
+                    prop_assert!(p < r.id, "{} numbered before its parent {p}", r.id);
+                }
+            }
         }
 
         /// Every non-root region's boundary edges really are the *only*

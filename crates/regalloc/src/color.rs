@@ -23,11 +23,13 @@ pub struct Coloring {
 /// for spilling only if nothing else is available.
 ///
 /// Decision-for-decision identical to [`color_reference`] (same
-/// coalesces, same simplify order, same spill choices, same colors); the
-/// rewrite replaces the per-node adjacency bitsets with one flat
-/// [`BitMatrix`], precomputes the per-representative spill weights and
-/// call-crossing flags that the reference rescanned per query, and
-/// reuses scratch buffers instead of allocating in the select loop.
+/// coalesces, same simplify order, same spill choices, same colors). The
+/// adjacency is one flat [`BitMatrix`] copied from the graph's rows.
+/// After coalescing, the aliases are folded into that matrix, the spill
+/// weights and the call-crossing flags in place: only rows that name a
+/// merged-away node are rewritten, so a graph with no coalesced move is
+/// colored straight off its copied rows. Scratch buffers are reused
+/// instead of allocating in the select loop.
 pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet) -> Coloring {
     let nv = graph.num_vregs();
     let nn = graph.num_nodes();
@@ -42,13 +44,9 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
         adj.row_union_words(i, graph.adjacency_words(i));
     }
     let mut coalesced = 0;
-    let disable_coalesce = std::env::var("SPILLOPT_NO_COALESCE").is_ok();
     let mut scratch_words: Vec<u64> = Vec::new();
     let mut scratch_items: Vec<usize> = Vec::new();
     for &(a, b) in &graph.moves {
-        if disable_coalesce {
-            break;
-        }
         let (ra, rb) = (alias.find(a as usize), alias.find(b as usize));
         if ra == rb {
             continue;
@@ -109,32 +107,49 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
 
     // Representative nodes after coalescing.
     let reps: Vec<usize> = (0..nv).filter(|&i| alias.find(i) == i).collect();
-    // Re-point adjacency of representatives through aliases: a neighbor
-    // that was coalesced must be counted via its representative. Also
-    // fold the per-node weights and call-crossing flags onto their
-    // representatives once, instead of rescanning all vregs per query.
-    let mut rep_adj = BitMatrix::new(nv, nn);
-    for &r in &reps {
-        for x in adj.row_iter(r) {
-            let y = if x < nv { alias.find(x) } else { x };
-            if y != r {
-                rep_adj.set(r, y);
+    // Fold the aliases in place: a merged-away node's weight and
+    // call-crossing flag move onto its representative, and a
+    // representative's row that names a merged-away neighbor is
+    // re-pointed through the alias map. Rows of merged-away nodes are
+    // never read again. (Saturating sums of non-negative weights do not
+    // depend on their order.)
+    let mut weight: Vec<u64> = graph.weight[..nv].to_vec();
+    let mut crosses = graph.crosses_call.clone();
+    if coalesced > 0 {
+        let mut merged_away = DenseBitSet::new(nn);
+        for v in 0..nv {
+            let r = alias.find(v);
+            if r != v {
+                merged_away.insert(v);
+                weight[r] = weight[r].saturating_add(graph.weight[v]);
+                if graph.crosses_call.contains(v) {
+                    crosses.insert(r);
+                }
             }
         }
-    }
-    let mut rep_weight = vec![0u64; nv];
-    let mut rep_crosses = vec![false; nv];
-    for v in 0..nv {
-        let r = alias.find(v);
-        rep_weight[r] = rep_weight[r].saturating_add(graph.weight[v]);
-        if graph.crosses_call.contains(v) {
-            rep_crosses[r] = true;
+        for &r in &reps {
+            let stale = adj
+                .row_words(r)
+                .iter()
+                .zip(merged_away.words())
+                .any(|(a, m)| a & m != 0);
+            if stale {
+                scratch_items.clear();
+                scratch_items.extend(adj.row_iter(r));
+                adj.row_clear(r);
+                for &x in &scratch_items {
+                    let y = if x < nv { alias.find(x) } else { x };
+                    if y != r {
+                        adj.set(r, y);
+                    }
+                }
+            }
         }
     }
 
     // --- Simplify. ---
     let mut removed = DenseBitSet::new(nv);
-    let mut degree: Vec<usize> = (0..nv).map(|i| rep_adj.row_count(i)).collect();
+    let mut degree: Vec<usize> = (0..nv).map(|i| adj.row_count(i)).collect();
     let mut stack: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = reps.clone();
     while !remaining.is_empty() {
@@ -148,7 +163,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
                 let mut best: Option<(usize, usize, u128)> = None; // (idx in remaining, node, key)
                 for (ri, &i) in remaining.iter().enumerate() {
                     let banned = no_spill.contains(i);
-                    let (w, d) = (rep_weight[i], rep_adj.row_count(i).max(1) as u64);
+                    let (w, d) = (weight[i], adj.row_count(i).max(1) as u64);
                     // key = w/d scaled; banned nodes sort last.
                     let key = ((banned as u128) << 100) | (((w as u128) << 32) / d as u128);
                     if best.is_none() || key < best.unwrap().2 {
@@ -161,7 +176,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
             }
         };
         removed.insert(chosen);
-        for x in rep_adj.row_iter(chosen) {
+        for x in adj.row_iter(chosen) {
             if x < nv && !removed.contains(x) {
                 degree[x] = degree[x].saturating_sub(1);
             }
@@ -178,14 +193,14 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     let mut forbidden = DenseBitSet::new(target.reg_index_limit());
     while let Some(i) = stack.pop() {
         forbidden.clear();
-        for x in rep_adj.row_iter(i) {
+        for x in adj.row_iter(i) {
             if x >= nv {
                 forbidden.insert(x - nv);
             } else if let Some(p) = color_of[x] {
                 forbidden.insert(p.index());
             }
         }
-        let pick = if rep_crosses[i] {
+        let pick = if crosses.contains(i) {
             target
                 .callee_saved()
                 .iter()
@@ -237,18 +252,14 @@ pub fn color_reference(
     let mut adj: Vec<DenseBitSet> = (0..nv)
         .map(|i| {
             let mut s = DenseBitSet::new(graph.num_nodes());
-            for &x in graph.neighbors(i) {
-                s.insert(x as usize);
+            for x in graph.neighbors(i) {
+                s.insert(x);
             }
             s
         })
         .collect();
     let mut coalesced = 0;
-    let disable_coalesce = std::env::var("SPILLOPT_NO_COALESCE").is_ok();
     for &(a, b) in &graph.moves {
-        if disable_coalesce {
-            break;
-        }
         let (ra, rb) = (alias.find(a as usize), alias.find(b as usize));
         if ra == rb {
             continue;

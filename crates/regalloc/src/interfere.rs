@@ -4,12 +4,15 @@ use spillopt_ir::{BitMatrix, Cfg, DenseBitSet, Function, InstKind, Liveness, Reg
 
 /// An interference graph over the register universe (virtual registers
 /// followed by physical registers; physical nodes are precolored).
+///
+/// The adjacency is one symmetric [`BitMatrix`] and nothing else: a
+/// node's neighbors are the set bits of its row, in ascending order, and
+/// its degree is the row's popcount. There are no per-node lists.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
     n: usize,
     num_vregs: usize,
     matrix: BitMatrix,
-    neighbors: Vec<Vec<u32>>,
     /// Move-related pairs (both virtual) for coalescing.
     pub moves: Vec<(u32, u32)>,
     /// Virtual registers live across at least one call site.
@@ -22,11 +25,11 @@ impl InterferenceGraph {
     /// Builds the interference graph of `func` using `block_weight` as the
     /// per-block frequency for spill costs.
     ///
-    /// The adjacency accumulates word-parallel: a def's row ORs in the
-    /// whole live-after set at once, and symmetry plus the neighbor lists
-    /// are restored in one pass at the end. The resulting edge *set* is
-    /// identical to [`InterferenceGraph::build_reference`] (neighbor list
-    /// order differs; nothing consumes the order).
+    /// The adjacency accumulates word-parallel: the precolored clique is
+    /// filled one row mask at a time, a def's row ORs in the whole
+    /// live-after set at once, and symmetry is restored in one pass at
+    /// the end. The resulting matrix is identical to
+    /// [`InterferenceGraph::build_reference`]'s.
     pub fn build(
         func: &Function,
         _cfg: &Cfg,
@@ -41,20 +44,21 @@ impl InterferenceGraph {
             n,
             num_vregs,
             matrix: BitMatrix::new(n, n),
-            neighbors: vec![Vec::new(); n],
             moves: Vec::new(),
             crosses_call: DenseBitSet::new(num_vregs),
             weight: vec![0; n],
         };
 
         // All physical registers mutually interfere (they are distinct
-        // resources).
+        // resources): each physical row gets the mask of every physical
+        // node but itself.
+        let mut phys = DenseBitSet::new(n);
+        for p in num_vregs..n {
+            phys.insert(p);
+        }
         for a in num_vregs..n {
-            for b in num_vregs..n {
-                if a != b {
-                    g.matrix.set(a, b);
-                }
-            }
+            g.matrix.row_union_words(a, phys.words());
+            g.matrix.unset(a, a);
         }
 
         for b in func.block_ids() {
@@ -120,8 +124,7 @@ impl InterferenceGraph {
             });
         }
 
-        // Symmetrize (rows accumulated def-side only) and derive the
-        // neighbor lists from the closed matrix.
+        // Symmetrize: rows accumulated def-side only.
         let mut scratch: Vec<usize> = Vec::new();
         for r in 0..n {
             scratch.clear();
@@ -129,9 +132,6 @@ impl InterferenceGraph {
             for &c in &scratch {
                 g.matrix.set(c, r);
             }
-        }
-        for r in 0..n {
-            g.neighbors[r] = g.matrix.row_iter(r).map(|c| c as u32).collect();
         }
         g
     }
@@ -153,7 +153,6 @@ impl InterferenceGraph {
             n,
             num_vregs,
             matrix: BitMatrix::new(n, n),
-            neighbors: vec![Vec::new(); n],
             moves: Vec::new(),
             crosses_call: DenseBitSet::new(num_vregs),
             weight: vec![0; n],
@@ -246,15 +245,12 @@ impl InterferenceGraph {
         i >= self.num_vregs
     }
 
-    /// Adds an interference edge.
+    /// Adds an interference edge (a no-op for `a == b`).
     pub fn add_edge(&mut self, a: usize, b: usize) {
-        if a == b || self.matrix.contains(a, b) {
-            return;
+        if a != b {
+            self.matrix.set(a, b);
+            self.matrix.set(b, a);
         }
-        self.matrix.set(a, b);
-        self.matrix.set(b, a);
-        self.neighbors[a].push(b as u32);
-        self.neighbors[b].push(a as u32);
     }
 
     /// Returns `true` if `a` and `b` interfere.
@@ -267,14 +263,15 @@ impl InterferenceGraph {
         self.matrix.row_words(i)
     }
 
-    /// The neighbors of node `i`.
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.neighbors[i]
+    /// The neighbors of node `i`: the set bits of its adjacency row, in
+    /// ascending order.
+    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.matrix.row_iter(i)
     }
 
-    /// The degree of node `i`.
+    /// The degree of node `i`: the popcount of its adjacency row.
     pub fn degree(&self, i: usize) -> usize {
-        self.neighbors[i].len()
+        self.matrix.row_count(i)
     }
 
     /// The universe-relative index of a physical register node.
@@ -366,8 +363,8 @@ mod tests {
     }
 
     /// The word-parallel build and the reference build must agree on the
-    /// whole interference relation, weights, moves, and call-crossing
-    /// sets (neighbor list *order* may differ).
+    /// whole interference relation, degrees, weights, moves, and
+    /// call-crossing sets.
     #[test]
     fn fast_build_matches_reference() {
         let mut fb = FunctionBuilder::new("d", 0);
@@ -402,11 +399,7 @@ mod tests {
                     "edge ({i},{j})"
                 );
             }
-            let mut a: Vec<u32> = fast.neighbors(i).to_vec();
-            let mut b: Vec<u32> = slow.neighbors(i).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "neighbors of {i}");
+            assert_eq!(fast.degree(i), slow.degree(i), "degree of {i}");
         }
         assert_eq!(fast.weight, slow.weight);
         assert_eq!(fast.moves, slow.moves);

@@ -199,8 +199,7 @@ fn assert_coloring_valid(graph: &InterferenceGraph, coloring: &Coloring, func: &
         let Some(pa) = coloring.assignment[a] else {
             continue;
         };
-        for &b in graph.neighbors(a) {
-            let b = b as usize;
+        for b in graph.neighbors(a) {
             if b < nv {
                 if coloring.assignment[b] == Some(pa) && coloring.alias[a] != coloring.alias[b] {
                     panic!(

@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of the working tree against a parent revision.
+
+Usage:
+
+    scripts/paired_bench.py PARENT_REV WORKLOAD PAIRS SECONDS [--first-seed N]
+
+Checks PARENT_REV out into a temporary `git worktree`, builds the
+benchmark on both sides, then runs the `BENCHMARK.json` command
+(`--workload WORKLOAD --seed N --seconds SECONDS --trace 0`) PAIRS times
+on each side. Pair i uses seed N + i on both sides (N defaults to 1000,
+away from the seeds small smoke runs use), and the side that runs first
+alternates from pair to pair, so a slow stretch of the machine falls on
+both sides alike.
+
+Each run ends with one JSON line whose `metrics` map holds the
+end-to-end metrics. For every end-to-end metric of `BENCHMARK.json` the
+script prints each side's median and quartiles, the change of the
+medians, how many pairs the working tree won (in the metric's `better`
+direction), and whether the median gain exceeds the parent's quartile
+spread. It also prints `failed` per side. The worktree is removed on
+exit.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+# Each side builds into its own checkout's target directory; a shared
+# CARGO_TARGET_DIR would make the two sides overwrite each other's build.
+ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+
+
+def run(cmd, cwd, capture=False):
+    """Runs `cmd` in `cwd`, failing loudly; returns stdout if captured."""
+    result = subprocess.run(
+        cmd, cwd=cwd, env=ENV, check=True, text=True,
+        stdout=subprocess.PIPE if capture else None,
+    )
+    return result.stdout
+
+
+def build_command(command):
+    """The build step of a `cargo run ... -- ARGS` command, or None."""
+    if len(command) < 2 or command[0] != "cargo" or command[1] != "run":
+        return None
+    head = command[: command.index("--")] if "--" in command else command
+    return ["cargo", "build"] + head[2:]
+
+
+def bench_once(command, cwd, workload, seed, seconds):
+    """One benchmark run; returns (metrics, failed) from its JSON line."""
+    args = ["--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    out = run(command + args, cwd, capture=True)
+    last = [line for line in out.splitlines() if line.startswith("{")][-1]
+    record = json.loads(last)
+    metrics = {k: v["value"] for k, v in record["metrics"].items()}
+    return metrics, record["failed"]
+
+
+def quartiles(values):
+    """(q1, median, q3) of `values`."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_rev")
+    parser.add_argument("workload")
+    parser.add_argument("pairs", type=int)
+    parser.add_argument("seconds", type=float)
+    parser.add_argument("--first-seed", type=int, default=1000)
+    opts = parser.parse_args()
+
+    root = run(["git", "rev-parse", "--show-toplevel"],
+               os.path.dirname(os.path.abspath(__file__)), capture=True).strip()
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    command = bench["command"]
+    metrics = bench["end_to_end"]
+
+    tmp = tempfile.mkdtemp(prefix="paired-bench-")
+    parent = os.path.join(tmp, "parent")
+    run(["git", "worktree", "add", "--detach", parent, opts.parent_rev], root)
+    try:
+        sides = {"parent": parent, "change": root}
+        build = build_command(command)
+        if build:
+            for cwd in sides.values():
+                run(build, cwd)
+
+        results = {"parent": [], "change": []}
+        failed = {"parent": 0, "change": 0}
+        for i in range(opts.pairs):
+            seed = opts.first_seed + i
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in order:
+                m, f = bench_once(command, sides[side], opts.workload, seed,
+                                  opts.seconds)
+                results[side].append(m)
+                failed[side] += f
+            print(f"pair {i + 1}/{opts.pairs} seed {seed}: " + ", ".join(
+                f"{s} {results[s][-1].get(metrics[0]['name'], float('nan')):.4g}"
+                for s in order), file=sys.stderr, flush=True)
+    finally:
+        run(["git", "worktree", "remove", "--force", parent], root)
+        os.rmdir(tmp)
+
+    print(f"workload {opts.workload}, {opts.pairs} pairs x {opts.seconds} s, "
+          f"seeds {opts.first_seed}..{opts.first_seed + opts.pairs - 1}")
+    print(f"failed: parent {failed['parent']}, change {failed['change']}")
+    header = (f"{'metric':<18} {'parent q1/med/q3':>32} "
+              f"{'change q1/med/q3':>32} {'change':>8} {'wins':>6} beyond-IQR")
+    print(header)
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        pairs = [(p[name], c[name])
+                 for p, c in zip(results["parent"], results["change"])
+                 if name in p and name in c]
+        if not pairs:
+            continue
+        p_q = quartiles([p for p, _ in pairs])
+        c_q = quartiles([c for _, c in pairs])
+        wins = sum(1 for p, c in pairs if (c > p if higher else c < p))
+        gain = c_q[1] - p_q[1] if higher else p_q[1] - c_q[1]
+        rel = (c_q[1] - p_q[1]) / p_q[1] * 100 if p_q[1] else float("nan")
+        beyond = gain > p_q[2] - p_q[0]
+        fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
+        print(f"{name:<18} {fmt(p_q):>32} {fmt(c_q):>32} {rel:>+7.1f}% "
+              f"{wins:>3}/{len(pairs):<2} {'yes' if beyond else 'no'}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,210 @@
+//! The cold-path substrate against its frozen reference twins, at corpus
+//! scale: `allocate` must produce exactly what `allocate_reference`
+//! produces, and `Pst::compute` must build the same tree as
+//! `Pst::compute_reference` up to region numbering.
+//!
+//! Inputs:
+//!
+//! - the 11 `benchgen` modules on every registered target, under their
+//!   training-workload profiles;
+//! - `spillopt_stress` cases for seeds 0..50, one registered target per
+//!   seed in turn, under random-walk profiles;
+//! - a move-injected copy of every stress case (see [`inject_copies`]).
+//!   Neither generator emits a vreg→vreg `Move`, so without these
+//!   copies the sweep would never reach the allocator's coalescing.
+
+use spillopt_benchgen::{all_benchmarks, build_bench};
+use spillopt_driver::{OptimizerBuilder, ProfileSource};
+use spillopt_ir::{Cfg, Function, Inst, InstKind, Reg, RegDiscipline, Target, VReg};
+use spillopt_profile::{random_walk_profile, EdgeProfile};
+use spillopt_pst::{pst_differences, Pst};
+use spillopt_regalloc::{allocate, allocate_reference};
+use spillopt_targets::registry;
+use std::collections::HashMap;
+
+/// One allocation input: a virtual-register function, its target and
+/// the profile weighting its spill costs.
+struct Input {
+    label: String,
+    target: Target,
+    func: Function,
+    profile: EdgeProfile,
+}
+
+/// Every benchgen function on every registered target, under the
+/// training-workload profiles a session resolves for it.
+fn benchgen_inputs() -> Vec<Input> {
+    let mut out = Vec::new();
+    for spec in registry() {
+        let target = spec.to_target();
+        for bench in all_benchmarks() {
+            let built = build_bench(&bench, &target);
+            let profiles = OptimizerBuilder::new()
+                .target_spec(spec.clone())
+                .threads(1)
+                .reuse_analyses(false)
+                .profile(ProfileSource::Workload(built.train_runs))
+                .build()
+                .expect("session builds")
+                .resolve_profiles(&built.module)
+                .expect("training workload runs");
+            for (f, profile) in built.module.func_ids().zip(profiles) {
+                let func = built.module.func(f).clone();
+                out.push(Input {
+                    label: format!("{}/{}/{}", spec.name, bench.name, func.name()),
+                    target: target.clone(),
+                    func,
+                    profile,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Stress cases for seeds 0..50, rotating through the registered
+/// targets, each under a random-walk profile; with `copies`, every
+/// function is move-injected first.
+fn stress_inputs(copies: bool) -> Vec<Input> {
+    let specs = registry();
+    let mut out = Vec::new();
+    for seed in 0..50u64 {
+        let spec = &specs[seed as usize % specs.len()];
+        let target = spec.to_target();
+        let case = spillopt_stress::gen_case(&target, seed);
+        for (i, f) in case.module.func_ids().enumerate() {
+            let source = case.module.func(f);
+            let func = if copies {
+                inject_copies(source)
+            } else {
+                source.clone()
+            };
+            let profile = random_walk_profile(&Cfg::compute(&func), 128, 256, seed * 31 + i as u64);
+            out.push(Input {
+                label: format!(
+                    "stress seed {seed}/{}/{}{}",
+                    spec.name,
+                    func.name(),
+                    if copies { " (copies)" } else { "" }
+                ),
+                target: target.clone(),
+                func,
+                profile,
+            });
+        }
+    }
+    out
+}
+
+/// A copy of `func` with one vreg→vreg `Move` per virtual def: right
+/// after each instruction that defines `v`, `v' = v` copies it to a
+/// fresh vreg, and later uses of `v` in the same block read `v'` (until
+/// `v` is defined again, which gets its own copy). Values and control
+/// flow are unchanged.
+fn inject_copies(func: &Function) -> Function {
+    let mut out = func.clone();
+    for b in func.block_ids() {
+        let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
+        let mut insts = Vec::with_capacity(2 * func.block(b).insts.len());
+        for inst in &func.block(b).insts {
+            let mut inst = inst.clone();
+            for_each_use_mut(&mut inst, |r| {
+                if let Reg::Virt(v) = r {
+                    if let Some(&c) = copy_of.get(v) {
+                        *r = Reg::Virt(c);
+                    }
+                }
+            });
+            let mut def = None;
+            inst.for_each_def(|r| {
+                if let Reg::Virt(v) = r {
+                    def = Some(v);
+                }
+            });
+            insts.push(inst);
+            if let Some(v) = def {
+                let c = out.new_vreg();
+                insts.push(Inst::new(InstKind::Move {
+                    dst: Reg::Virt(c),
+                    src: Reg::Virt(v),
+                }));
+                copy_of.insert(v, c);
+            }
+        }
+        out.block_mut(b).insts = insts;
+    }
+    let errs = spillopt_ir::verify_function(&out, RegDiscipline::Virtual);
+    assert!(
+        errs.is_empty(),
+        "move injection broke `{}`: {errs:?}",
+        func.name()
+    );
+    out
+}
+
+/// Calls `f` on every register `inst` reads.
+fn for_each_use_mut(inst: &mut Inst, mut f: impl FnMut(&mut Reg)) {
+    match &mut inst.kind {
+        InstKind::Bin { lhs, rhs, .. } | InstKind::Branch { lhs, rhs, .. } => {
+            f(lhs);
+            f(rhs);
+        }
+        InstKind::BinImm { lhs, .. } => f(lhs),
+        InstKind::Move { src, .. } | InstKind::Store { src, .. } => f(src),
+        InstKind::Call { args, .. } => args.iter_mut().for_each(f),
+        InstKind::Return { value } => value.iter_mut().for_each(f),
+        InstKind::LoadImm { .. } | InstKind::Load { .. } | InstKind::Jump { .. } => {}
+    }
+}
+
+#[test]
+fn allocate_matches_reference_on_every_input_set() {
+    let mut coalesced = 0usize;
+    let mut checked = 0usize;
+    let inputs = benchgen_inputs()
+        .into_iter()
+        .chain(stress_inputs(false))
+        .chain(stress_inputs(true));
+    for input in inputs {
+        let (mut fast, mut slow) = (input.func.clone(), input.func);
+        let a = allocate(&mut fast, &input.target, Some(&input.profile));
+        let b = allocate_reference(&mut slow, &input.target, Some(&input.profile));
+        let label = &input.label;
+        assert_eq!(fast, slow, "{label}: allocated functions differ");
+        assert_eq!(a.spilled_vregs, b.spilled_vregs, "{label}: spilled_vregs");
+        assert_eq!(a.iterations, b.iterations, "{label}: iterations");
+        assert_eq!(
+            a.coalesced_moves, b.coalesced_moves,
+            "{label}: coalesced_moves"
+        );
+        assert_eq!(
+            a.used_callee_saved, b.used_callee_saved,
+            "{label}: used_callee_saved"
+        );
+        coalesced += a.coalesced_moves;
+        checked += 1;
+    }
+    assert!(checked > 1000, "only {checked} functions checked");
+    assert!(coalesced > 0, "the sweep never coalesced a move");
+}
+
+#[test]
+fn pst_matches_reference_on_allocated_cfgs() {
+    let inputs = benchgen_inputs()
+        .into_iter()
+        .chain(stress_inputs(false))
+        .chain(stress_inputs(true));
+    for input in inputs {
+        let mut func = input.func;
+        allocate(&mut func, &input.target, Some(&input.profile));
+        let cfg = Cfg::compute(&func);
+        let pst = Pst::compute(&cfg);
+        let diffs = pst_differences(&pst, &Pst::compute_reference(&cfg));
+        assert!(diffs.is_empty(), "{}: {diffs:?}", input.label);
+        for r in pst.regions() {
+            if let Some(p) = r.parent {
+                assert!(p < r.id, "{}: {} not in preorder", input.label, r.id);
+            }
+        }
+    }
+}
