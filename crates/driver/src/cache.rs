@@ -10,21 +10,22 @@
 //! it without any recomputation through its borrowed-analysis inputs
 //! ([`spillopt_core::SuiteInputs::analyzed`]).
 //!
-//! Only the CFG, the profile, and the callee-saved usage are computed
-//! eagerly — they decide whether a function needs placement at all.
-//! Usage is derived from a liveness pass that is not kept: nothing
-//! downstream reads it, and a long-lived session arena holds one cache
-//! per function. Everything else (SCCs, PST, the dense [`DerivedCfg`]
-//! tables, dominators, post-dominators, loops) is built lazily on first
-//! access, so the many functions that use no callee-saved register
+//! The cache starts from the CFG the register allocator already
+//! computed ([`spillopt_regalloc::RegAllocResult::cfg`], taken by value:
+//! allocation edits only instruction lists, so it is the allocated
+//! function's CFG). Only the callee-saved usage is computed eagerly — it
+//! decides whether a function needs placement at all — by
+//! [`CalleeSavedUsage::from_function`]'s word-parallel liveness over the
+//! callee-saved registers alone; no full-universe liveness is run or
+//! kept. Everything else (SCCs, PST, the dense [`DerivedCfg`] tables,
+//! dominators, post-dominators, loops) is built lazily on first access,
+//! so the many functions that use no callee-saved register
 //! ([`AnalysisCache::needs_placement`] returns `false`) pay for none of
 //! it.
 
 use spillopt_core::CalleeSavedUsage;
 use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
-use spillopt_ir::{
-    BlockDoms, BlockPostDoms, Cfg, DerivedCfg, Function, Liveness, LoopInfo, Target,
-};
+use spillopt_ir::{BlockDoms, BlockPostDoms, Cfg, DerivedCfg, Function, LoopInfo, Target};
 use spillopt_profile::EdgeProfile;
 use spillopt_pst::Pst;
 use spillopt_sync::OnceLock;
@@ -47,26 +48,15 @@ pub struct AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// Builds the cache for `func` against `profile`, computing only the
-    /// CFG and (through a transient liveness pass) the callee-saved usage
-    /// up front.
+    /// Builds the cache for the allocated `func` with its CFG `cfg` (the
+    /// allocator's [`spillopt_regalloc::RegAllocResult::cfg`]) against
+    /// `profile`, computing only the callee-saved usage up front.
     ///
     /// The profile must refer to `func`'s current CFG (edge ids are
     /// stable across register allocation, so a profile measured on the
     /// virtual function is valid for the allocated one).
-    pub fn compute(func: &Function, target: &Target, profile: EdgeProfile) -> Self {
-        let cfg = {
-            let _s = spillopt_obs::span("cfg");
-            Cfg::compute(func)
-        };
-        let liveness = {
-            let _s = spillopt_obs::span("liveness");
-            Liveness::compute(func, &cfg, target)
-        };
-        let usage = {
-            let _s = spillopt_obs::span("callee_saved_usage");
-            CalleeSavedUsage::from_liveness(func, target, &liveness)
-        };
+    pub fn compute(func: &Function, cfg: Cfg, target: &Target, profile: EdgeProfile) -> Self {
+        let usage = CalleeSavedUsage::from_function(func, &cfg, target);
         AnalysisCache {
             cfg,
             profile,
@@ -148,11 +138,11 @@ mod tests {
         fb.ret(Some(Reg::Virt(x)));
         let mut func = fb.finish();
         let target = Target::default();
-        allocate(&mut func, &target, None);
+        let alloc = allocate(&mut func, &target, None);
 
         let cfg = Cfg::compute(&func);
         let profile = random_walk_profile(&cfg, 10, 16, 3);
-        let cache = AnalysisCache::compute(&func, &target, profile);
+        let cache = AnalysisCache::compute(&func, alloc.cfg, &target, profile);
         assert!(cache.needs_placement());
         assert_eq!(cache.cfg.num_blocks(), cfg.num_blocks());
         assert_eq!(cache.pst().num_regions(), Pst::compute(&cfg).num_regions());

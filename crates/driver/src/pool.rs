@@ -249,8 +249,18 @@ pub struct PoolWorkerStats {
     pub idle_ns: u64,
 }
 
+/// A queued job. It runs its item, then calls the `retire` hook it is
+/// handed, and only then signals its batch's completion — so whatever
+/// the worker does in `retire` (closing its span, which flushes its
+/// trace buffer, and bumping its counters) is visible to the joining
+/// thread.
+type Job = Box<JobFn<'static>>;
+
+/// The closure type behind [`Job`], before its lifetime is erased.
+type JobFn<'a> = dyn FnOnce(&mut dyn FnMut()) + Send + 'a;
+
 struct Queue {
-    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -266,7 +276,9 @@ struct Batch<T> {
 }
 
 impl<T> Batch<T> {
-    fn execute<I, F>(&self, work: &F, i: usize, item: I)
+    /// Runs item `i` (unless the batch aborted), calls `retire`, then
+    /// counts the item done.
+    fn execute<I, F>(&self, work: &F, i: usize, item: I, retire: &mut dyn FnMut())
     where
         F: Fn(usize, I) -> T,
     {
@@ -282,6 +294,7 @@ impl<T> Batch<T> {
                 }
             }
         }
+        retire();
         let mut remaining = self.remaining.lock().unwrap();
         *remaining -= 1;
         if *remaining == 0 {
@@ -387,19 +400,15 @@ impl Pool {
         // Between enqueue and the wait below there is no panicking
         // operation on this thread: the queue mutex cannot be poisoned
         // (workers never run user code while holding it).
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = items
+        let jobs: Vec<Job> = items
             .into_iter()
             .enumerate()
             .map(|(i, item)| {
                 let batch = &batch;
                 let work = &work;
-                let job: Box<dyn FnOnce() + Send + '_> =
-                    Box::new(move || batch.execute(work, i, item));
-                unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-                        job,
-                    )
-                }
+                let job: Box<JobFn<'_>> =
+                    Box::new(move |retire| batch.execute(work, i, item, retire));
+                unsafe { std::mem::transmute::<Box<JobFn<'_>>, Job>(job) }
             })
             .collect();
         let depth = {
@@ -484,18 +493,21 @@ fn worker_loop(shared: &Shared, me: usize) {
             Some(job) => {
                 stats.started.fetch_add(1, Ordering::Relaxed);
                 let busy_start = Instant::now();
-                {
-                    // The outermost span on this worker: closing it also
-                    // flushes the worker's event buffer, so a recording
-                    // that finishes after the batch joins sees everything.
-                    let _s = spillopt_obs::span("pool_job");
-                    spillopt_obs::count("pool_jobs", 1);
-                    job();
-                }
-                stats.items.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .busy_ns
-                    .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                // The outermost span on this worker: closing it also
+                // flushes the worker's event buffer. The job closes it
+                // and updates this worker's counters (through `retire`)
+                // before it signals its batch, so a recording finished,
+                // or `worker_stats` read, after the batch joins sees
+                // everything.
+                let mut span = Some(spillopt_obs::span("pool_job"));
+                spillopt_obs::count("pool_jobs", 1);
+                job(&mut || {
+                    drop(span.take());
+                    stats.items.fetch_add(1, Ordering::Relaxed);
+                    stats
+                        .busy_ns
+                        .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                });
             }
             None => return,
         }
@@ -743,6 +755,28 @@ mod model_tests {
         });
         eprintln!(
             "model_item_panic_aborts_batch: {} schedules",
+            report.executions
+        );
+        assert!(report.executions > 1);
+    }
+
+    /// Join vs. worker accounting: once `run_batch` returns, every
+    /// worker has already counted the items it ran. (The last job used
+    /// to signal completion before its worker bumped `items` and
+    /// flushed its trace buffer, so a joiner could read one item short.)
+    /// The counters are relaxed atomics, so they are made scheduling
+    /// points here: a joiner may run between any two of them.
+    #[test]
+    fn model_join_sees_every_worker_item() {
+        let report = check(opts().relaxed_yields(true), || {
+            let pool = Pool::new(2);
+            pool.run_batch(vec![1u64, 2], |_, x| x).expect("no panics");
+            let items: u64 = pool.worker_stats().iter().map(|w| w.items).sum();
+            assert_eq!(items, 2, "worker stats lag the batch join");
+            drop(pool);
+        });
+        eprintln!(
+            "model_join_sees_every_worker_item: {} schedules",
             report.executions
         );
         assert!(report.executions > 1);

@@ -1669,7 +1669,7 @@ fn attempt_full_inner(
             let _s = spillopt_obs::span("allocate");
             allocate(&mut func, engine.target, Some(profile))
         };
-        let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
+        let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
         let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
         if cache.needs_placement() {
             let inputs = suite_inputs(&cache);
@@ -1750,7 +1750,7 @@ fn attempt_single(
             let _s = spillopt_obs::span("allocate");
             allocate(&mut func, engine.target, Some(profile))
         };
-        let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
+        let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
         let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
         if cache.needs_placement() {
             let technique = match strategy {
@@ -1899,7 +1899,7 @@ fn cold_structure(
         let _s = spillopt_obs::span("allocate");
         allocate(&mut func, engine.target, Some(profile))
     };
-    let cache = AnalysisCache::compute(&func, engine.target, profile.clone());
+    let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
     let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
     let memo = if cache.needs_placement() {
         let inputs = suite_inputs(&cache);

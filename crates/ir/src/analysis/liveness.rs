@@ -110,7 +110,7 @@ impl Liveness {
         // in the fixpoint; unreachable blocks keep empty sets, matching
         // the reference), then iterate in postorder (successors first)
         // until stable.
-        let order = reachable_postorder(cfg);
+        let order = cfg.reachable_postorder();
         let mut live_in = gen;
         {
             let mut reachable = vec![false; n];
@@ -254,31 +254,6 @@ impl Liveness {
             });
         }
     }
-}
-
-/// Postorder over the blocks reachable from the entry, as indices
-/// (allocation-lean local DFS; no intermediate `Graph`).
-fn reachable_postorder(cfg: &Cfg) -> Vec<usize> {
-    let n = cfg.num_blocks();
-    let mut seen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = vec![(cfg.entry().index(), 0)];
-    seen[cfg.entry().index()] = true;
-    while let Some(&mut (b, ref mut ci)) = stack.last_mut() {
-        let succs = cfg.succ_edges(BlockId::from_index(b));
-        if *ci < succs.len() {
-            let t = cfg.edge(succs[*ci]).to.index();
-            *ci += 1;
-            if !seen[t] {
-                seen[t] = true;
-                stack.push((t, 0));
-            }
-        } else {
-            order.push(b);
-            stack.pop();
-        }
-    }
-    order
 }
 
 #[cfg(test)]

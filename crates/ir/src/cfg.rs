@@ -53,8 +53,10 @@ pub struct CfgEdge {
 /// An immutable CFG snapshot of a [`Function`].
 ///
 /// Edge ids are stable only for this snapshot; any CFG edit invalidates
-/// them (recompute with [`Cfg::compute`]).
-#[derive(Clone, Debug)]
+/// them (recompute with [`Cfg::compute`]). Two snapshots are equal when
+/// they have the same edges (ends, kinds, successor slots, ids), the
+/// same entry and the same exit blocks.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cfg {
     edges: Vec<CfgEdge>,
     succs: Vec<Vec<EdgeId>>,
@@ -211,6 +213,33 @@ impl Cfg {
     /// Returns the number of predecessors of `b`.
     pub fn num_preds(&self, b: BlockId) -> usize {
         self.preds[b.index()].len()
+    }
+
+    /// Postorder over the blocks reachable from the entry, as block
+    /// indices (an allocation-lean DFS following successor edges in
+    /// order; no intermediate graph). The backward liveness fixpoints
+    /// iterate in this order, successors first.
+    pub fn reachable_postorder(&self) -> Vec<usize> {
+        let n = self.num_blocks();
+        let mut seen = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut stack: Vec<(usize, usize)> = vec![(self.entry.index(), 0)];
+        seen[self.entry.index()] = true;
+        while let Some(&mut (b, ref mut ci)) = stack.last_mut() {
+            let succs = &self.succs[b];
+            if *ci < succs.len() {
+                let t = self.edge(succs[*ci]).to.index();
+                *ci += 1;
+                if !seen[t] {
+                    seen[t] = true;
+                    stack.push((t, 0));
+                }
+            } else {
+                order.push(b);
+                stack.pop();
+            }
+        }
+        order
     }
 
     /// Returns the unique edge from `from` to `to`, if it exists.

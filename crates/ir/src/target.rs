@@ -19,7 +19,15 @@ pub enum TargetError {
     RetNotCallerSaved(PReg),
     /// An argument register is not caller-saved.
     ArgNotCallerSaved(PReg),
+    /// More callee-saved registers than [`MAX_CALLEE_SAVED`]: the
+    /// post-allocation analyses hold one bit per callee-saved register
+    /// in a single `u64` word per block.
+    TooManyCalleeSaved(usize),
 }
+
+/// The most callee-saved registers a [`Target`] may have (one bit each
+/// in a `u64` word; see [`Target::callee_saved_slot`]).
+pub const MAX_CALLEE_SAVED: usize = 64;
 
 impl fmt::Display for TargetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -36,6 +44,12 @@ impl fmt::Display for TargetError {
             TargetError::ArgNotCallerSaved(p) => {
                 write!(f, "argument register {p} must be caller-saved")
             }
+            TargetError::TooManyCalleeSaved(n) => {
+                write!(
+                    f,
+                    "{n} callee-saved registers exceed the limit of {MAX_CALLEE_SAVED}"
+                )
+            }
         }
     }
 }
@@ -48,13 +62,38 @@ impl std::error::Error for TargetError {}
 /// The paper's experiments target PA-RISC with 24 general-purpose registers
 /// available for allocation, 13 of which are callee-saved;
 /// [`Target::pa_risc_like`] reproduces that convention.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Target {
     name: String,
     caller_saved: Vec<PReg>,
     callee_saved: Vec<PReg>,
     ret_reg: PReg,
     arg_regs: Vec<PReg>,
+    /// Register class by register number, derived from the two lists:
+    /// [`NOT_ALLOCATABLE`], [`CALLER_SAVED`], or `CALLEE_SAVED_BASE + i`
+    /// for `callee_saved[i]`.
+    class: [u8; 256],
+}
+
+/// Class-table entry of a register in neither list.
+const NOT_ALLOCATABLE: u8 = 0;
+/// Class-table entry of a caller-saved register.
+const CALLER_SAVED: u8 = 1;
+/// Class-table entry of `callee_saved[0]`; slot `i` is stored as
+/// `CALLEE_SAVED_BASE + i` (at most 2 + 63, so it fits a `u8`).
+const CALLEE_SAVED_BASE: u8 = 2;
+
+impl fmt::Debug for Target {
+    /// The convention's lists; the class table is derived from them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Target")
+            .field("name", &self.name)
+            .field("caller_saved", &self.caller_saved)
+            .field("callee_saved", &self.callee_saved)
+            .field("ret_reg", &self.ret_reg)
+            .field("arg_regs", &self.arg_regs)
+            .finish()
+    }
 }
 
 impl Target {
@@ -63,8 +102,9 @@ impl Target {
     /// # Errors
     ///
     /// Returns a [`TargetError`] if the caller- and callee-saved sets
-    /// overlap, either set repeats a register, or the return/argument
-    /// registers are not caller-saved.
+    /// overlap, either set repeats a register, the return/argument
+    /// registers are not caller-saved, or there are more than
+    /// [`MAX_CALLEE_SAVED`] callee-saved registers.
     pub fn try_new(
         name: impl Into<String>,
         caller_saved: Vec<PReg>,
@@ -93,12 +133,23 @@ impl Target {
                 return Err(TargetError::ArgNotCallerSaved(*a));
             }
         }
+        if callee_saved.len() > MAX_CALLEE_SAVED {
+            return Err(TargetError::TooManyCalleeSaved(callee_saved.len()));
+        }
+        let mut class = [NOT_ALLOCATABLE; 256];
+        for p in &caller_saved {
+            class[p.index()] = CALLER_SAVED;
+        }
+        for (i, p) in callee_saved.iter().enumerate() {
+            class[p.index()] = CALLEE_SAVED_BASE + i as u8;
+        }
         Ok(Target {
             name: name.into(),
             caller_saved,
             callee_saved,
             ret_reg,
             arg_regs,
+            class,
         })
     }
 
@@ -188,12 +239,20 @@ impl Target {
 
     /// Returns `true` if `p` is callee-saved under this convention.
     pub fn is_callee_saved(&self, p: PReg) -> bool {
-        self.callee_saved.contains(&p)
+        self.class[p.index()] >= CALLEE_SAVED_BASE
     }
 
     /// Returns `true` if `p` is caller-saved under this convention.
     pub fn is_caller_saved(&self, p: PReg) -> bool {
-        self.caller_saved.contains(&p)
+        self.class[p.index()] == CALLER_SAVED
+    }
+
+    /// The position of `p` in [`Target::callee_saved`], if it is
+    /// callee-saved: a bit index below [`MAX_CALLEE_SAVED`], so a set of
+    /// callee-saved registers fits one `u64` word.
+    pub fn callee_saved_slot(&self, p: PReg) -> Option<usize> {
+        let class = self.class[p.index()];
+        (class >= CALLEE_SAVED_BASE).then(|| usize::from(class - CALLEE_SAVED_BASE))
     }
 }
 
@@ -284,6 +343,50 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, TargetError::ArgNotCallerSaved(PReg::new(1)));
+    }
+
+    /// `n` callee-saved registers `r1..=rn` over caller-saved `r0`.
+    fn with_callee_saved(n: usize) -> Result<Target, TargetError> {
+        Target::try_new(
+            "wide",
+            vec![PReg::new(0)],
+            (1..=n).map(|i| PReg::new(i as u8)).collect(),
+            PReg::new(0),
+            vec![],
+        )
+    }
+
+    #[test]
+    fn callee_saved_limit_is_one_word() {
+        let t = with_callee_saved(MAX_CALLEE_SAVED).expect("64 callee-saved fit");
+        assert_eq!(t.callee_saved_slot(PReg::new(64)), Some(63));
+        assert_eq!(t.callee_saved_slot(PReg::new(1)), Some(0));
+        assert_eq!(t.callee_saved_slot(PReg::new(0)), None);
+        let err = with_callee_saved(MAX_CALLEE_SAVED + 1).unwrap_err();
+        assert_eq!(err, TargetError::TooManyCalleeSaved(65));
+        assert!(err.to_string().contains("limit of 64"));
+    }
+
+    #[test]
+    fn class_table_matches_the_lists() {
+        let t = Target::new(
+            "scattered",
+            vec![PReg::new(9), PReg::new(2), PReg::new(200)],
+            vec![PReg::new(255), PReg::new(4), PReg::new(17)],
+            PReg::new(2),
+            vec![PReg::new(9)],
+        );
+        for i in 0..=255u8 {
+            let p = PReg::new(i);
+            assert_eq!(t.is_caller_saved(p), t.caller_saved().contains(&p), "{p}");
+            assert_eq!(t.is_callee_saved(p), t.callee_saved().contains(&p), "{p}");
+            assert_eq!(
+                t.callee_saved_slot(p),
+                t.callee_saved().iter().position(|&q| q == p),
+                "{p}"
+            );
+        }
+        assert!(!format!("{t:?}").contains("class"));
     }
 
     #[test]

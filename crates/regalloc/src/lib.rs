@@ -12,9 +12,14 @@
 //!
 //! The allocator deliberately does **not** insert callee-saved
 //! save/restore code: exporting which callee-saved registers are busy in
-//! which blocks (via `spillopt_core::CalleeSavedUsage::from_function`) and
-//! leaving their placement to the post-allocation passes is precisely the
-//! problem setup of the paper.
+//! which blocks and leaving their placement to the post-allocation passes
+//! is precisely the problem setup of the paper. [`allocate`] exports what
+//! those passes start from: the callee-saved registers the allocation
+//! uses ([`RegAllocResult::used_callee_saved`], marked by the final
+//! rewrite) and the allocated function's CFG ([`RegAllocResult::cfg`],
+//! the one snapshot the allocator computed, under the `cfg` trace span).
+//! `spillopt_core::CalleeSavedUsage::from_function` derives the per-block
+//! busy sets from that CFG.
 //!
 //! # Examples
 //!
@@ -46,7 +51,7 @@ pub mod interfere;
 pub mod rewrite;
 pub mod spill;
 
-use spillopt_ir::{Cfg, DenseBitSet, Function, Liveness, PReg, Reg, Target};
+use spillopt_ir::{Cfg, DenseBitSet, Function, Liveness, PReg, Target};
 use spillopt_profile::EdgeProfile;
 
 pub use color::{color, color_reference, Coloring};
@@ -55,7 +60,7 @@ pub use rewrite::apply_coloring;
 pub use spill::insert_spill_code;
 
 /// Summary of one allocation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RegAllocResult {
     /// Virtual registers sent to memory.
     pub spilled_vregs: usize,
@@ -66,6 +71,10 @@ pub struct RegAllocResult {
     /// The callee-saved registers the allocation uses (these need
     /// save/restore code from a placement pass).
     pub used_callee_saved: Vec<PReg>,
+    /// The CFG of the allocated function. Spill code and the final
+    /// rewrite edit only instruction lists, so this equals
+    /// `Cfg::compute` of the function on return.
+    pub cfg: Cfg,
 }
 
 /// Allocates `func`'s virtual registers to physical registers, editing the
@@ -86,15 +95,18 @@ pub fn allocate(
     target: &Target,
     profile: Option<&EdgeProfile>,
 ) -> RegAllocResult {
-    let mut result = RegAllocResult::default();
     let mut no_spill = DenseBitSet::new(func.num_vregs());
+    let mut spilled_vregs = 0;
 
     // Spill rewriting only edits instruction lists — the block structure
     // (and with it the CFG snapshot and per-block weights) is invariant
-    // across rounds, so both are computed once. (The reference
-    // implementation recomputes them per round; the results are
-    // identical.)
-    let cfg = Cfg::compute(func);
+    // across rounds, so both are computed once, and the CFG is the
+    // allocated function's too. (The reference implementation
+    // recomputes them per round; the results are identical.)
+    let cfg = {
+        let _s = spillopt_obs::span("cfg");
+        Cfg::compute(func)
+    };
     let weights: Vec<u64> = match profile {
         Some(p) => func.block_ids().map(|b| p.block_count(b).max(1)).collect(),
         None => {
@@ -108,7 +120,6 @@ pub fn allocate(
     };
 
     for round in 0..16 {
-        result.iterations = round + 1;
         let liveness = Liveness::compute(func, &cfg, target);
         let graph = InterferenceGraph::build(func, &cfg, target, &liveness, &weights);
         // Resize the no-spill set to the (possibly grown) vreg space.
@@ -119,11 +130,17 @@ pub fn allocate(
         let coloring = color(&graph, target, &ns);
         if coloring.spills.is_empty() {
             assert_coloring_valid(&graph, &coloring, func);
-            result.coalesced_moves = apply_coloring(func, &coloring.assignment);
-            result.used_callee_saved = used_callee_saved(func, target);
-            return result;
+            let (coalesced_moves, used_callee_saved) =
+                apply_coloring(func, &coloring.assignment, target);
+            return RegAllocResult {
+                spilled_vregs,
+                iterations: round + 1,
+                coalesced_moves,
+                used_callee_saved,
+                cfg,
+            };
         }
-        result.spilled_vregs += coloring.spills.len();
+        spilled_vregs += coloring.spills.len();
         let temps = insert_spill_code(func, &coloring.spills);
         no_spill = {
             let mut s = DenseBitSet::new(func.num_vregs());
@@ -146,11 +163,10 @@ pub fn allocate_reference(
     target: &Target,
     profile: Option<&EdgeProfile>,
 ) -> RegAllocResult {
-    let mut result = RegAllocResult::default();
     let mut no_spill = DenseBitSet::new(func.num_vregs());
+    let mut spilled_vregs = 0;
 
     for round in 0..16 {
-        result.iterations = round + 1;
         let cfg = Cfg::compute(func);
         let weights: Vec<u64> = match profile {
             Some(p) => func.block_ids().map(|b| p.block_count(b).max(1)).collect(),
@@ -173,11 +189,17 @@ pub fn allocate_reference(
         let coloring = color_reference(&graph, target, &ns);
         if coloring.spills.is_empty() {
             assert_coloring_valid(&graph, &coloring, func);
-            result.coalesced_moves = apply_coloring(func, &coloring.assignment);
-            result.used_callee_saved = used_callee_saved(func, target);
-            return result;
+            let (coalesced_moves, used_callee_saved) =
+                apply_coloring(func, &coloring.assignment, target);
+            return RegAllocResult {
+                spilled_vregs,
+                iterations: round + 1,
+                coalesced_moves,
+                used_callee_saved,
+                cfg,
+            };
         }
-        result.spilled_vregs += coloring.spills.len();
+        spilled_vregs += coloring.spills.len();
         let temps = insert_spill_code(func, &coloring.spills);
         no_spill = {
             let mut s = DenseBitSet::new(func.num_vregs());
@@ -215,26 +237,4 @@ fn assert_coloring_valid(graph: &InterferenceGraph, coloring: &Coloring, func: &
             }
         }
     }
-}
-
-/// The callee-saved registers mentioned by a (physical) function.
-fn used_callee_saved(func: &Function, target: &Target) -> Vec<PReg> {
-    let mut used = Vec::new();
-    let mut seen = [false; 256];
-    for b in func.block_ids() {
-        for inst in &func.block(b).insts {
-            let mut mark = |r: Reg| {
-                if let Reg::Phys(p) = r {
-                    if !seen[p.index()] && target.is_callee_saved(p) {
-                        seen[p.index()] = true;
-                        used.push(p);
-                    }
-                }
-            };
-            inst.for_each_use(&mut mark);
-            inst.for_each_def(&mut mark);
-        }
-    }
-    used.sort();
-    used
 }

@@ -305,6 +305,32 @@ mod tests {
     }
 
     #[test]
+    fn class_tests_match_the_lists_on_every_target() {
+        for spec in registry().iter().chain([&tiny()]) {
+            let t = spec.to_target();
+            for i in 0..=255u8 {
+                let p = PReg::new(i);
+                let name = spec.name;
+                assert_eq!(
+                    t.is_caller_saved(p),
+                    t.caller_saved().contains(&p),
+                    "{name} {p}"
+                );
+                assert_eq!(
+                    t.is_callee_saved(p),
+                    t.callee_saved().contains(&p),
+                    "{name} {p}"
+                );
+                assert_eq!(
+                    t.callee_saved_slot(p),
+                    t.callee_saved().iter().position(|&q| q == p),
+                    "{name} {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn malformed_user_spec_surfaces_an_error() {
         let mut bad = x86_64_sysv();
         bad.callee_saved.push(0); // overlaps caller-saved r0

@@ -3,28 +3,31 @@
 
 Usage:
 
-    scripts/paired_bench.py PARENT_REV WORKLOAD PAIRS SECONDS [--first-seed N]
+    scripts/paired_bench.py PARENT_REV WORKLOADS PAIRS SECONDS [--first-seed N]
 
-Checks PARENT_REV out into a temporary `git worktree`, builds the
-benchmark on both sides, then runs the `BENCHMARK.json` command
-(`--workload WORKLOAD --seed N --seconds SECONDS --trace 0`) PAIRS times
-on each side. Pair i uses seed N + i on both sides (N defaults to 1000,
-away from the seeds small smoke runs use), and the side that runs first
-alternates from pair to pair, so a slow stretch of the machine falls on
-both sides alike.
+WORKLOADS is one workload or a comma list (`cold,warm,drift`). The
+script exports PARENT_REV (`git archive`) into a temporary directory,
+builds the benchmark once on each side, then, workload by workload,
+runs the `BENCHMARK.json` command (`--workload W --seed N --seconds
+SECONDS --trace 0`) PAIRS times on each side. Pair i uses seed N + i on
+both sides (N defaults to 1000, away from the seeds small smoke runs
+use), and the side that runs first alternates from pair to pair, so a
+slow stretch of the machine falls on both sides alike.
 
 Each run ends with one JSON line whose `metrics` map holds the
-end-to-end metrics. For every end-to-end metric of `BENCHMARK.json` the
-script prints each side's median and quartiles, the change of the
-medians, how many pairs the working tree won (in the metric's `better`
-direction), and whether the median gain exceeds the parent's quartile
-spread. It also prints `failed` per side. The worktree is removed on
-exit.
+end-to-end metrics. For each workload, and every end-to-end metric of
+`BENCHMARK.json`, the script prints each side's median and quartiles,
+the change of the medians, how many pairs the working tree won (in the
+metric's `better` direction), and whether the median gain exceeds the
+parent's quartile spread. It also prints `failed` per side. So one
+command gives both a change's claimed gain and its no-regression rows.
+The temporary directory is removed on exit.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -72,51 +75,27 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent_rev")
-    parser.add_argument("workload")
-    parser.add_argument("pairs", type=int)
-    parser.add_argument("seconds", type=float)
-    parser.add_argument("--first-seed", type=int, default=1000)
-    opts = parser.parse_args()
+def run_pairs(command, sides, workload, pairs, seconds, first_seed, metrics):
+    """PAIRS alternating runs of one workload; returns (results, failed)."""
+    results = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
+    for i in range(pairs):
+        seed = first_seed + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            m, f = bench_once(command, sides[side], workload, seed, seconds)
+            results[side].append(m)
+            failed[side] += f
+        print(f"{workload} pair {i + 1}/{pairs} seed {seed}: " + ", ".join(
+            f"{s} {results[s][-1].get(metrics[0]['name'], float('nan')):.4g}"
+            for s in order), file=sys.stderr, flush=True)
+    return results, failed
 
-    root = run(["git", "rev-parse", "--show-toplevel"],
-               os.path.dirname(os.path.abspath(__file__)), capture=True).strip()
-    with open(os.path.join(root, "BENCHMARK.json")) as f:
-        bench = json.load(f)
-    command = bench["command"]
-    metrics = bench["end_to_end"]
 
-    tmp = tempfile.mkdtemp(prefix="paired-bench-")
-    parent = os.path.join(tmp, "parent")
-    run(["git", "worktree", "add", "--detach", parent, opts.parent_rev], root)
-    try:
-        sides = {"parent": parent, "change": root}
-        build = build_command(command)
-        if build:
-            for cwd in sides.values():
-                run(build, cwd)
-
-        results = {"parent": [], "change": []}
-        failed = {"parent": 0, "change": 0}
-        for i in range(opts.pairs):
-            seed = opts.first_seed + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            for side in order:
-                m, f = bench_once(command, sides[side], opts.workload, seed,
-                                  opts.seconds)
-                results[side].append(m)
-                failed[side] += f
-            print(f"pair {i + 1}/{opts.pairs} seed {seed}: " + ", ".join(
-                f"{s} {results[s][-1].get(metrics[0]['name'], float('nan')):.4g}"
-                for s in order), file=sys.stderr, flush=True)
-    finally:
-        run(["git", "worktree", "remove", "--force", parent], root)
-        os.rmdir(tmp)
-
-    print(f"workload {opts.workload}, {opts.pairs} pairs x {opts.seconds} s, "
-          f"seeds {opts.first_seed}..{opts.first_seed + opts.pairs - 1}")
+def print_table(workload, pairs, seconds, first_seed, metrics, results, failed):
+    """One workload's per-metric medians, quartiles and wins."""
+    print(f"workload {workload}, {pairs} pairs x {seconds} s, "
+          f"seeds {first_seed}..{first_seed + pairs - 1}")
     print(f"failed: parent {failed['parent']}, change {failed['change']}")
     header = (f"{'metric':<18} {'parent q1/med/q3':>32} "
               f"{'change q1/med/q3':>32} {'change':>8} {'wins':>6} beyond-IQR")
@@ -137,6 +116,49 @@ def main():
         fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
         print(f"{name:<18} {fmt(p_q):>32} {fmt(c_q):>32} {rel:>+7.1f}% "
               f"{wins:>3}/{len(pairs):<2} {'yes' if beyond else 'no'}")
+    print(flush=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_rev")
+    parser.add_argument("workloads", help="one workload or a comma list")
+    parser.add_argument("pairs", type=int)
+    parser.add_argument("seconds", type=float)
+    parser.add_argument("--first-seed", type=int, default=1000)
+    opts = parser.parse_args()
+    workloads = [w for w in opts.workloads.split(",") if w]
+
+    root = run(["git", "rev-parse", "--show-toplevel"],
+               os.path.dirname(os.path.abspath(__file__)), capture=True).strip()
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    command = bench["command"]
+    metrics = bench["end_to_end"]
+
+    tmp = tempfile.mkdtemp(prefix="paired-bench-")
+    parent = os.path.join(tmp, "parent")
+    os.mkdir(parent)
+    try:
+        archive = subprocess.Popen(["git", "archive", opts.parent_rev],
+                                   cwd=root, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", parent], stdin=archive.stdout,
+                       check=True)
+        archive.stdout.close()
+        if archive.wait() != 0:
+            sys.exit(f"git archive {opts.parent_rev} failed")
+        sides = {"parent": parent, "change": root}
+        build = build_command(command)
+        if build:
+            for cwd in sides.values():
+                run(build, cwd)
+        for workload in workloads:
+            results, failed = run_pairs(command, sides, workload, opts.pairs,
+                                        opts.seconds, opts.first_seed, metrics)
+            print_table(workload, opts.pairs, opts.seconds, opts.first_seed,
+                        metrics, results, failed)
+    finally:
+        shutil.rmtree(tmp)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 //! The cold-path substrate against its frozen reference twins, at corpus
 //! scale: `allocate` must produce exactly what `allocate_reference`
 //! produces, and `Pst::compute` must build the same tree as
-//! `Pst::compute_reference` up to region numbering.
+//! `Pst::compute_reference` up to region numbering. The post-allocation
+//! analyses are held to oracles that share no code with them: the
+//! allocator's exported CFG to a fresh `Cfg::compute`, its
+//! `used_callee_saved` to an operand scan written here, and the
+//! word-parallel `CalleeSavedUsage::from_function` to `from_liveness`
+//! over a full `Liveness::compute`.
 //!
 //! Inputs:
 //!
@@ -14,8 +19,11 @@
 //!   copies the sweep would never reach the allocator's coalescing.
 
 use spillopt_benchgen::{all_benchmarks, build_bench};
+use spillopt_core::CalleeSavedUsage;
 use spillopt_driver::{OptimizerBuilder, ProfileSource};
-use spillopt_ir::{Cfg, Function, Inst, InstKind, Reg, RegDiscipline, Target, VReg};
+use spillopt_ir::{
+    Cfg, Function, Inst, InstKind, Liveness, PReg, Reg, RegDiscipline, Target, VReg,
+};
 use spillopt_profile::{random_walk_profile, EdgeProfile};
 use spillopt_pst::{pst_differences, Pst};
 use spillopt_regalloc::{allocate, allocate_reference};
@@ -186,6 +194,59 @@ fn allocate_matches_reference_on_every_input_set() {
     }
     assert!(checked > 1000, "only {checked} functions checked");
     assert!(coalesced > 0, "the sweep never coalesced a move");
+}
+
+/// The callee-saved registers `func`'s instructions read or write, in
+/// register order, by a direct operand scan against the target's list.
+fn scanned_callee_saved(func: &Function, target: &Target) -> Vec<PReg> {
+    let mut used = Vec::new();
+    for b in func.block_ids() {
+        for inst in &func.block(b).insts {
+            let mut mark = |r: Reg| {
+                if let Reg::Phys(p) = r {
+                    if target.callee_saved().contains(&p) && !used.contains(&p) {
+                        used.push(p);
+                    }
+                }
+            };
+            inst.for_each_use(&mut mark);
+            inst.for_each_def(&mut mark);
+        }
+    }
+    used.sort();
+    used
+}
+
+#[test]
+fn post_allocation_analyses_match_their_oracles() {
+    let mut with_usage = 0usize;
+    let inputs = benchgen_inputs()
+        .into_iter()
+        .chain(stress_inputs(false))
+        .chain(stress_inputs(true));
+    for input in inputs {
+        let (mut func, target, label) = (input.func, input.target, input.label);
+        let alloc = allocate(&mut func, &target, Some(&input.profile));
+        let cfg = Cfg::compute(&func);
+        assert_eq!(alloc.cfg, cfg, "{label}: exported CFG is stale");
+        assert_eq!(
+            alloc.used_callee_saved,
+            scanned_callee_saved(&func, &target),
+            "{label}: used_callee_saved"
+        );
+        let usage = CalleeSavedUsage::from_function(&func, &alloc.cfg, &target);
+        let liveness = Liveness::compute(&func, &cfg, &target);
+        assert_eq!(
+            usage,
+            CalleeSavedUsage::from_liveness(&func, &target, &liveness),
+            "{label}: busy sets"
+        );
+        with_usage += usize::from(!usage.is_empty());
+    }
+    assert!(
+        with_usage > 500,
+        "only {with_usage} functions use a callee-saved register"
+    );
 }
 
 #[test]
