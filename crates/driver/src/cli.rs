@@ -66,13 +66,11 @@
 //! build would have to shim.
 
 use crate::bench::{run_bench, BenchConfig};
-use crate::drift::{run_drift, DriftConfig};
 use crate::driver::{DriverError, ModuleRun, ProfileSource, Strategy};
-use crate::faults::{run_faults, FaultConfig};
 use crate::json::Json;
 use crate::report::{CrossTargetReport, FunctionReport};
 use crate::session::{Budget, FailurePolicy, OptimizerBuilder, Provenance, TechniqueSet};
-use crate::stress::{run_stress, StressConfig};
+use crate::stress::{run_stress, Invariant, StressConfig, StressSummary};
 use spillopt_ir::{display, parse_module_traced, Module};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
 use std::io::Write;
@@ -716,41 +714,23 @@ fn compare(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// Flags shared by `stress` and `gap`: the corpus and the exact-oracle
-/// configuration.
+/// Flags shared by `stress` and `gap`: the sweep and the output knobs.
 struct StressFlags {
-    seeds: u64,
-    start: u64,
-    threads: usize,
-    targets: Vec<TargetSpec>,
-    exact: bool,
-    gap_percent: u64,
-    drift: bool,
-    drift_steps: u64,
-    faults: bool,
+    config: StressConfig,
     json: bool,
     trace: Option<String>,
     out: Option<String>,
 }
 
 /// Parses the `stress` / `gap` flag surface. `sub` selects which extras
-/// are accepted (`--exact` only on stress, `--json`/`--out` only on
-/// gap).
+/// are accepted (`--exact`/`--drift`/`--faults` only on stress,
+/// `--json`/`--out` only on gap).
 fn parse_stress_flags(sub: &str, rest: &[&str]) -> Result<StressFlags, CliError> {
-    let mut flags = StressFlags {
-        seeds: 0,
-        start: 0,
-        threads: 0,
-        targets: registry(),
-        exact: sub == "gap",
-        gap_percent: spillopt_stress::DEFAULT_GAP_PERCENT,
-        drift: false,
-        drift_steps: crate::drift::DEFAULT_DRIFT_STEPS,
-        faults: false,
-        json: false,
-        trace: None,
-        out: None,
-    };
+    let (mut start, mut threads, mut targets) = (0, 0, registry());
+    let (mut json, mut trace, mut out) = (false, None, None);
+    let (mut exact, mut drift, mut faults) = (sub == "gap", false, false);
+    let mut gap_percent = spillopt_stress::DEFAULT_GAP_PERCENT;
+    let mut drift_steps = crate::drift::DEFAULT_DRIFT_STEPS;
     let mut seeds: Option<u64> = None;
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
@@ -768,12 +748,12 @@ fn parse_stress_flags(sub: &str, rest: &[&str]) -> Result<StressFlags, CliError>
                 )
             }
             "--start" => {
-                flags.start = value()?
+                start = value()?
                     .parse()
                     .map_err(|_| usage("--start needs a number"))?
             }
             "--threads" => {
-                flags.threads = value()?
+                threads = value()?
                     .parse()
                     .map_err(|_| usage("--threads needs a number"))?
             }
@@ -781,28 +761,28 @@ fn parse_stress_flags(sub: &str, rest: &[&str]) -> Result<StressFlags, CliError>
                 let v = value()?;
                 // Last flag wins in both directions: `all` restores the
                 // full registry after an earlier narrowing.
-                flags.targets = if v == "all" {
+                targets = if v == "all" {
                     registry()
                 } else {
                     vec![parse_target(v)?]
                 };
             }
-            "--exact" if sub == "stress" => flags.exact = true,
-            "--drift" if sub == "stress" => flags.drift = true,
-            "--faults" if sub == "stress" => flags.faults = true,
+            "--exact" if sub == "stress" => exact = true,
+            "--drift" if sub == "stress" => drift = true,
+            "--faults" if sub == "stress" => faults = true,
             "--drift-steps" if sub == "stress" => {
-                flags.drift_steps = value()?
+                drift_steps = value()?
                     .parse()
                     .map_err(|_| usage("--drift-steps needs a number"))?
             }
             "--gap" => {
-                flags.gap_percent = value()?
+                gap_percent = value()?
                     .parse()
                     .map_err(|_| usage("--gap needs a percentage"))?
             }
-            "--json" if sub == "gap" => flags.json = true,
-            "--trace" if sub == "stress" => flags.trace = Some(value()?.to_string()),
-            "--out" if sub == "gap" => flags.out = Some(value()?.to_string()),
+            "--json" if sub == "gap" => json = true,
+            "--trace" if sub == "stress" => trace = Some(value()?.to_string()),
+            "--out" if sub == "gap" => out = Some(value()?.to_string()),
             other => {
                 let accepted = if sub == "stress" {
                     "--seeds, --start, --target, --threads, --exact, --gap, --drift, \
@@ -816,39 +796,49 @@ fn parse_stress_flags(sub: &str, rest: &[&str]) -> Result<StressFlags, CliError>
             }
         }
     }
-    flags.seeds = seeds.ok_or_else(|| usage(&format!("`{sub}` requires --seeds N")))?;
-    if !flags.exact && flags.gap_percent != spillopt_stress::DEFAULT_GAP_PERCENT {
+    let seeds = seeds.ok_or_else(|| usage(&format!("`{sub}` requires --seeds N")))?;
+    if !exact && gap_percent != spillopt_stress::DEFAULT_GAP_PERCENT {
         return Err(usage("--gap only applies with --exact"));
     }
-    if (flags.drift as u8) + (flags.exact as u8) + (flags.faults as u8) > 1 {
+    if (drift as u8) + (exact as u8) + (faults as u8) > 1 {
         return Err(usage(
             "--drift, --exact, and --faults are separate oracles; pick one per run",
         ));
     }
-    if !flags.drift && flags.drift_steps != crate::drift::DEFAULT_DRIFT_STEPS {
+    if !drift && drift_steps != crate::drift::DEFAULT_DRIFT_STEPS {
         return Err(usage("--drift-steps only applies with --drift"));
     }
-    Ok(flags)
+    let invariant = if drift {
+        Invariant::Drift { steps: drift_steps }
+    } else if faults {
+        Invariant::Faults
+    } else {
+        Invariant::Oracles {
+            exact: exact.then(|| spillopt_stress::ExactOptions {
+                gap_percent,
+                ..spillopt_stress::ExactOptions::default()
+            }),
+        }
+    };
+    Ok(StressFlags {
+        config: StressConfig {
+            start,
+            seeds,
+            targets,
+            threads,
+            invariant,
+        },
+        json,
+        trace,
+        out,
+    })
 }
 
-/// Builds the driver configuration for a parsed `stress` / `gap` run.
-fn stress_config(flags: &StressFlags) -> StressConfig {
-    StressConfig {
-        start: flags.start,
-        seeds: flags.seeds,
-        targets: flags.targets.clone(),
-        threads: flags.threads,
-        exact: flags.exact.then(|| spillopt_stress::ExactOptions {
-            gap_percent: flags.gap_percent,
-            ..spillopt_stress::ExactOptions::default()
-        }),
-    }
-}
-
-/// Writes the counterexamples and converts a failed run into the
+/// Writes the counterexamples and converts a failed sweep into the
 /// subcommand's error.
 fn stress_failures(
-    summary: &crate::stress::StressSummary,
+    config: &StressConfig,
+    summary: &StressSummary,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     if summary.passed() {
@@ -857,41 +847,55 @@ fn stress_failures(
     for f in &summary.failures {
         writeln!(out, "\n=== counterexample ===\n{f}").map_err(io_err)?;
     }
+    let what = match config.invariant {
+        Invariant::Oracles { .. } => "stress cases failed an oracle",
+        Invariant::Drift { .. } => "drift cases diverged from the cold oracle",
+        Invariant::Faults => "fault cases violated a containment invariant",
+    };
     Err(CliError::Run(format!(
-        "{} of {} stress cases failed an oracle (minimized counterexamples above)",
+        "{} of {} {what} (minimized counterexamples above)",
         summary.failures.len(),
         summary.cases
     )))
 }
 
-/// The `stress` subcommand: differential fuzzing of all four placements
-/// against the interpreter oracles (semantic equivalence, model
-/// fidelity, never-worse — and, with `--exact`, the optimality gap).
-/// See `spillopt-stress` for the machinery.
+/// The `stress` subcommand: one sweep of the chosen invariant — the
+/// interpreter oracles on all four placements (semantic equivalence,
+/// model fidelity, never-worse — and, with `--exact`, the optimality
+/// gap), the profile-drift differential (`--drift`), or the
+/// fault-injection fuzzer (`--faults`). See [`crate::stress`].
 fn stress(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = parse_stress_flags("stress", rest)?;
-    if flags.drift {
-        return drift(&flags, out);
-    }
-    if flags.faults {
-        return faults(&flags, out);
-    }
-    let summary = with_trace(flags.trace.as_deref(), || {
-        Ok(run_stress(&stress_config(&flags)))
-    })?;
-    writeln!(
-        out,
-        "stress: {} cases (seeds {}..{} x {} target(s)): {} functions, {} placed, \
-         {} placements checked, {} failure(s)",
+    let config = &flags.config;
+    let summary = with_trace(flags.trace.as_deref(), || Ok(run_stress(config)))?;
+    let (c, failures) = (&summary.counters, summary.failures.len());
+    let sweep = format!(
+        "{} cases (seeds {}..{} x {} target(s)",
         summary.cases,
-        flags.start,
-        flags.start.saturating_add(flags.seeds),
-        flags.targets.len(),
-        summary.functions,
-        summary.placed_functions,
-        summary.placements_checked,
-        summary.failures.len()
-    )
+        config.start,
+        config.start.saturating_add(config.seeds),
+        config.targets.len()
+    );
+    match config.invariant {
+        Invariant::Oracles { .. } => writeln!(
+            out,
+            "stress: {sweep}): {} functions, {} placed, {} placements checked, \
+             {failures} failure(s)",
+            c.functions, c.placed_functions, c.placements_checked
+        ),
+        Invariant::Drift { steps } => writeln!(
+            out,
+            "drift: {sweep}, {steps} step(s)): {} checks, {} functions, {} warm hit(s), \
+             {} incremental re-fold(s), {}/{} regions re-folded, {failures} failure(s)",
+            c.checks, c.functions, c.warm_hits, c.incremental, c.regions_refolded, c.regions_total
+        ),
+        Invariant::Faults => writeln!(
+            out,
+            "faults: {sweep}): {} functions, {} fault(s) fired, {} degraded, {} skipped, \
+             {failures} violation(s)",
+            c.functions, c.fired, c.degraded, c.skipped
+        ),
+    }
     .map_err(io_err)?;
     for t in &summary.exact {
         let j = &t.stats.jump;
@@ -907,108 +911,26 @@ fn stress(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         )
         .map_err(io_err)?;
     }
-    stress_failures(&summary, out)
-}
-
-/// The `stress --drift` arm: the profile-drift differential (warm
-/// incremental session vs fresh cold pipeline, byte-identical reports
-/// after every drift step). See [`crate::drift`] for the machinery.
-fn drift(flags: &StressFlags, out: &mut dyn Write) -> Result<(), CliError> {
-    let summary = with_trace(flags.trace.as_deref(), || {
-        Ok(run_drift(&DriftConfig {
-            start: flags.start,
-            seeds: flags.seeds,
-            steps: flags.drift_steps,
-            targets: flags.targets.clone(),
-            threads: flags.threads,
-        }))
-    })?;
-    writeln!(
-        out,
-        "drift: {} cases (seeds {}..{} x {} target(s), {} step(s)): {} checks, \
-         {} functions, {} warm hit(s), {} incremental re-fold(s), \
-         {}/{} regions re-folded, {} failure(s)",
-        summary.cases,
-        flags.start,
-        flags.start.saturating_add(flags.seeds),
-        flags.targets.len(),
-        flags.drift_steps,
-        summary.steps_checked,
-        summary.functions,
-        summary.warm_hits,
-        summary.incremental,
-        summary.regions_refolded,
-        summary.regions_total,
-        summary.failures.len()
-    )
-    .map_err(io_err)?;
-    if summary.passed() {
-        return Ok(());
-    }
-    for f in &summary.failures {
-        writeln!(out, "\n=== counterexample ===\n{f}").map_err(io_err)?;
-    }
-    Err(CliError::Run(format!(
-        "{} of {} drift cases diverged from the cold oracle (minimized counterexamples above)",
-        summary.failures.len(),
-        summary.cases
-    )))
-}
-
-/// The `stress --faults` arm: the fault-injection fuzzer (one seeded
-/// fault per case, containment / ledger / blast-radius / recovery
-/// invariants against a fault-free oracle). See [`crate::faults`] for
-/// the machinery.
-fn faults(flags: &StressFlags, out: &mut dyn Write) -> Result<(), CliError> {
-    let summary = with_trace(flags.trace.as_deref(), || {
-        Ok(run_faults(&FaultConfig {
-            start: flags.start,
-            seeds: flags.seeds,
-            targets: flags.targets.clone(),
-            threads: flags.threads,
-        }))
-    })?;
-    writeln!(
-        out,
-        "faults: {} cases (seeds {}..{} x {} target(s)): {} functions, {} fault(s) fired, \
-         {} degraded, {} skipped, {} violation(s)",
-        summary.cases,
-        flags.start,
-        flags.start.saturating_add(flags.seeds),
-        flags.targets.len(),
-        summary.functions,
-        summary.fired,
-        summary.degraded,
-        summary.skipped,
-        summary.failures.len()
-    )
-    .map_err(io_err)?;
-    if summary.passed() {
-        return Ok(());
-    }
-    for f in &summary.failures {
-        writeln!(out, "\n=== counterexample ===\n{f}").map_err(io_err)?;
-    }
-    Err(CliError::Run(format!(
-        "{} of {} fault cases violated a containment invariant (minimized counterexamples above)",
-        summary.failures.len(),
-        summary.cases
-    )))
+    stress_failures(config, &summary, out)
 }
 
 /// The `gap` subcommand: the stress corpus under the exact oracle,
 /// reported as a per-target optimality-gap histogram.
 fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = parse_stress_flags("gap", rest)?;
-    let summary = run_stress(&stress_config(&flags));
+    let config = &flags.config;
+    let Invariant::Oracles { exact: Some(exact) } = config.invariant else {
+        unreachable!("`gap` always runs the exact oracle");
+    };
+    let summary = run_stress(config);
     let json = Json::obj()
         .with("report", Json::str("optimality_gap"))
         .with("schema_version", Json::UInt(1))
-        .with("start", Json::UInt(flags.start))
-        .with("seeds", Json::UInt(flags.seeds))
-        .with("gap_percent", Json::UInt(flags.gap_percent))
+        .with("start", Json::UInt(config.start))
+        .with("seeds", Json::UInt(config.seeds))
+        .with("gap_percent", Json::UInt(exact.gap_percent))
         .with("cases", Json::UInt(summary.cases as u64))
-        .with("functions", Json::UInt(summary.functions as u64))
+        .with("functions", Json::UInt(summary.counters.functions))
         .with("failures", Json::UInt(summary.failures.len() as u64))
         .with("targets", summary.gap_report_json());
     let text = if flags.json {
@@ -1037,7 +959,7 @@ fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}")))?,
         None => out.write_all(text.as_bytes()).map_err(io_err)?,
     }
-    stress_failures(&summary, out)
+    stress_failures(config, &summary, out)
 }
 
 /// The `bench` subcommand: the reproducible perf-trajectory harness.

@@ -24,19 +24,21 @@
 //!   cache state survives the fault, and a single failure never
 //!   engages the quarantine backoff.
 //!
-//! A violation is shrunk with [`spillopt_stress::minimize()`] under a
-//! replay-the-fault predicate, so a [`FaultFailure`] prints a small
-//! module and the one fault that still breaks it.
+//! This is [`Invariant::Faults`](crate::stress::Invariant::Faults) of
+//! the one stress harness ([`crate::stress`]). Each violation has a
+//! [`ViolationClass`] (containment, ledger, blast radius, recovery), and
+//! the harness shrinks the module under the seed's fixed fault only
+//! while that class holds, so a counterexample prints a small module and
+//! the one fault that still breaks it the same way.
 
-use crate::driver::FaultKind;
-use crate::pool::try_run_indexed;
+use crate::driver::{FaultAction, FaultKind};
 use crate::session::{FailurePolicy, OptimizerBuilder, Session};
+use crate::stress::Counters;
 use spillopt_ir::Module;
 use spillopt_obs::fault::{FaultPlan, InjectionKind, InjectionScope};
-use spillopt_stress::{gen_case, minimize, with_quiet_panics};
+use spillopt_stress::{Violation, ViolationClass};
 use spillopt_targets::TargetSpec;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use ViolationClass::{BlastRadius, Containment, Driver, Ledger, Recovery};
 
 /// The probe sites the fuzzer aims faults at: every span the session
 /// pipeline crosses between "function picked up" and "function
@@ -60,72 +62,6 @@ pub const FAULT_SITES: &[&str] = &[
     "validate",
     "price",
 ];
-
-/// Configuration of one fault-injection run.
-#[derive(Clone, Debug, Default)]
-pub struct FaultConfig {
-    /// First seed (inclusive).
-    pub start: u64,
-    /// Number of seeds to run.
-    pub seeds: u64,
-    /// Targets to check every seed on.
-    pub targets: Vec<TargetSpec>,
-    /// Worker threads; `0` = available parallelism, `1` = serial.
-    pub threads: usize,
-}
-
-/// A minimized containment violation.
-#[derive(Clone, Debug)]
-pub struct FaultFailure {
-    /// The seed that produced the case.
-    pub seed: u64,
-    /// Registry name of the target it failed on.
-    pub target: &'static str,
-    /// The injected fault: `site@nth kind policy`.
-    pub plan: String,
-    /// Which invariant broke, with both sides where applicable.
-    pub detail: String,
-    /// IR text of the minimized module.
-    pub minimized: String,
-}
-
-impl fmt::Display for FaultFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "seed {} on target {}: fault containment violated",
-            self.seed, self.target
-        )?;
-        writeln!(f, "injected fault: {}", self.plan)?;
-        writeln!(f, "{}", self.detail)?;
-        writeln!(f, "minimized module:")?;
-        write!(f, "{}", self.minimized)
-    }
-}
-
-/// Aggregated outcome of a fault-injection run.
-#[derive(Debug, Default)]
-pub struct FaultSummary {
-    /// `(target, seed)` cases checked (including failing ones).
-    pub cases: usize,
-    /// Cases whose armed fault actually fired (the site was reached).
-    pub fired: u64,
-    /// Fired cases retired by a degradation-ladder rung.
-    pub degraded: u64,
-    /// Fired cases retired as unoptimized passthroughs.
-    pub skipped: u64,
-    /// Functions generated across all cases.
-    pub functions: usize,
-    /// Minimized counterexamples, ordered by seed then registry order.
-    pub failures: Vec<FaultFailure>,
-}
-
-impl FaultSummary {
-    /// `true` when every invariant held on every case.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
 
 /// The single fault a seed arms, plus the policy its sessions use.
 /// Pure in the seed, independent of the module (so the minimizer can
@@ -156,41 +92,44 @@ fn expected_kind(kind: InjectionKind) -> FaultKind {
     }
 }
 
-fn session(spec: &TargetSpec, policy: FailurePolicy) -> Result<Session, String> {
+/// The seed's injected fault, as a counterexample prints it.
+pub(crate) fn plan_text(seed: u64) -> String {
+    let (plan, policy) = seeded_plan(seed);
+    format!(
+        "{}@{} {} under policy {}",
+        plan.site,
+        plan.nth,
+        plan.kind.name(),
+        policy.name()
+    )
+}
+
+fn session(spec: &TargetSpec, policy: FailurePolicy) -> Result<Session, Violation> {
     OptimizerBuilder::new()
         .target_spec(spec.clone())
         .threads(1)
         .on_fault(policy)
         .build()
-        .map_err(|e| format!("session build failed: {e}"))
+        .map_err(|e| Violation::new(Driver, format!("session build failed: {e}")))
 }
 
-/// What a passing case measured: did the fault fire, and how was the
-/// faulted function retired.
-struct CaseStats {
-    fired: bool,
-    degraded: bool,
-    skipped: bool,
-}
-
-/// Runs the four-invariant check for one `(module, plan, policy)`
-/// triple. `Err` is a containment violation (the only thing the
-/// minimizer chases).
-fn check_case(
-    spec: &TargetSpec,
-    module: &Module,
-    plan: FaultPlan,
-    policy: FailurePolicy,
-) -> Result<CaseStats, String> {
+/// Runs the four-invariant check for `module` under the seed's fault
+/// plan and policy.
+pub(crate) fn check(spec: &TargetSpec, module: &Module, seed: u64) -> Result<Counters, Violation> {
+    let (plan, policy) = seeded_plan(seed);
+    let fail = |class, detail| Err(Violation::new(class, detail));
     // Fault-free oracle on a fresh session of the same configuration.
     let oracle = session(spec, policy)?
         .optimize(module)
-        .map_err(|e| format!("fault-free oracle run failed: {e}"))?;
+        .map_err(|e| Violation::new(Driver, format!("fault-free oracle run failed: {e}")))?;
     if !oracle.faults().is_empty() {
-        return Err(format!(
-            "fault-free run has a non-empty ledger: {}",
-            oracle.faults()[0]
-        ));
+        return fail(
+            Driver,
+            format!(
+                "fault-free run has a non-empty ledger: {}",
+                oracle.faults()[0]
+            ),
+        );
     }
     let oracle_bytes = oracle.report.to_json().to_compact();
     let oracle_funcs: Vec<String> = oracle
@@ -204,9 +143,12 @@ fn check_case(
     let faulted = session(spec, policy)?;
     let (run, fired) = {
         let scope = InjectionScope::arm(vec![plan]);
-        let run = faulted
-            .optimize(module)
-            .map_err(|e| format!("session failed instead of containing the fault: {e}"))?;
+        let run = faulted.optimize(module).map_err(|e| {
+            Violation::new(
+                Containment,
+                format!("session failed instead of containing the fault: {e}"),
+            )
+        })?;
         let fired = scope.fired();
         (run, fired)
     };
@@ -215,48 +157,56 @@ fn check_case(
         // Site not reached: the plan must have been invisible.
         let bytes = run.report.to_json().to_compact();
         if bytes != oracle_bytes {
-            return Err(format!(
-                "unfired fault changed the report\n  oracle:  {oracle_bytes}\n  faulted: {bytes}"
-            ));
+            return fail(
+                Containment,
+                format!(
+                    "unfired fault changed the report\n  oracle:  {oracle_bytes}\n  faulted: {bytes}"
+                ),
+            );
         }
         if !run.faults().is_empty() {
-            return Err(format!(
-                "unfired fault left a ledger entry: {}",
-                run.faults()[0]
-            ));
+            return fail(
+                Ledger,
+                format!("unfired fault left a ledger entry: {}", run.faults()[0]),
+            );
         }
-        return Ok(CaseStats {
-            fired: false,
-            degraded: false,
-            skipped: false,
-        });
+        return Ok(Counters::default());
     }
 
     // Exactly one armed fault, consume-once semantics: it fired once
     // and must sit in the ledger exactly once, as the right kind.
     let faults = run.faults();
     if faults.len() != 1 {
-        return Err(format!(
-            "fired fault surfaced {} ledger entries (want exactly 1): {:?}",
-            faults.len(),
-            faults
-        ));
+        return fail(
+            Ledger,
+            format!(
+                "fired fault surfaced {} ledger entries (want exactly 1): {:?}",
+                faults.len(),
+                faults
+            ),
+        );
     }
     let fault = &faults[0];
     if fault.kind != expected_kind(plan.kind) {
-        return Err(format!(
-            "ledger kind {} does not match injected {} ({})",
-            fault.kind.name(),
-            plan.kind.name(),
-            fault
-        ));
+        return fail(
+            Ledger,
+            format!(
+                "ledger kind {} does not match injected {} ({})",
+                fault.kind.name(),
+                plan.kind.name(),
+                fault
+            ),
+        );
     }
     if run.report.functions.len() != oracle_funcs.len() {
-        return Err(format!(
-            "faulted run retired {} functions, oracle {}",
-            run.report.functions.len(),
-            oracle_funcs.len()
-        ));
+        return fail(
+            Containment,
+            format!(
+                "faulted run retired {} functions, oracle {}",
+                run.report.functions.len(),
+                oracle_funcs.len()
+            ),
+        );
     }
     // Blast radius: every healthy function byte-identical to the oracle.
     for (i, f) in run.report.functions.iter().enumerate() {
@@ -265,10 +215,13 @@ fn check_case(
         }
         let bytes = f.to_json().to_compact();
         if bytes != oracle_funcs[i] {
-            return Err(format!(
-                "healthy function {i} diverged under a fault in function {}\n  oracle:  {}\n  faulted: {bytes}",
-                fault.index, oracle_funcs[i]
-            ));
+            return fail(
+                BlastRadius,
+                format!(
+                    "healthy function {i} diverged under a fault in function {}\n  oracle:  {}\n  faulted: {bytes}",
+                    fault.index, oracle_funcs[i]
+                ),
+            );
         }
     }
 
@@ -277,176 +230,62 @@ fn check_case(
     // single failure.
     let clean = faulted
         .optimize(module)
-        .map_err(|e| format!("post-fault clean run failed: {e}"))?;
+        .map_err(|e| Violation::new(Recovery, format!("post-fault clean run failed: {e}")))?;
     let clean_bytes = clean.report.to_json().to_compact();
     if clean_bytes != oracle_bytes {
-        return Err(format!(
-            "post-fault clean run diverged from the oracle\n  oracle: {oracle_bytes}\n  clean:  {clean_bytes}"
-        ));
+        return fail(
+            Recovery,
+            format!(
+                "post-fault clean run diverged from the oracle\n  oracle: {oracle_bytes}\n  clean:  {clean_bytes}"
+            ),
+        );
     }
     if !clean.faults().is_empty() {
-        return Err(format!(
-            "post-fault clean run has a ledger entry: {}",
-            clean.faults()[0]
-        ));
+        return fail(
+            Recovery,
+            format!(
+                "post-fault clean run has a ledger entry: {}",
+                clean.faults()[0]
+            ),
+        );
     }
 
-    Ok(CaseStats {
-        fired: true,
-        degraded: matches!(fault.action, crate::driver::FaultAction::Degraded { .. }),
-        skipped: fault.action == crate::driver::FaultAction::Skipped,
+    Ok(Counters {
+        fired: 1,
+        degraded: matches!(fault.action, FaultAction::Degraded { .. }) as u64,
+        skipped: (fault.action == FaultAction::Skipped) as u64,
+        ..Counters::default()
     })
-}
-
-/// `true` when `module` still violates an invariant under the fixed
-/// fault plan (a panic in the harness itself is a *different* failure
-/// and must not steer the minimizer).
-fn still_violates(
-    spec: &TargetSpec,
-    module: &Module,
-    plan: FaultPlan,
-    policy: FailurePolicy,
-) -> bool {
-    catch_unwind(AssertUnwindSafe(|| {
-        check_case(spec, module, plan, policy).is_err()
-    }))
-    .unwrap_or(false)
-}
-
-/// Runs one `(target, seed)` case; a failure comes back minimized.
-fn fault_seed(spec: &TargetSpec, seed: u64) -> Result<(usize, CaseStats), Box<FaultFailure>> {
-    let case = gen_case(&spec.to_target(), seed);
-    let (plan, policy) = seeded_plan(seed);
-    let plan_text = format!(
-        "{}@{} {} under policy {}",
-        plan.site,
-        plan.nth,
-        plan.kind.name(),
-        policy.name()
-    );
-    let detail = match check_case(spec, &case.module, plan, policy) {
-        Ok(stats) => return Ok((case.module.num_funcs(), stats)),
-        Err(detail) => detail,
-    };
-    let (module, _) = minimize(&case.module, &case.runs, |m, _| {
-        still_violates(spec, m, plan, policy)
-    });
-    let detail = check_case(spec, &module, plan, policy)
-        .err()
-        .unwrap_or(detail);
-    Err(Box::new(FaultFailure {
-        seed,
-        target: spec.name,
-        plan: plan_text,
-        detail,
-        minimized: module.to_string(),
-    }))
-}
-
-/// Runs the fault-injection sweep over `config.seeds` seeds ×
-/// `config.targets` targets on the work-stealing pool. Deterministic:
-/// the summary (including failure order) is a pure function of the
-/// configuration.
-pub fn run_faults(config: &FaultConfig) -> FaultSummary {
-    let mut items: Vec<(TargetSpec, u64)> = Vec::new();
-    for seed in config.start..config.start.saturating_add(config.seeds) {
-        for spec in &config.targets {
-            items.push((spec.clone(), seed));
-        }
-    }
-    let cases = items.len();
-    let coords: Vec<(&'static str, u64)> = items.iter().map(|(s, seed)| (s.name, *seed)).collect();
-    // Sessions run inline (threads(1)), injection scopes are
-    // thread-local, and the containment boundary converts pipeline
-    // panics into ledger entries; this net covers a panic in the
-    // generator, harness, or minimizer itself, converting it into a
-    // failure that names its (target, seed) instead of killing the
-    // sweep.
-    let outcomes: Vec<Result<(usize, CaseStats), Box<FaultFailure>>> =
-        match try_run_indexed(items, config.threads, move |_, (spec, seed)| {
-            with_quiet_panics(|| fault_seed(&spec, seed))
-        }) {
-            Ok(outcomes) => outcomes,
-            Err(p) => {
-                let (target, seed) = coords[p.index];
-                return FaultSummary {
-                    cases,
-                    failures: vec![FaultFailure {
-                        seed,
-                        target,
-                        plan: String::new(),
-                        detail: format!("fault harness panicked: {}", p.message()),
-                        minimized: String::new(),
-                    }],
-                    ..FaultSummary::default()
-                };
-            }
-        };
-
-    let mut summary = FaultSummary {
-        cases,
-        ..FaultSummary::default()
-    };
-    for outcome in outcomes {
-        match outcome {
-            Ok((functions, stats)) => {
-                summary.functions += functions;
-                summary.fired += stats.fired as u64;
-                summary.degraded += stats.degraded as u64;
-                summary.skipped += stats.skipped as u64;
-            }
-            Err(failure) => summary.failures.push(*failure),
-        }
-    }
-    summary
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::stress::tests::{assert_passed, sweep};
+    use crate::stress::Invariant;
 
     #[test]
     fn fault_smoke_passes_on_every_registered_target() {
-        let summary = run_faults(&FaultConfig {
-            start: 0,
-            seeds: 12,
-            targets: spillopt_targets::registry(),
-            threads: 0,
-        });
+        let summary = sweep(0, 12, 0, Invariant::Faults);
         assert_eq!(summary.cases, 12 * spillopt_targets::registry().len());
-        assert!(
-            summary.passed(),
-            "containment violations:\n{}",
-            summary
-                .failures
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(summary.functions > 0);
+        assert_passed(&summary);
+        let c = summary.counters;
+        assert!(c.functions > 0);
         // The site/occurrence mix must actually land faults, and both
         // retirement paths must be exercised across the sweep.
-        assert!(summary.fired > 0, "no injected fault ever fired");
+        assert!(c.fired > 0, "no injected fault ever fired");
         assert!(
-            summary.degraded + summary.skipped >= summary.fired,
+            c.degraded + c.skipped >= c.fired,
             "fired faults unaccounted for"
         );
     }
 
     #[test]
     fn fault_sweep_is_deterministic() {
-        let config = FaultConfig {
-            start: 40,
-            seeds: 4,
-            targets: spillopt_targets::registry(),
-            threads: 1,
-        };
-        let a = run_faults(&config);
-        let b = run_faults(&config);
-        assert_eq!(a.fired, b.fired);
-        assert_eq!(a.degraded, b.degraded);
-        assert_eq!(a.skipped, b.skipped);
+        let a = sweep(40, 4, 1, Invariant::Faults);
+        let b = sweep(40, 4, 1, Invariant::Faults);
+        assert_eq!(a.counters.fired, b.counters.fired);
+        assert_eq!(a.counters.degraded, b.counters.degraded);
+        assert_eq!(a.counters.skipped, b.counters.skipped);
         assert_eq!(a.failures.len(), b.failures.len());
     }
 }

@@ -30,22 +30,23 @@
 //!   pre-rewrite pipeline kept executable, timed against the current
 //!   one over a seeded stress corpus with byte-identical reports
 //!   required (`spillopt bench --json`, `BENCH_*.json` records);
-//! * [`stress`] — fan-out of the differential stress subsystem
-//!   (`spillopt-stress`: random-CFG modules × interpreter oracles) over
-//!   `(target, seed)` pairs;
-//! * [`drift`] — the profile-drift fuzzer (`spillopt stress --drift`):
+//! * [`stress`] — the one fuzz harness: each `(target, seed)` case is
+//!   generated by `spillopt-stress`, checked against one
+//!   [`Invariant`], and minimized on failure under a same-class replay
+//!   predicate, all on one pool fan-out into one [`StressSummary`].
+//!   The three invariants are the interpreter oracles (optionally with
+//!   the optimality gap), the profile-drift differential ([`drift`]:
 //!   seeded profile-mutation sequences replayed through a warm
 //!   incremental session against a fresh cold pipeline, byte-identical
-//!   [`ModuleReport`]s required after every step;
-//! * [`faults`] — the fault-injection fuzzer (`spillopt stress
-//!   --faults`): one seeded fault (panic / error / budget trip) armed
-//!   at a named probe site per case, with containment, ledger
-//!   exactness, blast radius, and session recovery all asserted
-//!   against a fault-free oracle. Sessions opt into containment with
-//!   [`OptimizerBuilder::on_fault`] ([`FailurePolicy`]) and
-//!   cooperative deadlines with [`OptimizerBuilder::budget`]
-//!   ([`Budget`]); contained failures land in [`ModuleRun::faults`]
-//!   as [`FunctionFault`] entries;
+//!   [`ModuleReport`]s required after every step), and the
+//!   fault-injection fuzzer ([`faults`]: one seeded fault — panic /
+//!   error / budget trip — armed at a named probe site per case, with
+//!   containment, ledger exactness, blast radius, and session recovery
+//!   all asserted against a fault-free run). Sessions opt into
+//!   containment with [`OptimizerBuilder::on_fault`] ([`FailurePolicy`])
+//!   and cooperative deadlines with [`OptimizerBuilder::budget`]
+//!   ([`Budget`]); contained failures land in [`ModuleRun::faults`] as
+//!   [`FunctionFault`] entries;
 //! * [`cli`] — the `spillopt` binary: `optimize`, `compare`, `report`,
 //!   `stress`, `bench`, `list-benches`, `list-targets`.
 //!
@@ -111,11 +112,11 @@ pub mod stress;
 
 pub use bench::{run_bench, BenchConfig, BenchOutcome};
 pub use cache::AnalysisCache;
-pub use drift::{run_drift, DriftConfig, DriftFailure, DriftSummary, DEFAULT_DRIFT_STEPS};
+pub use drift::DEFAULT_DRIFT_STEPS;
 pub use driver::{
     DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource, Strategy,
 };
-pub use faults::{run_faults, FaultConfig, FaultFailure, FaultSummary, FAULT_SITES};
+pub use faults::FAULT_SITES;
 pub use json::Json;
 pub use pool::PoolWorkerStats;
 pub use report::{
@@ -125,4 +126,4 @@ pub use session::{
     ArenaStats, Budget, FailurePolicy, Observer, OptimizerBuilder, Provenance, Session,
     SessionStats, TechniqueSet,
 };
-pub use stress::{run_stress, StressConfig, StressSummary};
+pub use stress::{run_stress, Counters, Invariant, StressConfig, StressFailure, StressSummary};

@@ -1,22 +1,57 @@
-//! Module-scale driver for the differential stress subsystem.
+//! The one fuzz harness: every `(target, seed)` case of a sweep is
+//! generated, checked against one [`Invariant`], and — on failure —
+//! minimized under a same-failure replay predicate.
 //!
-//! `spillopt-stress` owns the generator, the four oracles, and the
-//! minimizer; this module fans `(target, seed)` cases out on the
-//! work-stealing pool and aggregates the outcome — the engine behind the
-//! `spillopt stress` / `spillopt gap` CLI subcommands, the per-PR smoke
-//! slice, and the nightly CI job. It is a library API on purpose:
-//! integration tests drive the same entry point the CLI uses.
+//! `spillopt-stress` owns the generator, the oracles, the minimizer and
+//! the [`ViolationClass`] a counterexample keeps while it shrinks; the
+//! drift and fault checks live in [`crate::drift`] and [`crate::faults`].
+//! This module fans the cases out on the work-stealing pool and
+//! aggregates one [`StressSummary`] — the engine behind `spillopt
+//! stress` (with `--exact`, `--drift` or `--faults`), `spillopt gap`,
+//! the per-PR smoke slices and the nightly CI sweeps. It is a library
+//! API on purpose: integration tests drive the same entry point the CLI
+//! uses.
 
 use crate::json::Json;
 use crate::pool::try_run_indexed;
+use crate::{drift, faults};
+use spillopt_ir::{FuncId, Module};
 use spillopt_stress::{
-    run_seed_with, CaseReport, ExactOptions, ExactStats, FailureKind, GapHist, ModelGapStats,
-    OracleFailure, SeedFailure,
+    check_case_caught_with, confirm_minimized, gen_case, is_closed, minimize, with_quiet_panics,
+    ExactOptions, ExactStats, GapHist, ModelGapStats, Violation, ViolationClass,
 };
 use spillopt_targets::TargetSpec;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Configuration of one stress run.
-#[derive(Clone, Debug, Default)]
+/// The property a sweep checks on every case.
+#[derive(Clone, Copy, Debug)]
+pub enum Invariant {
+    /// The interpreter-backed oracles (semantic equivalence, model
+    /// fidelity, never-worse) on all four placements. With `exact`, the
+    /// optimality-gap oracle also runs: a hier-jump placement beyond the
+    /// allowed gap over the certified optimum fails the case, and
+    /// per-target gap statistics land in [`StressSummary::exact`].
+    Oracles {
+        /// Optimality-gap oracle settings, when it runs.
+        exact: Option<ExactOptions>,
+    },
+    /// The profile-drift differential: a warm incremental session must
+    /// match a fresh cold pipeline byte for byte after the base profile
+    /// and each of `steps` seeded drift steps. A divergence shrinks the
+    /// steps first, then the module.
+    Drift {
+        /// Drift steps per case.
+        steps: u64,
+    },
+    /// The fault-injection fuzzer: one seeded fault per case, with
+    /// containment, ledger exactness, blast radius and recovery checked
+    /// against a fault-free run.
+    Faults,
+}
+
+/// Configuration of one sweep.
+#[derive(Clone, Debug)]
 pub struct StressConfig {
     /// First seed (inclusive).
     pub start: u64,
@@ -26,11 +61,54 @@ pub struct StressConfig {
     pub targets: Vec<TargetSpec>,
     /// Worker threads; `0` = available parallelism, `1` = serial.
     pub threads: usize,
-    /// When set, the exact-optimum (optimality-gap) oracle also runs on
-    /// every case: a hier-jump placement beyond the allowed gap over the
-    /// certified optimum fails the case, and per-target gap statistics
-    /// are accumulated into [`StressSummary::exact`].
-    pub exact: Option<ExactOptions>,
+    /// What every case is checked against.
+    pub invariant: Invariant,
+}
+
+/// What a sweep's passing cases measured, summed. Each invariant fills
+/// its own counters; the others stay zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Functions generated and checked.
+    pub functions: u64,
+    /// Oracles: functions that used callee-saved registers.
+    pub placed_functions: u64,
+    /// Oracles: technique × function placements checked.
+    pub placements_checked: u64,
+    /// Drift: warm-vs-cold byte comparisons (base + steps per case).
+    pub checks: u64,
+    /// Drift: warm-session arena hits (zero-delta steps served from the
+    /// outcome cache).
+    pub warm_hits: u64,
+    /// Drift: warm-session incremental re-folds (drifted profile,
+    /// allocation unchanged).
+    pub incremental: u64,
+    /// Drift: regions actually re-folded by the incremental calls.
+    pub regions_refolded: u64,
+    /// Drift: regions the incremental calls would have folded cold.
+    pub regions_total: u64,
+    /// Faults: cases whose armed fault fired (the site was reached).
+    pub fired: u64,
+    /// Faults: fired cases retired by a degradation-ladder rung.
+    pub degraded: u64,
+    /// Faults: fired cases retired as unoptimized passthroughs.
+    pub skipped: u64,
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, o: Counters) {
+        self.functions += o.functions;
+        self.placed_functions += o.placed_functions;
+        self.placements_checked += o.placements_checked;
+        self.checks += o.checks;
+        self.warm_hits += o.warm_hits;
+        self.incremental += o.incremental;
+        self.regions_refolded += o.regions_refolded;
+        self.regions_total += o.regions_total;
+        self.fired += o.fired;
+        self.degraded += o.degraded;
+        self.skipped += o.skipped;
+    }
 }
 
 /// One target's accumulated exact-oracle coverage and gap histograms.
@@ -69,26 +147,54 @@ impl TargetGapStats {
     }
 }
 
-/// Aggregated outcome of a stress run.
+/// A minimized counterexample: the failure and what replays it.
+#[derive(Clone, Debug)]
+pub struct StressFailure {
+    /// The seed that produced the case.
+    pub seed: u64,
+    /// Registry name of the target it failed on.
+    pub target: &'static str,
+    /// What broke; the minimized case reproduces exactly this class.
+    pub violation: Violation,
+    /// What replays the case besides the module: the workload calls,
+    /// the kept drift steps, or the injected fault.
+    pub replay: String,
+    /// IR text of the minimized module (feed to `spillopt --input` or a
+    /// regression test).
+    pub minimized: String,
+}
+
+impl fmt::Display for StressFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "seed {} on target {}: {}",
+            self.seed, self.target, self.violation
+        )?;
+        if !self.replay.is_empty() {
+            writeln!(f, "{}", self.replay)?;
+        }
+        writeln!(f, "minimized module:")?;
+        write!(f, "{}", self.minimized)
+    }
+}
+
+/// Aggregated outcome of a sweep.
 #[derive(Debug, Default)]
 pub struct StressSummary {
     /// `(target, seed)` cases checked (including failing ones).
     pub cases: usize,
-    /// Functions generated and run through the pipeline.
-    pub functions: usize,
-    /// Functions that used callee-saved registers.
-    pub placed_functions: usize,
-    /// Technique × function placements checked against the oracles.
-    pub placements_checked: usize,
+    /// Counters summed over the passing cases.
+    pub counters: Counters,
     /// Per-target exact-oracle statistics, in configuration target
-    /// order. Empty unless [`StressConfig::exact`] was set.
+    /// order. Empty unless the invariant runs the exact oracle.
     pub exact: Vec<TargetGapStats>,
-    /// Minimized counterexamples, ordered by seed then registry order.
-    pub failures: Vec<SeedFailure>,
+    /// Minimized counterexamples, ordered by seed then target order.
+    pub failures: Vec<StressFailure>,
 }
 
 impl StressSummary {
-    /// `true` when every case passed every oracle.
+    /// `true` when every case held the invariant.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
@@ -100,9 +206,120 @@ impl StressSummary {
     }
 }
 
-/// Runs the oracles over `config.seeds` seeds × `config.targets` targets
-/// on the work-stealing pool. Deterministic: the summary (including
-/// failure order) is a pure function of the configuration.
+impl Invariant {
+    /// Checks one case: `module` with its workload `runs` and, for
+    /// drift, the step ids to replay.
+    fn check(
+        &self,
+        spec: &TargetSpec,
+        seed: u64,
+        module: &Module,
+        runs: &[(FuncId, Vec<i64>)],
+        steps: &[u64],
+    ) -> Result<(Counters, ExactStats), Violation> {
+        let (mut counters, exact) = match self {
+            Invariant::Oracles { exact } => {
+                let report = check_case_caught_with(module, runs, spec, exact.as_ref())?;
+                let counters = Counters {
+                    placed_functions: report.placed_functions as u64,
+                    placements_checked: report.placements_checked as u64,
+                    ..Counters::default()
+                };
+                (counters, report.exact)
+            }
+            Invariant::Drift { .. } => (
+                drift::replay(spec, module, seed, steps)?,
+                ExactStats::default(),
+            ),
+            Invariant::Faults => (faults::check(spec, module, seed)?, ExactStats::default()),
+        };
+        counters.functions = module.num_funcs() as u64;
+        Ok((counters, exact))
+    }
+
+    /// Renders what replays a minimized case besides its module.
+    fn replay_text(&self, seed: u64, runs: &[(FuncId, Vec<i64>)], steps: &[u64]) -> String {
+        match self {
+            Invariant::Oracles { .. } => {
+                let mut text = "workload:".to_string();
+                for (func, args) in runs {
+                    text.push_str(&format!("\n  call @{}({args:?})", func.index()));
+                }
+                text
+            }
+            Invariant::Drift { .. } => format!("drift steps kept: {steps:?}"),
+            Invariant::Faults => format!("injected fault: {}", faults::plan_text(seed)),
+        }
+    }
+}
+
+/// Runs one `(target, seed)` case; a failure comes back minimized.
+fn run_case(
+    invariant: &Invariant,
+    spec: &TargetSpec,
+    seed: u64,
+) -> Result<(Counters, ExactStats), Box<StressFailure>> {
+    let failure = |violation, replay, minimized| {
+        Box::new(StressFailure {
+            seed,
+            target: spec.name,
+            violation,
+            replay,
+            minimized,
+        })
+    };
+    let target = spec.try_to_target().map_err(|e| {
+        let v = Violation::new(ViolationClass::Driver, format!("target malformed: {e}"));
+        failure(v, String::new(), String::new())
+    })?;
+    let case = gen_case(&target, seed);
+    let steps: Vec<u64> = match invariant {
+        Invariant::Drift { steps } => (1..=*steps).collect(),
+        _ => Vec::new(),
+    };
+    let violation = match invariant.check(spec, seed, &case.module, &case.runs, &steps) {
+        Ok(passed) => return Ok(passed),
+        Err(v) => v,
+    };
+    let original = (case.module, case.runs, steps);
+    let ((module, runs, steps), violation) = if violation.class == ViolationClass::Driver {
+        (original, violation)
+    } else {
+        // The shrink predicate: the reduced case still fails with the
+        // same class. The oracles also demand a closed module (a
+        // reduction that merely introduces undefined inputs is not a
+        // counterexample); a panic while checking is a different failure.
+        let still_fails = |m: &Module, r: &[(FuncId, Vec<i64>)], s: &[u64]| {
+            if matches!(invariant, Invariant::Oracles { .. }) && !is_closed(m, &target) {
+                return false;
+            }
+            let checked = catch_unwind(AssertUnwindSafe(|| invariant.check(spec, seed, m, r, s)));
+            matches!(checked, Ok(Err(v)) if violation.class.reproduced_by(&v))
+        };
+        // Shrink the drift steps first (greedy single drops), then the
+        // module under the kept steps.
+        let mut kept = original.2.clone();
+        for i in (0..kept.len()).rev() {
+            let mut candidate = kept.clone();
+            candidate.remove(i);
+            if still_fails(&original.0, &original.1, &candidate) {
+                kept = candidate;
+            }
+        }
+        let (module, runs) = minimize(&original.0, &original.1, |m, r| still_fails(m, r, &kept));
+        // Re-check so the reported detail describes the case actually
+        // printed; fall back to the generated case if the failure's
+        // class drifted.
+        let recheck = invariant.check(spec, seed, &module, &runs, &kept);
+        confirm_minimized(original, violation, (module, runs, kept), recheck)
+    };
+    let replay = invariant.replay_text(seed, &runs, &steps);
+    Err(failure(violation, replay, module.to_string()))
+}
+
+/// Runs `config.invariant` over `config.seeds` seeds × `config.targets`
+/// targets on the work-stealing pool. Deterministic: the summary
+/// (including failure order) is a pure function of the configuration.
 pub fn run_stress(config: &StressConfig) -> StressSummary {
     let mut items: Vec<(TargetSpec, u64)> = Vec::new();
     for seed in config.start..config.start.saturating_add(config.seeds) {
@@ -110,42 +327,35 @@ pub fn run_stress(config: &StressConfig) -> StressSummary {
             items.push((spec.clone(), seed));
         }
     }
-    let cases = items.len();
-    let coords: Vec<(&'static str, u64)> = items.iter().map(|(s, seed)| (s.name, *seed)).collect();
-    // `run_seed` already catches pipeline panics; this extra net covers
-    // a panic in the generator or minimizer itself, converting it into a
-    // failure that names its (target, seed) instead of killing the sweep.
-    let exact = config.exact;
-    let outcomes: Vec<Result<CaseReport, Box<SeedFailure>>> =
-        match try_run_indexed(items, config.threads, move |_, (spec, seed)| {
-            run_seed_with(&spec, seed, exact.as_ref())
-        }) {
-            Ok(outcomes) => outcomes,
-            Err(p) => {
-                let (target, seed) = coords[p.index];
-                return StressSummary {
-                    cases,
-                    failures: vec![SeedFailure {
-                        seed,
-                        target,
-                        failure: OracleFailure {
-                            kind: FailureKind::Panic,
-                            strategy: None,
-                            detail: format!("stress harness panicked: {}", p.message()),
-                        },
-                        minimized: String::new(),
-                        runs: Vec::new(),
-                    }],
-                    ..StressSummary::default()
-                };
-            }
-        };
-
     let mut summary = StressSummary {
-        cases: outcomes.len(),
+        cases: items.len(),
         ..StressSummary::default()
     };
-    if config.exact.is_some() {
+    let coords: Vec<(&'static str, u64)> = items.iter().map(|(s, seed)| (s.name, *seed)).collect();
+    // The oracles catch pipeline panics, and sessions contain them; this
+    // net covers a panic in the generator, a check or the minimizer
+    // itself, converting it into a failure that names its (target, seed)
+    // instead of killing the sweep.
+    let invariant = config.invariant;
+    let outcomes = match try_run_indexed(items, config.threads, move |_, (spec, seed)| {
+        with_quiet_panics(|| run_case(&invariant, &spec, seed))
+    }) {
+        Ok(outcomes) => outcomes,
+        Err(p) => {
+            let (target, seed) = coords[p.index];
+            let detail = format!("stress harness panicked: {}", p.message());
+            summary.failures.push(StressFailure {
+                seed,
+                target,
+                violation: Violation::new(ViolationClass::Driver, detail),
+                replay: String::new(),
+                minimized: String::new(),
+            });
+            return summary;
+        }
+    };
+
+    if let Invariant::Oracles { exact: Some(_) } = config.invariant {
         summary.exact = config
             .targets
             .iter()
@@ -159,12 +369,10 @@ pub fn run_stress(config: &StressConfig) -> StressSummary {
     // `i % targets.len()`.
     for (i, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            Ok(report) => {
-                summary.functions += report.functions;
-                summary.placed_functions += report.placed_functions;
-                summary.placements_checked += report.placements_checked;
+            Ok((counters, exact)) => {
+                summary.counters += counters;
                 if let Some(t) = summary.exact.get_mut(i % config.targets.len()) {
-                    t.stats.accumulate(&report.exact);
+                    t.stats.accumulate(&exact);
                 }
             }
             Err(failure) => summary.failures.push(*failure),
@@ -174,22 +382,13 @@ pub fn run_stress(config: &StressConfig) -> StressSummary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn smoke_slice_passes_on_every_registered_target() {
-        let summary = run_stress(&StressConfig {
-            start: 0,
-            seeds: 3,
-            targets: spillopt_targets::registry(),
-            threads: 0,
-            exact: None,
-        });
-        assert_eq!(summary.cases, 3 * spillopt_targets::registry().len());
+    pub(crate) fn assert_passed(summary: &StressSummary) {
         assert!(
             summary.passed(),
-            "stress failures:\n{}",
+            "failures:\n{}",
             summary
                 .failures
                 .iter()
@@ -197,44 +396,74 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert!(summary.functions > 0);
+    }
+
+    pub(crate) fn sweep(
+        start: u64,
+        seeds: u64,
+        threads: usize,
+        invariant: Invariant,
+    ) -> StressSummary {
+        run_stress(&StressConfig {
+            start,
+            seeds,
+            targets: spillopt_targets::registry(),
+            threads,
+            invariant,
+        })
     }
 
     #[test]
+    fn smoke_slice_passes_on_every_registered_target() {
+        let summary = sweep(0, 3, 0, Invariant::Oracles { exact: None });
+        assert_eq!(summary.cases, 3 * spillopt_targets::registry().len());
+        assert_passed(&summary);
+        assert!(summary.counters.functions > 0);
+    }
+
+    /// Every invariant's summary — counters, gap statistics and failure
+    /// order — is the same serial and on the pool.
+    #[test]
     fn summary_is_deterministic_across_thread_counts() {
-        let config = |threads| StressConfig {
-            start: 5,
-            seeds: 2,
-            targets: vec![spillopt_targets::pa_risc_like()],
-            threads,
-            exact: None,
-        };
-        let a = run_stress(&config(1));
-        let b = run_stress(&config(4));
-        assert_eq!(a.cases, b.cases);
-        assert_eq!(a.functions, b.functions);
-        assert_eq!(a.placements_checked, b.placements_checked);
+        for (start, seeds, invariant) in [
+            (5, 2, Invariant::Oracles { exact: None }),
+            (
+                0,
+                1,
+                Invariant::Oracles {
+                    exact: Some(ExactOptions::default()),
+                },
+            ),
+            (7, 2, Invariant::Drift { steps: 4 }),
+            (40, 4, Invariant::Faults),
+        ] {
+            let serial = sweep(start, seeds, 1, invariant);
+            let pooled = sweep(start, seeds, 4, invariant);
+            assert_eq!(serial.cases, pooled.cases);
+            assert_eq!(serial.counters, pooled.counters, "{invariant:?}");
+            assert_eq!(
+                format!("{:?}", serial.exact),
+                format!("{:?}", pooled.exact),
+                "{invariant:?}"
+            );
+            let failures =
+                |s: &StressSummary| s.failures.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+            assert_eq!(failures(&serial), failures(&pooled), "{invariant:?}");
+            assert!(serial.counters.functions > 0);
+        }
     }
 
     #[test]
     fn exact_mode_aggregates_per_target_gap_stats() {
-        let summary = run_stress(&StressConfig {
-            start: 0,
-            seeds: 2,
-            targets: spillopt_targets::registry(),
-            threads: 0,
-            exact: Some(ExactOptions::default()),
-        });
-        assert!(
-            summary.passed(),
-            "exact-oracle failures:\n{}",
-            summary
-                .failures
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
+        let summary = sweep(
+            0,
+            2,
+            0,
+            Invariant::Oracles {
+                exact: Some(ExactOptions::default()),
+            },
         );
+        assert_passed(&summary);
         assert_eq!(summary.exact.len(), spillopt_targets::registry().len());
         // Every generated function is accounted for under both models.
         for t in &summary.exact {
@@ -253,7 +482,7 @@ mod tests {
             .iter()
             .map(|t| t.stats.jump.solved + t.stats.jump.bounded + t.stats.jump.skipped)
             .sum();
-        assert_eq!(accounted, summary.placed_functions);
+        assert_eq!(accounted as u64, summary.counters.placed_functions);
         let solved: usize = summary.exact.iter().map(|t| t.stats.jump.solved).sum();
         assert!(solved > 0, "exact oracle certified nothing");
         // The JSON report names every target.

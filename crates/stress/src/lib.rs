@@ -14,16 +14,19 @@
 //! meshes, zero-trip loops, extreme profile skew, and register pressure
 //! at the register-file limit. See [`gen`] for the generator, [`oracle`]
 //! for the checks, and [`mod@minimize`] for counterexample reduction. The
-//! module driver wires this into the `spillopt stress` CLI subcommand
-//! and the scheduled CI job.
+//! module driver's stress harness wires this into the `spillopt stress`
+//! CLI subcommand and the scheduled CI job, and minimizes each failure
+//! under [`ViolationClass::reproduced_by`].
 //!
 //! # Examples
 //!
 //! ```
-//! use spillopt_stress::run_seed;
+//! use spillopt_stress::{check_case_caught_with, gen_case};
 //!
 //! let spec = spillopt_targets::pa_risc_like();
-//! let report = run_seed(&spec, 7).expect("oracles hold");
+//! let case = gen_case(&spec.to_target(), 7);
+//! let report = check_case_caught_with(&case.module, &case.runs, &spec, None)
+//!     .expect("oracles hold");
 //! assert!(report.functions >= 1);
 //! ```
 
@@ -43,44 +46,11 @@ pub use oracle::{
     ModelGapStats, OracleFailure, DEFAULT_GAP_PERCENT, STRATEGIES,
 };
 
-use spillopt_ir::display;
 use spillopt_sync::Once;
 use spillopt_targets::TargetSpec;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-
-/// A fully-reported, minimized counterexample from one seed.
-#[derive(Clone, Debug)]
-pub struct SeedFailure {
-    /// The seed that produced the case.
-    pub seed: u64,
-    /// Registry name of the target it failed on.
-    pub target: &'static str,
-    /// The oracle violation.
-    pub failure: OracleFailure,
-    /// IR text of the minimized module (feed to `spillopt --input` or a
-    /// regression test).
-    pub minimized: String,
-    /// The minimized workload: `(function index, args)` pairs.
-    pub runs: Vec<(usize, Vec<i64>)>,
-}
-
-impl fmt::Display for SeedFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "seed {} on target {}: {}",
-            self.seed, self.target, self.failure
-        )?;
-        writeln!(f, "workload:")?;
-        for (func, args) in &self.runs {
-            writeln!(f, "  call @{func}({args:?})")?;
-        }
-        writeln!(f, "minimized module:")?;
-        write!(f, "{}", self.minimized)
-    }
-}
 
 thread_local! {
     static QUIET: Cell<bool> = const { Cell::new(false) };
@@ -125,18 +95,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// As [`check_case`], but converting pipeline panics (allocator
+/// As [`check_case_with`], but converting pipeline panics (allocator
 /// non-convergence, placement validity assertions, insertion bugs) into
-/// [`FailureKind::Panic`] failures instead of unwinding.
-pub fn check_case_caught(
-    module: &spillopt_ir::Module,
-    runs: &[(spillopt_ir::FuncId, Vec<i64>)],
-    spec: &TargetSpec,
-) -> Result<CaseReport, OracleFailure> {
-    check_case_caught_with(module, runs, spec, None)
-}
-
-/// As [`check_case_with`], but converting pipeline panics into
 /// [`FailureKind::Panic`] failures instead of unwinding.
 pub fn check_case_caught_with(
     module: &spillopt_ir::Module,
@@ -158,115 +118,102 @@ pub fn check_case_caught_with(
     })
 }
 
-/// Accepts a minimized case only when it still fails with the original
-/// failure's kind *and* strategy; otherwise falls back to the original
-/// case.
+/// What kind of failure a case shows: the identity a counterexample
+/// keeps while it is minimized.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ViolationClass {
+    /// An oracle fired, on one technique or (`None`) on the case.
+    Oracle(FailureKind, Option<&'static str>),
+    /// A warm incremental session's report bytes differ from a cold
+    /// pipeline's.
+    Divergence,
+    /// A session lost the module, or changed it, instead of containing
+    /// an injected fault.
+    Containment,
+    /// The fault ledger does not hold the injected fault exactly once,
+    /// with the kind the injection implies.
+    Ledger,
+    /// A function other than the faulted one changed.
+    BlastRadius,
+    /// A clean call after a contained fault differs from the
+    /// fault-free run.
+    Recovery,
+    /// A pipeline refused or failed outside what the invariant checks
+    /// (a session build, a fault-free reference run, a malformed
+    /// target, a harness panic). Reported as found, never minimized.
+    Driver,
+}
+
+impl ViolationClass {
+    /// The one same-failure test: `true` when `recheck` is a violation
+    /// of this class. The minimizer keeps a reduction only under it, and
+    /// [`confirm_minimized`] reports a minimized case only under it.
+    pub fn reproduced_by(self, recheck: &Violation) -> bool {
+        recheck.class == self
+    }
+}
+
+/// One failed check: its class and a human-readable description.
+#[derive(Clone, Debug)]
+pub struct Violation {
+    /// What kind of failure this is.
+    pub class: ViolationClass,
+    /// What went wrong, with both sides where applicable.
+    pub detail: String,
+}
+
+impl Violation {
+    /// A violation of `class`.
+    pub fn new(class: ViolationClass, detail: String) -> Self {
+        Violation { class, detail }
+    }
+}
+
+impl From<OracleFailure> for Violation {
+    fn from(f: OracleFailure) -> Self {
+        Violation::new(ViolationClass::Oracle(f.kind, f.strategy), f.detail)
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self.class {
+            ViolationClass::Oracle(kind, Some(s)) => {
+                return write!(f, "[{kind}] {s}: {}", self.detail)
+            }
+            ViolationClass::Oracle(kind, None) => return write!(f, "[{kind}] {}", self.detail),
+            ViolationClass::Divergence => "divergence",
+            ViolationClass::Containment => "containment",
+            ViolationClass::Ledger => "ledger",
+            ViolationClass::BlastRadius => "blast-radius",
+            ViolationClass::Recovery => "recovery",
+            ViolationClass::Driver => "driver",
+        };
+        write!(f, "[{name}] {}", self.detail)
+    }
+}
+
+/// Accepts a minimized case only when its re-check still fails with the
+/// original failure's class; otherwise falls back to the original case.
 ///
 /// Every reduction [`minimize()`] keeps was individually re-checked, but
 /// flaky pipelines (fuel-dependent panics, allocator non-convergence)
 /// can still re-classify between the last probe and the final report.
-/// Reporting the *minimized module* with the *original failure* — what
-/// `run_seed` used to do — produced counterexamples that do not
-/// reproduce their own headline; the fallback keeps module and failure
-/// consistent by construction.
-pub fn confirm_minimized(
-    original: (spillopt_ir::Module, Vec<(spillopt_ir::FuncId, Vec<i64>)>),
-    original_failure: OracleFailure,
-    minimized: (spillopt_ir::Module, Vec<(spillopt_ir::FuncId, Vec<i64>)>),
-    recheck: Result<CaseReport, OracleFailure>,
-) -> (
-    spillopt_ir::Module,
-    Vec<(spillopt_ir::FuncId, Vec<i64>)>,
-    OracleFailure,
-) {
-    let (kind, strategy) = (original_failure.kind, original_failure.strategy);
-    let confirmed = match recheck {
-        Err(g) if g.kind == kind && g.strategy == strategy => {
-            // Adopt the re-derived detail: it describes the module that
-            // will actually be printed.
-            (minimized.0, minimized.1, g)
-        }
-        _ => (original.0, original.1, original_failure),
-    };
-    debug_assert_eq!(confirmed.2.kind, kind);
-    debug_assert_eq!(confirmed.2.strategy, strategy);
-    confirmed
-}
-
-/// Generates the case for `(spec, seed)`, runs the oracle battery on it,
-/// and — on failure — minimizes the counterexample before reporting.
-///
-/// This is the unit of work the driver's `spillopt stress` subcommand
-/// and the test suites fan out over.
-///
-/// # Errors
-///
-/// Returns the minimized [`SeedFailure`] if any oracle fires.
-pub fn run_seed(spec: &TargetSpec, seed: u64) -> Result<CaseReport, Box<SeedFailure>> {
-    run_seed_with(spec, seed, None)
-}
-
-/// As [`run_seed`], optionally enabling the optimality-gap oracle.
-///
-/// # Errors
-///
-/// Returns the minimized [`SeedFailure`] if any oracle fires.
-pub fn run_seed_with(
-    spec: &TargetSpec,
-    seed: u64,
-    exact: Option<&ExactOptions>,
-) -> Result<CaseReport, Box<SeedFailure>> {
-    let make_failure = |failure: OracleFailure,
-                        module: &spillopt_ir::Module,
-                        runs: &[(spillopt_ir::FuncId, Vec<i64>)]| {
-        Box::new(SeedFailure {
-            seed,
-            target: spec.name,
-            failure,
-            minimized: display::module_to_string(module),
-            runs: runs.iter().map(|(f, a)| (f.index(), a.clone())).collect(),
-        })
-    };
-
-    let target = match spec.try_to_target() {
-        Ok(t) => t,
-        Err(e) => {
-            return Err(Box::new(SeedFailure {
-                seed,
-                target: spec.name,
-                failure: OracleFailure {
-                    kind: FailureKind::Reference,
-                    strategy: None,
-                    detail: format!("target malformed: {e}"),
-                },
-                minimized: String::new(),
-                runs: Vec::new(),
-            }))
-        }
-    };
-    let case = gen_case(&target, seed);
-    match check_case_caught_with(&case.module, &case.runs, spec, exact) {
-        Ok(report) => Ok(report),
-        Err(failure) => {
-            // Shrink while the case stays a well-defined differential
-            // subject and the *same* oracle keeps firing on the same
-            // technique (a reduction that merely introduces undefined
-            // inputs is not a counterexample).
-            let (module, runs) = minimize(&case.module, &case.runs, |m, r| {
-                closed::is_closed(m, &target)
-                    && matches!(
-                        check_case_caught_with(m, r, spec, exact),
-                        Err(g) if g.kind == failure.kind && g.strategy == failure.strategy
-                    )
-            });
-            // Re-check so the reported detail (costs, function names)
-            // describes the module actually printed; fall back to the
-            // unminimized case if the failure's identity drifted.
-            let recheck = check_case_caught_with(&module, &runs, spec, exact);
-            let (module, runs, failure) =
-                confirm_minimized((case.module, case.runs), failure, (module, runs), recheck);
-            Err(make_failure(failure, &module, &runs))
-        }
+/// Pairing the *minimized case* with the *original failure* would print
+/// counterexamples that do not reproduce their own headline; the
+/// fallback keeps case and failure consistent by construction. `C` is
+/// whatever replays the case (module, workload, drift steps).
+pub fn confirm_minimized<C, T>(
+    original: C,
+    failure: Violation,
+    minimized: C,
+    recheck: Result<T, Violation>,
+) -> (C, Violation) {
+    match recheck {
+        // Adopt the re-derived detail: it describes the case that will
+        // actually be printed.
+        Err(v) if failure.class.reproduced_by(&v) => (minimized, v),
+        _ => (original, failure),
     }
 }
 
@@ -276,13 +223,13 @@ mod tests {
     use spillopt_ir::Module;
 
     #[test]
-    fn run_seed_passes_on_the_default_target() {
+    fn generated_cases_pass_on_the_default_target() {
         let spec = spillopt_targets::pa_risc_like();
         for seed in 0..4u64 {
-            let r = run_seed(&spec, seed);
-            match r {
+            let case = gen_case(&spec.to_target(), seed);
+            match check_case_caught_with(&case.module, &case.runs, &spec, None) {
                 Ok(report) => assert!(report.functions >= 1),
-                Err(f) => panic!("seed {seed} failed:\n{f}"),
+                Err(f) => panic!("seed {seed} failed: {f}"),
             }
         }
     }
@@ -294,66 +241,68 @@ mod tests {
         assert!(!QUIET.with(Cell::get));
     }
 
-    fn fake_failure(kind: FailureKind, strategy: Option<&'static str>) -> OracleFailure {
-        OracleFailure {
-            kind,
-            strategy,
-            detail: "synthetic".to_string(),
-        }
+    fn fake(class: ViolationClass) -> Violation {
+        Violation::new(class, "synthetic".to_string())
     }
 
-    /// The reported module must reproduce the reported failure: a
-    /// minimization whose final re-check drifts to a different kind (or
+    /// The reported case must reproduce the reported failure: a
+    /// minimization whose final re-check drifts to a different class (or
     /// stops failing entirely — e.g. fuel-dependent flakiness) must fall
-    /// back to the original case instead of pairing the minimized
-    /// module with the stale original failure.
+    /// back to the original case instead of pairing the minimized case
+    /// with the stale original failure.
     #[test]
     fn confirm_minimized_falls_back_when_the_failure_kind_drifts() {
         let original = Module::new("original");
         let minimized = Module::new("minimized");
-        let orig_fail = fake_failure(FailureKind::NeverWorse, Some(STRATEGIES[3]));
+        let never_worse = ViolationClass::Oracle(FailureKind::NeverWorse, Some(STRATEGIES[3]));
+        let confirm = |failure: ViolationClass, recheck: Result<(), Violation>| {
+            let (m, f) =
+                confirm_minimized(original.clone(), fake(failure), minimized.clone(), recheck);
+            (m.name().to_string(), f)
+        };
 
         // Drifted kind: keep the original module and failure.
-        let (m, _, f) = confirm_minimized(
-            (original.clone(), vec![]),
-            orig_fail.clone(),
-            (minimized.clone(), vec![]),
-            Err(fake_failure(FailureKind::Semantic, Some(STRATEGIES[3]))),
+        let (m, f) = confirm(
+            never_worse,
+            Err(fake(ViolationClass::Oracle(
+                FailureKind::Semantic,
+                Some(STRATEGIES[3]),
+            ))),
         );
-        assert_eq!(m.name(), "original");
-        assert_eq!(f.kind, FailureKind::NeverWorse);
+        assert_eq!(m, "original");
+        assert_eq!(f.class, never_worse);
 
         // Same kind, drifted strategy: also a different failure.
-        let (m, _, f) = confirm_minimized(
-            (original.clone(), vec![]),
-            orig_fail.clone(),
-            (minimized.clone(), vec![]),
-            Err(fake_failure(FailureKind::NeverWorse, Some(STRATEGIES[0]))),
+        let (m, f) = confirm(
+            never_worse,
+            Err(fake(ViolationClass::Oracle(
+                FailureKind::NeverWorse,
+                Some(STRATEGIES[0]),
+            ))),
         );
-        assert_eq!(m.name(), "original");
-        assert_eq!(f.strategy, Some(STRATEGIES[3]));
+        assert_eq!(m, "original");
+        assert_eq!(f.class, never_worse);
+
+        // A blast-radius violation that shrank into a recovery divergence
+        // (or a failed fault-free run) is a different failure too.
+        for drifted in [ViolationClass::Recovery, ViolationClass::Driver] {
+            let (m, f) = confirm(ViolationClass::BlastRadius, Err(fake(drifted)));
+            assert_eq!(m, "original");
+            assert_eq!(f.class, ViolationClass::BlastRadius);
+        }
 
         // No longer failing at all: fall back.
-        let (m, _, f) = confirm_minimized(
-            (original.clone(), vec![]),
-            orig_fail.clone(),
-            (minimized.clone(), vec![]),
-            Ok(CaseReport::default()),
-        );
-        assert_eq!(m.name(), "original");
+        let (m, f) = confirm(never_worse, Ok(()));
+        assert_eq!(m, "original");
         assert_eq!(f.detail, "synthetic");
 
         // Preserved identity: keep the minimized module and adopt the
         // re-derived detail.
-        let mut fresh = fake_failure(FailureKind::NeverWorse, Some(STRATEGIES[3]));
-        fresh.detail = "re-derived".to_string();
-        let (m, _, f) = confirm_minimized(
-            (original, vec![]),
-            orig_fail,
-            (minimized, vec![]),
-            Err(fresh),
-        );
-        assert_eq!(m.name(), "minimized");
-        assert_eq!(f.detail, "re-derived");
+        for class in [never_worse, ViolationClass::BlastRadius] {
+            let fresh = Violation::new(class, "re-derived".to_string());
+            let (m, f) = confirm(class, Err(fresh));
+            assert_eq!(m, "minimized");
+            assert_eq!(f.detail, "re-derived");
+        }
     }
 }

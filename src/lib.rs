@@ -48,8 +48,8 @@
 //! ```
 
 pub use spillopt_driver::{
-    run_drift, ArenaStats, BenchConfig, BenchOutcome, CrossTargetReport, DriftConfig, DriftFailure,
-    DriftSummary, DriverError, FunctionReport, ModuleReport, ModuleRun, Observer, OptimizerBuilder,
+    run_stress, ArenaStats, BenchConfig, BenchOutcome, CrossTargetReport, DriverError,
+    FunctionReport, Invariant, ModuleReport, ModuleRun, Observer, OptimizerBuilder,
     PoolWorkerStats, ProfileSource, Provenance, Session, SessionStats, Strategy, StrategyReport,
-    TechniqueSet, DEFAULT_DRIFT_STEPS, REPORT_SCHEMA_VERSION,
+    StressConfig, StressSummary, TechniqueSet, REPORT_SCHEMA_VERSION,
 };
