@@ -1181,6 +1181,10 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
                 Json::obj()
                     .with("hits", Json::UInt(session_stats.arena.hits))
                     .with("misses", Json::UInt(session_stats.arena.misses))
+                    .with(
+                        "reallocations",
+                        Json::UInt(session_stats.arena.reallocations),
+                    )
                     .with("incremental", Json::UInt(session_stats.arena.incremental))
                     .with("evictions", Json::UInt(session_stats.arena.evictions))
                     .with(
@@ -1226,11 +1230,13 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
             t.push_str(&format!("  {name:<28} {total}\n"));
         }
         t.push_str(&format!(
-            "arena: {} hit(s) / {} miss(es) / {} incremental / {} eviction(s)\n",
+            "arena: {} hit(s) / {} miss(es) / {} incremental / {} eviction(s) / \
+             {} reallocation(s)\n",
             session_stats.arena.hits,
             session_stats.arena.misses,
             session_stats.arena.incremental,
-            session_stats.arena.evictions
+            session_stats.arena.evictions,
+            session_stats.arena.reallocations
         ));
         t.push_str(&format!(
             "dirty regions: {} re-folded of {} across the incremental run \

@@ -27,12 +27,12 @@
 //! (function counts, CFG edge lists), so a shrunk module replays the
 //! same step sequence meaningfully. The kinds deliberately cover every
 //! triage path in the session arena: a zero delta (warm hit), entry and
-//! single-edge count bumps (re-allocate-and-compare, usually
-//! incremental), a full re-randomize of one function (allocation
-//! change, cold replace), and a weights-preserving move of counts
-//! between two edges sharing a destination block (block counts — and
-//! hence allocation weights — unchanged, guaranteeing the incremental
-//! path).
+//! single-edge count bumps (an allocation-certificate re-check, and a
+//! re-allocate-and-compare where it fails; usually incremental), a full
+//! re-randomize of one function (allocation change, cold replace), and
+//! a weights-preserving move of counts between two edges sharing a
+//! destination block (block counts — and hence allocation weights —
+//! unchanged, guaranteeing the incremental path).
 
 use crate::session::{OptimizerBuilder, Session};
 use crate::stress::Counters;
@@ -138,7 +138,7 @@ fn mutate_step(module: &Module, profiles: &mut [EdgeProfile], seed: u64, step: u
         // Zero delta: the warm session must serve the cached outcome.
         0 => {}
         // Entry bump: entry block count changes, so allocation weights
-        // change; the session re-allocates and compares.
+        // change; the session re-checks the allocation certificate.
         1 => entry = (entry + rng.gen_range(1..100u64)) & 0xffff,
         // Single-edge bump.
         2 if !counts.is_empty() => {
@@ -224,8 +224,79 @@ pub(crate) fn replay(
 
 #[cfg(test)]
 mod tests {
+    use super::{base_profiles, mutate_step};
     use crate::stress::tests::{assert_passed, sweep};
     use crate::stress::Invariant;
+    use spillopt_ir::{Function, Target};
+    use spillopt_profile::EdgeProfile;
+    use spillopt_regalloc::{allocate, AllocCertificate, RegAllocResult};
+    use spillopt_stress::gen_case;
+
+    fn allocated(
+        source: &Function,
+        target: &Target,
+        profile: &EdgeProfile,
+    ) -> (Function, RegAllocResult) {
+        let mut func = source.clone();
+        let result = allocate(&mut func, target, Some(profile));
+        (func, result)
+    }
+
+    /// Whenever a cached allocation's certificate holds under a drifted
+    /// profile, allocating under that profile reproduces the cached
+    /// function and spill count. The profiles are the drift invariant's
+    /// streams, and the cached allocation and certificate evolve as the
+    /// session's do: a holding certificate is kept, a trial allocation
+    /// that reproduces the function passes its certificate on, and one
+    /// that differs replaces the cached allocation.
+    #[test]
+    fn a_holding_certificate_reproduces_the_allocation_on_every_target() {
+        let (mut held, mut rejected) = (0u64, 0u64);
+        for spec in spillopt_targets::registry() {
+            let target = spec.to_target();
+            for seed in 0..48 {
+                let module = gen_case(&target, seed).module;
+                let mut profiles = base_profiles(&module, seed);
+                let mut cached: Vec<(Function, RegAllocResult)> = module
+                    .func_ids()
+                    .zip(&profiles)
+                    .map(|(fid, p)| allocated(module.func(fid), &target, p))
+                    .collect();
+                for step in 0..24 {
+                    let before = profiles.clone();
+                    mutate_step(&module, &mut profiles, seed, step);
+                    for (i, fid) in module.func_ids().enumerate() {
+                        if profiles[i] == before[i] {
+                            continue;
+                        }
+                        let fresh = allocated(module.func(fid), &target, &profiles[i]);
+                        let (func, result) = &mut cached[i];
+                        let same =
+                            fresh.0 == *func && fresh.1.spilled_vregs == result.spilled_vregs;
+                        if result.certificate.holds_under(&profiles[i]) {
+                            assert!(
+                                same,
+                                "{} seed {seed} step {step}: `{}` changed under a holding certificate",
+                                spec.name,
+                                func.name()
+                            );
+                            if result.certificate != AllocCertificate::default() {
+                                held += 1;
+                            }
+                        } else if same {
+                            rejected += 1;
+                            result.certificate = fresh.1.certificate;
+                        } else {
+                            rejected += 1;
+                            cached[i] = fresh;
+                        }
+                    }
+                }
+            }
+        }
+        // The streams must exercise non-trivial certificates both ways.
+        assert!(held > 0 && rejected > 0, "held {held}, rejected {rejected}");
+    }
 
     #[test]
     fn drift_smoke_passes_on_every_registered_target() {

@@ -44,7 +44,7 @@ use spillopt_core::{
 use spillopt_ir::{FuncId, Function, Module, Target};
 use spillopt_obs::fault::{BudgetScope, BudgetSpec};
 use spillopt_profile::{random_walk_profile, EdgeProfile, Machine, ProfileDelta};
-use spillopt_regalloc::allocate;
+use spillopt_regalloc::{allocate, AllocCertificate, RegAllocResult};
 use spillopt_sync::atomic::{AtomicU64, Ordering};
 use spillopt_sync::{Arc, Mutex};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
@@ -381,6 +381,11 @@ pub struct ArenaStats {
     /// unseen functions, plus profile drifts that changed the
     /// allocation.
     pub misses: u64,
+    /// Trial allocations run for profile drifts whose cached allocation
+    /// certificate did not hold. Each either confirmed the cached
+    /// allocation (the drift went on incrementally) or became the
+    /// allocation of a cold rebuild.
+    pub reallocations: u64,
     /// Lookups served by delta-driven re-folding
     /// ([`Provenance::Incremental`]): the function's structure was
     /// cached and the drifted profile left its allocation unchanged.
@@ -422,6 +427,7 @@ pub(crate) struct Arena<S> {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    reallocations: AtomicU64,
     incremental: AtomicU64,
     evictions: AtomicU64,
     regions_refolded: AtomicU64,
@@ -458,10 +464,11 @@ pub(crate) struct Arena<S> {
 /// profile-map probe, and a clone of the small report — the allocated
 /// function is shared, not copied. A call with a *drifted* profile
 /// reuses the whole structure level when the drift leaves the
-/// allocation unchanged — the allocator's only profile input is its
-/// per-block weight vector, so equal weights prove an identical
-/// allocation, and unequal weights re-allocate once and compare — and
-/// then re-folds only the PST regions the [`ProfileDelta`] dirties
+/// allocation unchanged — the allocator reads the profile only at its
+/// blocked spill choices, so a cached [`AllocCertificate`] that still
+/// holds proves an identical allocation, and one that fails re-allocates
+/// once and compares — and then re-folds only the PST regions the
+/// [`ProfileDelta`] dirties
 /// ([`Provenance::Incremental`]). Only a drift that changes the
 /// allocation itself re-runs the full cold pipeline.
 ///
@@ -505,6 +512,9 @@ pub(crate) struct StructState {
     /// every [`ModuleRun`] this entry retires into.
     func: Arc<Function>,
     spilled_vregs: usize,
+    /// The blocked spill choices `func`'s allocation rests on: a drifted
+    /// profile it holds under reproduces `func` without re-allocating.
+    certificate: AllocCertificate,
     /// Analyses of `func`; `cache.profile` is the memo's base profile
     /// and the profile `func` was last proven allocated under.
     cache: AnalysisCache,
@@ -601,6 +611,7 @@ impl<S> Arena<S> {
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            reallocations: AtomicU64::new(0),
             incremental: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             regions_refolded: AtomicU64::new(0),
@@ -654,6 +665,11 @@ impl<S> Arena<S> {
     fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         spillopt_obs::count("arena_miss", 1);
+    }
+
+    fn record_reallocation(&self) {
+        self.reallocations.fetch_add(1, Ordering::Relaxed);
+        spillopt_obs::count("arena_reallocation", 1);
     }
 
     fn record_incremental(&self, refolds: RefoldStats) {
@@ -717,6 +733,7 @@ impl<S> Arena<S> {
             entries: self.entries.lock().unwrap().len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            reallocations: self.reallocations.load(Ordering::Relaxed),
             incremental: self.incremental.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             regions_refolded: self.regions_refolded.load(Ordering::Relaxed),
@@ -1685,45 +1702,40 @@ fn attempt_full_inner(
         let st = &mut *guard;
         // The fingerprint located the entry; equality confirms it is
         // this function's and not a colliding one's.
-        if st.source == *source_func {
+        let allocated = if st.source == *source_func {
             if let Some(report) = st.outcomes.get(profile) {
                 arena.record_hit();
                 let mut report = report.clone();
                 report.index = fid.index();
                 return Ok((report, Arc::clone(&st.func), Provenance::Warm));
             }
-            // The profile drifted. The allocator's only profile input is
-            // its per-block weight vector, so equal weights prove the
-            // cached allocation — and every analysis over it — is still
-            // exact; unequal weights re-allocate once and compare.
-            let allocation_unchanged =
-                same_allocation_weights(source_func, profile, &st.cache.profile) || {
-                    let mut func = source_func.clone();
-                    let _s = spillopt_obs::span("allocate");
-                    let alloc = allocate(&mut func, engine.target, Some(profile));
-                    alloc.spilled_vregs == st.spilled_vregs && func == *st.func
-                };
-            if allocation_unchanged {
-                // The re-fold rebases the structure on this profile, so
-                // repeated drifts to its weights take the fast path.
+            // The profile drifted: keep the cached allocation unless it
+            // is proven stale, and then rebuild on the trial allocation
+            // that proved it.
+            let allocated = drifted_allocation(st, source_func, engine, profile, arena);
+            if allocated.is_none() {
+                // The re-fold rebases the structure on this profile.
                 let report = refold_incremental(fid, st, engine, profile.clone(), arena)?;
                 st.outcomes.insert(profile.clone(), report.clone());
                 return Ok((report, Arc::clone(&st.func), Provenance::Incremental));
             }
-        }
+            allocated
+        } else {
+            None
+        };
         // A colliding function holds this key, or the drift changed the
         // allocation itself: rebuild the whole structure cold in place
         // (the old outcomes priced a different function, so they are
         // cleared with it).
         arena.record_miss();
-        let (state, report) = cold_structure(fid, source_func, engine, profile)?;
+        let (state, report) = cold_structure(fid, source_func, engine, profile, allocated)?;
         *st = state;
         return Ok((report, Arc::clone(&st.func), Provenance::Cold));
     }
 
     // Unseen function: full cold pipeline, then cache the structure.
     arena.record_miss();
-    let (state, report) = cold_structure(fid, source_func, engine, profile)?;
+    let (state, report) = cold_structure(fid, source_func, engine, profile, None)?;
     let func = Arc::clone(&state.func);
     arena.insert_structure(key, state);
     Ok((report, func, Provenance::Cold))
@@ -1875,30 +1887,57 @@ fn notify_module_done(engine: &Engine<'_>, report: &ModuleReport) -> Result<(), 
     })
 }
 
-/// Whether `func`'s per-block weight vectors under profiles `a` and `b`
-/// are equal — [`allocate`]'s only profile input (see
-/// `spillopt-regalloc`): equal vectors prove bit-identical allocations,
-/// which is what gates the arena's incremental path.
-fn same_allocation_weights(func: &Function, a: &EdgeProfile, b: &EdgeProfile) -> bool {
-    func.block_ids()
-        .all(|blk| a.block_count(blk).max(1) == b.block_count(blk).max(1))
-}
-
-/// Runs the full cold pipeline for one function and packages the result
-/// as an arena [`StructState`] (with its [`PlacementMemo`], and the
-/// retired report already recorded as its outcome for `profile`) plus
-/// that report.
-fn cold_structure(
-    fid: FuncId,
+/// Decides whether a drift to `profile` keeps `st`'s cached allocation.
+/// `None` means it does: the stored certificate holds under `profile`,
+/// or a trial allocation reproduced the cached function (its
+/// certificate, which holds under `profile`, then replaces the stored
+/// one). `Some` returns the trial allocation that differs, for the cold
+/// rebuild.
+fn drifted_allocation(
+    st: &mut StructState,
     source_func: &Function,
     engine: &Engine<'_>,
     profile: &EdgeProfile,
-) -> Result<(StructState, FunctionReport), DriverError> {
+    arena: &AnalysisArena,
+) -> Option<(Function, RegAllocResult)> {
+    let holds = {
+        let _s = spillopt_obs::span("alloc_check");
+        st.certificate.holds_under(profile)
+    };
+    if holds {
+        return None;
+    }
+    arena.record_reallocation();
     let mut func = source_func.clone();
     let alloc = {
         let _s = spillopt_obs::span("allocate");
         allocate(&mut func, engine.target, Some(profile))
     };
+    if alloc.spilled_vregs == st.spilled_vregs && func == *st.func {
+        st.certificate = alloc.certificate;
+        return None;
+    }
+    Some((func, alloc))
+}
+
+/// Runs the full cold pipeline for one function and packages the result
+/// as an arena [`StructState`] (with its [`PlacementMemo`], and the
+/// retired report already recorded as its outcome for `profile`) plus
+/// that report. `allocated` is `source_func`'s allocation under
+/// `profile` when the caller already ran it.
+fn cold_structure(
+    fid: FuncId,
+    source_func: &Function,
+    engine: &Engine<'_>,
+    profile: &EdgeProfile,
+    allocated: Option<(Function, RegAllocResult)>,
+) -> Result<(StructState, FunctionReport), DriverError> {
+    let (func, alloc) = allocated.unwrap_or_else(|| {
+        let mut func = source_func.clone();
+        let _s = spillopt_obs::span("allocate");
+        let alloc = allocate(&mut func, engine.target, Some(profile));
+        (func, alloc)
+    });
     let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
     let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
     let memo = if cache.needs_placement() {
@@ -1917,6 +1956,7 @@ fn cold_structure(
         source: source_func.clone(),
         func: Arc::new(func),
         spilled_vregs: alloc.spilled_vregs,
+        certificate: alloc.certificate,
         cache,
         memo,
         outcomes,

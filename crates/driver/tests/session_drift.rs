@@ -9,13 +9,13 @@
 //! (the dirty-region ledger) and mechanics (provenance stream, LRU
 //! eviction) on concrete cases.
 
-use spillopt_benchgen::{benchmark_by_name, build_bench};
+use spillopt_benchgen::{all_benchmarks, benchmark_by_name, build_bench};
 use spillopt_driver::{FunctionReport, OptimizerBuilder, ProfileSource, Provenance, Session};
 use spillopt_ir::{Cfg, Module};
 use spillopt_profile::EdgeProfile;
 use spillopt_stress::gen_case;
 use spillopt_sync::Mutex;
-use spillopt_targets::{registry, TargetSpec};
+use spillopt_targets::{pa_risc_like, registry, TargetSpec};
 
 fn warm_session(spec: &TargetSpec) -> Session {
     OptimizerBuilder::new()
@@ -136,6 +136,69 @@ fn incremental_reports_match_the_cold_oracle_on_every_target() {
                 ctx("full invalidation")
             );
         }
+    }
+}
+
+/// Bumps one edge count of every function that has an edge: its
+/// destination block's count, and so the allocation weights, change.
+fn edge_bump(profiles: &mut [EdgeProfile], module: &Module) {
+    for (fid, p) in module.func_ids().zip(profiles.iter_mut()) {
+        let cfg = Cfg::compute(module.func(fid));
+        let mut counts = p.edge_counts().to_vec();
+        if let Some(c) = counts.last_mut() {
+            *c += 17;
+            *p = EdgeProfile::new(&cfg, counts, p.entry_count());
+        }
+    }
+}
+
+/// Bumps every function's entry count: the entry block's weight changes.
+fn entry_bump(profiles: &mut [EdgeProfile], module: &Module) {
+    for (fid, p) in module.func_ids().zip(profiles.iter_mut()) {
+        let cfg = Cfg::compute(module.func(fid));
+        *p = EdgeProfile::new(&cfg, p.edge_counts().to_vec(), p.entry_count() + 29);
+    }
+}
+
+/// On pa-risc-like no benchgen function's coloring blocks, so every
+/// allocation certificate is empty: drifts that change block weights
+/// re-fold incrementally without a single trial allocation, and the
+/// reports still match the cold oracle byte for byte.
+#[test]
+fn weight_changing_drifts_reallocate_nothing_on_pa_risc_like() {
+    let spec = pa_risc_like();
+    for bench in all_benchmarks() {
+        let module = build_bench(&bench, &spec.to_target()).module;
+        let session = warm_session(&spec);
+        let mut profiles = session
+            .resolve_profiles(&module)
+            .expect("synthetic profiles");
+        assert_eq!(
+            warm_bytes(&session, &module, &profiles),
+            cold_bytes(&spec, &module, &profiles),
+            "{}: base",
+            bench.name
+        );
+        for (kind, drift) in [
+            ("edge bump", edge_bump as fn(&mut [EdgeProfile], &Module)),
+            ("entry bump", entry_bump),
+        ] {
+            drift(&mut profiles, &module);
+            assert_eq!(
+                warm_bytes(&session, &module, &profiles),
+                cold_bytes(&spec, &module, &profiles),
+                "{}: {kind}",
+                bench.name
+            );
+        }
+        let arena = session.stats().arena;
+        assert_eq!(arena.reallocations, 0, "{}: {arena:?}", bench.name);
+        assert_eq!(
+            arena.incremental,
+            2 * module.num_funcs() as u64,
+            "{}: {arena:?}",
+            bench.name
+        );
     }
 }
 

@@ -14,6 +14,86 @@ pub struct Coloring {
     pub coalesced: usize,
     /// The coalescing map: representative vreg per vreg.
     pub alias: Vec<u32>,
+    /// The simplify order from the first blocked step on; `None` when
+    /// no step blocked. Blocked steps are the only decisions that read
+    /// the spill weights.
+    pub blocked: Option<BlockedTrace>,
+}
+
+/// The simplify loop from its first *blocked* step on. A blocked step
+/// is one where no remaining node had degree < k, so the node with the
+/// lowest `weight/degree` key was removed as a potential spill. Every
+/// other step removes the first node of degree < k, which no weight
+/// decides. Replaying `removals` from `candidates` therefore yields
+/// each blocked step's candidates in scan order, and its choice.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BlockedTrace {
+    /// The nodes remaining at the first blocked step, in scan order.
+    pub candidates: Vec<SpillCandidate>,
+    /// Each removal from the remaining list (by `swap_remove`) from the
+    /// first blocked step on: the position removed, and whether the step
+    /// was blocked.
+    pub removals: Vec<(u32, bool)>,
+}
+
+/// A node competing at blocked steps, with the weight-independent parts
+/// of its key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpillCandidate {
+    /// The (representative) node.
+    pub node: u32,
+    /// Its coalesced degree, at least 1: the key's divisor.
+    pub degree: u32,
+    /// A no-spill node: it sorts after every other candidate.
+    pub banned: bool,
+}
+
+/// A blocked step's spill key: `weight/degree` scaled by 2^32, with
+/// banned (no-spill) nodes after every other.
+pub(crate) fn spill_key(weight: u64, degree: u64, banned: bool) -> u128 {
+    ((banned as u128) << 100) | (((weight as u128) << 32) / degree as u128)
+}
+
+/// The position of the first strictly lowest key: a blocked step's
+/// choice.
+pub(crate) fn first_min(keys: impl Iterator<Item = u128>) -> usize {
+    let mut best: Option<(usize, u128)> = None;
+    for (pos, key) in keys.enumerate() {
+        if best.is_none_or(|(_, k)| key < k) {
+            best = Some((pos, key));
+        }
+    }
+    best.expect("a blocked step has candidates").0
+}
+
+/// Appends one simplify removal to `trace`, opening it at the first
+/// blocked step; `candidate` describes a remaining node.
+fn trace_removal(
+    trace: &mut Option<BlockedTrace>,
+    remaining: &[usize],
+    pos: usize,
+    blocked: bool,
+    candidate: impl Fn(usize) -> SpillCandidate,
+) {
+    if blocked && trace.is_none() {
+        *trace = Some(BlockedTrace {
+            candidates: remaining.iter().map(|&i| candidate(i)).collect(),
+            removals: Vec::new(),
+        });
+    }
+    if let Some(t) = trace {
+        let pos = u32::try_from(pos).expect("simplify position fits u32");
+        t.removals.push((pos, blocked));
+    }
+}
+
+/// The [`SpillCandidate`] of node `i`.
+fn candidate(i: usize, degree: usize, no_spill: &DenseBitSet) -> SpillCandidate {
+    SpillCandidate {
+        node: u32::try_from(i).expect("node index fits u32"),
+        degree: u32::try_from(degree.max(1)).expect("degree fits u32"),
+        banned: no_spill.contains(i),
+    }
 }
 
 /// Attempts to color the graph with the target's registers.
@@ -151,30 +231,26 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     let mut removed = DenseBitSet::new(nv);
     let mut degree: Vec<usize> = (0..nv).map(|i| adj.row_count(i)).collect();
     let mut stack: Vec<usize> = Vec::new();
+    let mut trace = None;
     let mut remaining: Vec<usize> = reps.clone();
     while !remaining.is_empty() {
-        // Pick a low-degree node if any.
-        let pos = remaining.iter().position(|&i| degree[i] < k);
-        let chosen = match pos {
-            Some(p) => remaining.swap_remove(p),
+        // Pick a low-degree node if any; otherwise the step blocks, and
+        // the potential spill is the lowest weight/degree, avoiding
+        // no-spill nodes.
+        let (pos, blocked) = match remaining.iter().position(|&i| degree[i] < k) {
+            Some(p) => (p, false),
             None => {
-                // Potential spill: lowest weight/degree, avoiding
-                // no-spill nodes.
-                let mut best: Option<(usize, usize, u128)> = None; // (idx in remaining, node, key)
-                for (ri, &i) in remaining.iter().enumerate() {
-                    let banned = no_spill.contains(i);
-                    let (w, d) = (weight[i], adj.row_count(i).max(1) as u64);
-                    // key = w/d scaled; banned nodes sort last.
-                    let key = ((banned as u128) << 100) | (((w as u128) << 32) / d as u128);
-                    if best.is_none() || key < best.unwrap().2 {
-                        best = Some((ri, i, key));
-                    }
-                }
-                let (ri, node, _) = best.expect("non-empty remaining");
-                remaining.swap_remove(ri);
-                node
+                let keys = remaining.iter().map(|&i| {
+                    let d = adj.row_count(i).max(1) as u64;
+                    spill_key(weight[i], d, no_spill.contains(i))
+                });
+                (first_min(keys), true)
             }
         };
+        trace_removal(&mut trace, &remaining, pos, blocked, |i| {
+            candidate(i, adj.row_count(i), no_spill)
+        });
+        let chosen = remaining.swap_remove(pos);
         removed.insert(chosen);
         for x in adj.row_iter(chosen) {
             if x < nv && !removed.contains(x) {
@@ -232,6 +308,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
         spills,
         coalesced,
         alias: alias_vec,
+        blocked: trace,
     }
 }
 
@@ -349,30 +426,27 @@ pub fn color_reference(
     let mut removed = DenseBitSet::new(nv);
     let mut degree: Vec<usize> = (0..nv).map(|i| rep_adj[i].count()).collect();
     let mut stack: Vec<usize> = Vec::new();
+    let mut trace = None;
     let mut remaining: Vec<usize> = reps.clone();
     while !remaining.is_empty() {
         // Pick a low-degree node if any.
-        let pos = remaining.iter().position(|&i| degree[i] < k);
-        let chosen = match pos {
-            Some(p) => remaining.swap_remove(p),
+        let (pos, blocked) = match remaining.iter().position(|&i| degree[i] < k) {
+            Some(p) => (p, false),
             None => {
                 // Potential spill: lowest weight/degree, avoiding
                 // no-spill nodes.
-                let mut best: Option<(usize, usize, u128)> = None; // (idx in remaining, node, key)
-                for (ri, &i) in remaining.iter().enumerate() {
-                    let banned = no_spill.contains(i);
+                let mut keys = Vec::with_capacity(remaining.len());
+                for &i in &remaining {
                     let (w, d) = metric(&mut alias, &rep_adj, i);
-                    // key = w/d scaled; banned nodes sort last.
-                    let key = ((banned as u128) << 100) | (((w as u128) << 32) / d as u128);
-                    if best.is_none() || key < best.unwrap().2 {
-                        best = Some((ri, i, key));
-                    }
+                    keys.push(spill_key(w, d, no_spill.contains(i)));
                 }
-                let (ri, node, _) = best.expect("non-empty remaining");
-                remaining.swap_remove(ri);
-                node
+                (first_min(keys.into_iter()), true)
             }
         };
+        trace_removal(&mut trace, &remaining, pos, blocked, |i| {
+            candidate(i, rep_adj[i].count(), no_spill)
+        });
+        let chosen = remaining.swap_remove(pos);
         removed.insert(chosen);
         for x in rep_adj[chosen].iter() {
             if x < nv && !removed.contains(x) {
@@ -428,6 +502,7 @@ pub fn color_reference(
         spills,
         coalesced,
         alias: alias_vec,
+        blocked: trace,
     }
 }
 
@@ -545,5 +620,6 @@ mod tests {
         assert_eq!(fast.spills, slow.spills);
         assert_eq!(fast.coalesced, slow.coalesced);
         assert_eq!(fast.alias, slow.alias);
+        assert_eq!(fast.blocked, slow.blocked);
     }
 }

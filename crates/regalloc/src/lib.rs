@@ -21,6 +21,13 @@
 //! `spillopt_core::CalleeSavedUsage::from_function` derives the per-block
 //! busy sets from that CFG.
 //!
+//! The profile reaches the allocation only through the spill weights at
+//! *blocked* simplify steps (see [`certificate`]). [`allocate`] records
+//! those steps as an [`AllocCertificate`]
+//! ([`RegAllocResult::certificate`]), so a caller holding an allocation
+//! can tell whether a drifted profile would reproduce it without
+//! allocating again.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,6 +53,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod certificate;
 pub mod color;
 pub mod interfere;
 pub mod rewrite;
@@ -54,7 +62,8 @@ pub mod spill;
 use spillopt_ir::{Cfg, DenseBitSet, Function, Liveness, PReg, Target};
 use spillopt_profile::EdgeProfile;
 
-pub use color::{color, color_reference, Coloring};
+pub use certificate::AllocCertificate;
+pub use color::{color, color_reference, BlockedTrace, Coloring, SpillCandidate};
 pub use interfere::InterferenceGraph;
 pub use rewrite::apply_coloring;
 pub use spill::insert_spill_code;
@@ -75,11 +84,17 @@ pub struct RegAllocResult {
     /// rewrite edit only instruction lists, so this equals
     /// `Cfg::compute` of the function on return.
     pub cfg: Cfg,
+    /// The blocked spill choices this allocation rests on: while it
+    /// [holds](AllocCertificate::holds_under) under a profile,
+    /// allocating under that profile reproduces this result.
+    pub certificate: AllocCertificate,
 }
 
 /// Allocates `func`'s virtual registers to physical registers, editing the
 /// function in place. `profile` (if given) weights spill costs by block
-/// execution counts; otherwise static weights are used.
+/// execution counts; otherwise static weights are used. The weights
+/// decide only the blocked spill choices the returned certificate
+/// records.
 ///
 /// On return the function is fully physical
 /// ([`RegDiscipline::Physical`](spillopt_ir::RegDiscipline) verifies) but
@@ -97,6 +112,7 @@ pub fn allocate(
 ) -> RegAllocResult {
     let mut no_spill = DenseBitSet::new(func.num_vregs());
     let mut spilled_vregs = 0;
+    let mut certificate = AllocCertificate::default();
 
     // Spill rewriting only edits instruction lists — the block structure
     // (and with it the CFG snapshot and per-block weights) is invariant
@@ -128,6 +144,7 @@ pub fn allocate(
             ns.insert(i);
         }
         let coloring = color(&graph, target, &ns);
+        certificate.record_round(func, &coloring);
         if coloring.spills.is_empty() {
             assert_coloring_valid(&graph, &coloring, func);
             let (coalesced_moves, used_callee_saved) =
@@ -138,6 +155,7 @@ pub fn allocate(
                 coalesced_moves,
                 used_callee_saved,
                 cfg,
+                certificate,
             };
         }
         spilled_vregs += coloring.spills.len();
@@ -165,6 +183,7 @@ pub fn allocate_reference(
 ) -> RegAllocResult {
     let mut no_spill = DenseBitSet::new(func.num_vregs());
     let mut spilled_vregs = 0;
+    let mut certificate = AllocCertificate::default();
 
     for round in 0..16 {
         let cfg = Cfg::compute(func);
@@ -187,6 +206,7 @@ pub fn allocate_reference(
             ns.insert(i);
         }
         let coloring = color_reference(&graph, target, &ns);
+        certificate.record_round(func, &coloring);
         if coloring.spills.is_empty() {
             assert_coloring_valid(&graph, &coloring, func);
             let (coalesced_moves, used_callee_saved) =
@@ -197,6 +217,7 @@ pub fn allocate_reference(
                 coalesced_moves,
                 used_callee_saved,
                 cfg,
+                certificate,
             };
         }
         spilled_vregs += coloring.spills.len();

@@ -34,7 +34,8 @@ fn threaded_trace_counts_equal_the_session_ledger() {
         session.optimize(&module).expect("cold pass");
         session.optimize(&module).expect("warm pass");
         // Doubled counts: new per-block weights, so every function
-        // re-allocates and either re-folds incrementally or runs cold.
+        // re-checks its allocation certificate (re-allocating only when
+        // it fails) and either re-folds incrementally or runs cold.
         let mut profiles = session.resolve_profiles(&module).expect("profiles");
         for p in &mut profiles {
             p.scale(2);
@@ -70,6 +71,18 @@ fn threaded_trace_counts_equal_the_session_ledger() {
             counter("arena_incremental"),
             arena.incremental,
             "round {round}: incremental"
+        );
+        assert_eq!(
+            counter("arena_reallocation"),
+            arena.reallocations,
+            "round {round}: reallocations"
+        );
+        // Every drifted call of the third pass (the first pass's misses
+        // are all cold fills) checks its certificate once.
+        assert_eq!(
+            spans("alloc_check"),
+            arena.incremental + arena.misses - module.num_funcs() as u64,
+            "round {round}: alloc_check spans"
         );
         let items: u64 = stats.pool_workers.iter().map(|w| w.items).sum();
         assert_eq!(items, calls, "round {round}: worker items");

@@ -189,6 +189,7 @@ fn allocate_matches_reference_on_every_input_set() {
             a.used_callee_saved, b.used_callee_saved,
             "{label}: used_callee_saved"
         );
+        assert_eq!(a.certificate, b.certificate, "{label}: certificate");
         coalesced += a.coalesced_moves;
         checked += 1;
     }
