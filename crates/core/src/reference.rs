@@ -18,11 +18,10 @@
 //! * [`run_suite_priced_reference`] — the four-technique suite wired to
 //!   all of the above.
 //!
-//! Two consumers: the differential tests (the rewritten paths must be
-//! decision-for-decision identical), and the perf-trajectory bench
-//! (`spillopt bench`), which times the frozen pipeline against the
-//! current one on the same corpus so every future PR can measure its
-//! speedup against this baseline.
+//! One consumer: the differential tests (the rewritten paths must be
+//! decision-for-decision identical), up to the module-scale byte
+//! comparison of `tests/differential_solver.rs`, which runs the frozen
+//! pipeline and the current one on the same corpus.
 
 use crate::chow::chow_shrink_wrap_with;
 use crate::cost::{location_cost, spill_point_cost, Cost, CostModel, SpillCostModel};

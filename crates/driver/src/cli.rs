@@ -7,7 +7,6 @@
 //! spillopt stats    (--bench NAME | --input FILE) [--target T] [--threads N] [--techniques LIST] [--trace FILE] [--json] [--out FILE]
 //! spillopt stress   --seeds N [--start S] [--target T|all] [--threads N] [--exact] [--gap PCT] [--drift] [--faults] [--trace FILE]
 //! spillopt gap      --seeds N [--start S] [--target T|all] [--threads N] [--gap PCT] [--json] [--out FILE]
-//! spillopt bench    --json [--out FILE] [--smoke] [--functions N] [--reps N] [--threads N] [--trace FILE]
 //! spillopt list-benches
 //! spillopt list-targets
 //! ```
@@ -48,16 +47,11 @@
 //! * `gap` measures the optimality gap across the stress corpus and
 //!   emits the per-target gap histogram (`--json` for the machine
 //!   record the nightly CI job archives).
-//! * `bench` times module-scale `optimize` — current versus the frozen
-//!   pre-rewrite reference pipeline — over a seeded stress corpus on
-//!   every registered target, asserts the reports are byte-identical,
-//!   and emits the perf-trajectory JSON record (`BENCH_*.json`).
 //!
 //! Every pipeline subcommand accepts `--trace FILE`: the run executes
 //! under an active [`spillopt_obs`] recording and the collected trace
 //! is written as Chrome Trace Event JSON, loadable directly in Perfetto
-//! or `chrome://tracing`. (`bench` writes the trace of its dedicated
-//! profiling pass, never of the timed arms.)
+//! or `chrome://tracing`.
 //!
 //! Inputs are either a generated SPEC stand-in (`--bench`, profiled on
 //! its training workload) or an IR text file (`--input`, profiled
@@ -65,7 +59,6 @@
 //! handful of subcommands and flags, not worth a dependency the offline
 //! build would have to shim.
 
-use crate::bench::{run_bench, BenchConfig};
 use crate::driver::{DriverError, ModuleRun, ProfileSource, Strategy};
 use crate::json::Json;
 use crate::report::{CrossTargetReport, FunctionReport};
@@ -103,7 +96,6 @@ usage:
   spillopt stats    (--bench NAME | --input FILE) [--target T] [--threads N] [--techniques LIST] [--trace FILE] [--json] [--out FILE]
   spillopt stress   --seeds N [--start S] [--target T|all] [--threads N] [--exact] [--gap PCT] [--drift] [--drift-steps N] [--faults] [--trace FILE]
   spillopt gap      --seeds N [--start S] [--target T|all] [--threads N] [--gap PCT] [--json] [--out FILE]
-  spillopt bench    --json [--out FILE] [--smoke] [--functions N] [--reps N] [--threads N] [--trace FILE]
   spillopt list-benches
   spillopt list-targets
 
@@ -115,8 +107,7 @@ of strategy names.
 worker pool, plus a final summary line (functions retired, warm arena
 hits, elapsed wall-clock) once the module is done.
 --trace FILE records the run with the spillopt-obs recorder and writes
-a Chrome Trace Event JSON file (open in Perfetto or chrome://tracing);
-`bench` traces its dedicated profiling pass, never the timed arms.
+a Chrome Trace Event JSON file (open in Perfetto or chrome://tracing).
 --target names a registered backend (see list-targets; default pa-risc-like);
 `--target all` fans compare/report out across every registered target.
 --threads 0 uses all cores (default); --threads 1 is the serial reference.
@@ -151,9 +142,6 @@ land within --gap percent of it, default 50 — the measured corpus
 worst case).
 `gap` runs the stress corpus under the exact oracle and reports the
 per-target optimality-gap histogram.
-`bench` measures the perf trajectory: wall-clock of module optimize,
-current vs the frozen pre-rewrite reference, byte-identical reports
-required; --smoke runs the small CI slice.
 
 exit codes: 0 success; 1 internal or pipeline failure; 2 usage or
 configuration error; 3 degraded success (--on-fault degrade|skip
@@ -210,7 +198,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "stats" => stats(&parse_opts("stats", &rest)?, out),
         "stress" => stress(&rest, out),
         "gap" => gap(&rest, out),
-        "bench" => bench(&rest, out),
         "list-benches" => {
             for spec in spillopt_benchgen::all_benchmarks() {
                 writeln!(out, "{}", spec.name).map_err(io_err)?;
@@ -962,114 +949,6 @@ fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     stress_failures(config, &summary, out)
 }
 
-/// The `bench` subcommand: the reproducible perf-trajectory harness.
-/// See [`crate::bench`].
-fn bench(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    // `--smoke` selects the base configuration; explicit flags override
-    // it regardless of their position relative to `--smoke`.
-    let mut config = if rest.contains(&"--smoke") {
-        BenchConfig::smoke()
-    } else {
-        BenchConfig::default()
-    };
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .copied()
-                .ok_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match flag {
-            "--json" => json = true,
-            "--smoke" => {}
-            "--functions" => {
-                config.functions = value()?
-                    .parse()
-                    .map_err(|_| usage("--functions needs a number"))?
-            }
-            "--scale" => {
-                config.scale = value()?
-                    .parse()
-                    .map_err(|_| usage("--scale needs a number"))?
-            }
-            "--reps" => {
-                config.reps = value()?
-                    .parse()
-                    .map_err(|_| usage("--reps needs a number"))?
-            }
-            "--seed-start" => {
-                config.seed_start = value()?
-                    .parse()
-                    .map_err(|_| usage("--seed-start needs a number"))?
-            }
-            "--threads" => {
-                config.threads = value()?
-                    .parse()
-                    .map_err(|_| usage("--threads needs a number"))?
-            }
-            "--out" => out_path = Some(value()?.to_string()),
-            "--trace" => trace_path = Some(value()?.to_string()),
-            other => {
-                return Err(usage(&format!(
-                    "`bench` does not accept `{other}` (accepted: --json, --out, --smoke, \
-                     --functions, --scale, --reps, --seed-start, --threads, --trace)"
-                )))
-            }
-        }
-    }
-
-    let outcome = run_bench(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    // The bench's trace comes from its dedicated instrumented profiling
-    // pass (see [`crate::bench`]) — the timed arms always run with the
-    // recorder disabled, so `--trace` can never perturb the numbers.
-    if let Some(path) = &trace_path {
-        std::fs::write(path, outcome.trace.chrome_json())
-            .map_err(|e| CliError::Run(format!("cannot write trace `{path}`: {e}")))?;
-    }
-    eprintln!(
-        "bench: {} functions x {} targets, {} rep(s): optimize {:.1}ms vs reference {:.1}ms          -> {:.2}x speedup, reports identical: {}",
-        outcome.functions,
-        outcome.targets.len(),
-        config.reps,
-        outcome.total_current_ns() as f64 / 1e6,
-        outcome.total_reference_ns() as f64 / 1e6,
-        outcome.speedup(),
-        outcome.reports_identical()
-    );
-    if !outcome.reports_identical() {
-        return Err(CliError::Run(
-            "current and reference pipelines produced different ModuleReports".to_string(),
-        ));
-    }
-    let text = if json {
-        outcome.to_json().to_pretty() + "\n"
-    } else {
-        let mut t = format!(
-            "{:<18} {:>12} {:>14} {:>9}\n",
-            "target", "optimize(ms)", "reference(ms)", "speedup"
-        );
-        for tb in &outcome.targets {
-            t.push_str(&format!(
-                "{:<18} {:>12.2} {:>14.2} {:>8.2}x\n",
-                tb.target,
-                tb.current_ns as f64 / 1e6,
-                tb.reference_ns as f64 / 1e6,
-                tb.reference_ns as f64 / tb.current_ns.max(1) as f64
-            ));
-        }
-        t.push_str(&format!("overall speedup: {:.2}x\n", outcome.speedup()));
-        t
-    };
-    match out_path {
-        Some(path) => std::fs::write(&path, text)
-            .map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}"))),
-        None => out.write_all(text.as_bytes()).map_err(io_err),
-    }
-}
-
 fn report(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     let (json, run) = with_trace(opts.trace.as_deref(), || match &opts.target {
         TargetChoice::One(spec) => {
@@ -1275,6 +1154,10 @@ mod tests {
     fn usage_errors() {
         assert!(matches!(run_capture(&[]), Err(CliError::Usage(_))));
         assert!(matches!(run_capture(&["compare"]), Err(CliError::Usage(_))));
+        assert!(matches!(
+            run_capture(&["bench", "--json"]),
+            Err(CliError::Usage(msg)) if msg.contains("unknown subcommand `bench`")
+        ));
         assert!(matches!(
             run_capture(&["compare", "--bench", "mcf", "--input", "x"]),
             Err(CliError::Usage(_))

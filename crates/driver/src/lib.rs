@@ -26,10 +26,9 @@
 //!   sessions ([`pool::Pool`]), scoped per-call scheduling for the
 //!   stress fan-outs and the reference pipeline, deterministic
 //!   item-order results either way;
-//! * [`mod@bench`] / [`refimpl`] — the perf-trajectory harness: the frozen
-//!   pre-rewrite pipeline kept executable, timed against the current
-//!   one over a seeded stress corpus with byte-identical reports
-//!   required (`spillopt bench --json`, `BENCH_*.json` records);
+//! * [`refimpl`] — the frozen pre-rewrite pipeline, kept executable as
+//!   the oracle of the byte-identity differential test
+//!   (`tests/differential_solver.rs`);
 //! * [`stress`] — the one fuzz harness: each `(target, seed)` case is
 //!   generated by `spillopt-stress`, checked against one
 //!   [`Invariant`], and minimized on failure under a same-class replay
@@ -48,7 +47,7 @@
 //!   ([`Budget`]); contained failures land in [`ModuleRun::faults`] as
 //!   [`FunctionFault`] entries;
 //! * [`cli`] — the `spillopt` binary: `optimize`, `compare`, `report`,
-//!   `stress`, `bench`, `list-benches`, `list-targets`.
+//!   `stats`, `stress`, `gap`, `list-benches`, `list-targets`.
 //!
 //! # Examples
 //!
@@ -97,7 +96,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod cache;
 pub mod cli;
 pub mod drift;
@@ -110,7 +108,6 @@ pub mod report;
 pub mod session;
 pub mod stress;
 
-pub use bench::{run_bench, BenchConfig, BenchOutcome};
 pub use cache::AnalysisCache;
 pub use drift::DEFAULT_DRIFT_STEPS;
 pub use driver::{

@@ -1,5 +1,5 @@
-//! The frozen pre-rewrite module pipeline, for the perf-trajectory
-//! bench.
+//! The frozen pre-rewrite module pipeline, kept as the oracle of the
+//! byte-identity differential test (`tests/differential_solver.rs`).
 //!
 //! [`optimize_module_reference`] reproduces the per-function pipeline
 //! exactly as it ran before the word-parallel/dense overhaul, by calling
@@ -20,10 +20,8 @@
 //! Its [`ModuleReport`] is byte-identical to an arena-free
 //! [`crate::Session::optimize`]'s on the same target spec and profile
 //! source — the rewrite changed *how* the answers are computed, never
-//! the answers — which `spillopt bench` asserts on every run before it
-//! reports the wall-clock ratio. Keeping
-//! the baseline executable (instead of a number in a README) makes the
-//! speedup reproducible on any machine, forever.
+//! the answers. The differential test asserts that over the stress
+//! corpus on every registered target.
 
 use crate::driver::{DriverError, ModuleRun, ProfileSource, Strategy};
 use crate::report::{FunctionReport, ModuleReport, StrategyReport};
@@ -38,13 +36,10 @@ use spillopt_sync::Arc;
 use spillopt_targets::TargetSpec;
 
 /// Optimizes `module` for `spec` through the frozen reference pipeline
-/// end to end, with per-function profiles from `profile`, on `threads`
-/// workers (`0` = available parallelism, `1` = serial; the bench times
-/// both arms at the same thread count).
+/// end to end, serially, with per-function profiles from `profile`.
 pub fn optimize_module_reference(
     module: &Module,
     spec: &TargetSpec,
-    threads: usize,
     profile: &ProfileSource,
 ) -> Result<ModuleRun, DriverError> {
     let target = spec.to_target();
@@ -70,7 +65,7 @@ pub fn optimize_module_reference(
     };
 
     let items: Vec<(FuncId, Option<EdgeProfile>)> = module.func_ids().zip(profiles).collect();
-    let outcomes = crate::pool::try_run_indexed(items, threads, |index, (fid, measured)| {
+    let outcomes = crate::pool::try_run_indexed(items, 1, |index, (fid, measured)| {
         let mut func = module.func(fid).clone();
         let profile = measured.unwrap_or_else(|| {
             let ProfileSource::Synthetic {

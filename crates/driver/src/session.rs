@@ -1681,13 +1681,7 @@ fn attempt_full_inner(
         // No arena: the frozen whole-pipeline cold path — also the
         // differential oracle the drift fuzzer compares every
         // incremental result against.
-        let mut func = source_func.clone();
-        let alloc = {
-            let _s = spillopt_obs::span("allocate");
-            allocate(&mut func, engine.target, Some(profile))
-        };
-        let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
-        let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
+        let (func, cache, mut report, _) = cold_prefix(fid, source_func, engine, profile, None);
         if cache.needs_placement() {
             let inputs = suite_inputs(&cache);
             let suite = run_suite(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
@@ -1757,13 +1751,8 @@ fn attempt_single(
     let function = module.func(fid).name();
     catch_unwind(AssertUnwindSafe(|| {
         let _budget = arm_budget(engine, deadline);
-        let mut func = module.func(fid).clone();
-        let alloc = {
-            let _s = spillopt_obs::span("allocate");
-            allocate(&mut func, engine.target, Some(profile))
-        };
-        let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
-        let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
+        let (func, cache, mut report, _) =
+            cold_prefix(fid, module.func(fid), engine, profile, None);
         if cache.needs_placement() {
             let technique = match strategy {
                 Strategy::Baseline => Technique::EntryExit,
@@ -1908,16 +1897,43 @@ fn drifted_allocation(
         return None;
     }
     arena.record_reallocation();
-    let mut func = source_func.clone();
-    let alloc = {
-        let _s = spillopt_obs::span("allocate");
-        allocate(&mut func, engine.target, Some(profile))
-    };
+    let (func, alloc) = allocate_copy(source_func, engine, profile);
     if alloc.spilled_vregs == st.spilled_vregs && func == *st.func {
         st.certificate = alloc.certificate;
         return None;
     }
     Some((func, alloc))
+}
+
+/// Clones `source_func` and register-allocates the copy under
+/// `profile`, inside the `allocate` span.
+fn allocate_copy(
+    source_func: &Function,
+    engine: &Engine<'_>,
+    profile: &EdgeProfile,
+) -> (Function, RegAllocResult) {
+    let mut func = source_func.clone();
+    let _s = spillopt_obs::span("allocate");
+    let alloc = allocate(&mut func, engine.target, Some(profile));
+    (func, alloc)
+}
+
+/// The cold pipeline up to placement, which every cold body shares:
+/// [`allocate_copy`] (unless the caller passes the allocation it already
+/// ran), then the function's [`AnalysisCache`] and report shell.
+/// Returns the allocated function, its analyses, the shell, and the
+/// allocation's certificate.
+fn cold_prefix(
+    fid: FuncId,
+    source_func: &Function,
+    engine: &Engine<'_>,
+    profile: &EdgeProfile,
+    allocated: Option<(Function, RegAllocResult)>,
+) -> (Function, AnalysisCache, FunctionReport, AllocCertificate) {
+    let (func, alloc) = allocated.unwrap_or_else(|| allocate_copy(source_func, engine, profile));
+    let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
+    let report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
+    (func, cache, report, alloc.certificate)
 }
 
 /// Runs the full cold pipeline for one function and packages the result
@@ -1932,14 +1948,8 @@ fn cold_structure(
     profile: &EdgeProfile,
     allocated: Option<(Function, RegAllocResult)>,
 ) -> Result<(StructState, FunctionReport), DriverError> {
-    let (func, alloc) = allocated.unwrap_or_else(|| {
-        let mut func = source_func.clone();
-        let _s = spillopt_obs::span("allocate");
-        let alloc = allocate(&mut func, engine.target, Some(profile));
-        (func, alloc)
-    });
-    let cache = AnalysisCache::compute(&func, alloc.cfg, engine.target, profile.clone());
-    let mut report = report_shell(fid, &func, &cache, alloc.spilled_vregs);
+    let (func, cache, mut report, certificate) =
+        cold_prefix(fid, source_func, engine, profile, allocated);
     let memo = if cache.needs_placement() {
         let inputs = suite_inputs(&cache);
         let (suite, memo) =
@@ -1955,8 +1965,8 @@ fn cold_structure(
     let state = StructState {
         source: source_func.clone(),
         func: Arc::new(func),
-        spilled_vregs: alloc.spilled_vregs,
-        certificate: alloc.certificate,
+        spilled_vregs: report.spilled_vregs,
+        certificate,
         cache,
         memo,
         outcomes,

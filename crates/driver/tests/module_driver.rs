@@ -7,7 +7,7 @@ use spillopt_driver::{OptimizerBuilder, ProfileSource, Strategy};
 use spillopt_ir::Target;
 use spillopt_profile::Machine;
 
-fn run_bench(name: &str, threads: usize) -> (spillopt_driver::ModuleRun, spillopt_ir::Module) {
+fn optimize_bench(name: &str, threads: usize) -> (spillopt_driver::ModuleRun, spillopt_ir::Module) {
     let target = Target::default();
     let spec = benchmark_by_name(name).expect("known benchmark");
     let bench = build_bench(&spec, &target);
@@ -24,15 +24,15 @@ fn run_bench(name: &str, threads: usize) -> (spillopt_driver::ModuleRun, spillop
 #[test]
 fn parallel_report_is_bit_identical_to_serial() {
     for name in ["gzip", "vortex"] {
-        let (serial, _) = run_bench(name, 1);
-        let (parallel, _) = run_bench(name, 8);
+        let (serial, _) = optimize_bench(name, 1);
+        let (parallel, _) = optimize_bench(name, 8);
         assert_eq!(
             serial.report.to_json().to_compact(),
             parallel.report.to_json().to_compact(),
             "{name}: parallel JSON differs from serial"
         );
         // And again with auto thread count, for good measure.
-        let (auto, _) = run_bench(name, 0);
+        let (auto, _) = optimize_bench(name, 0);
         assert_eq!(
             serial.report.to_json().to_compact(),
             auto.report.to_json().to_compact(),
@@ -63,7 +63,7 @@ fn synthetic_profiles_are_deterministic_across_threads() {
 #[test]
 fn hier_jump_never_loses_at_module_scale() {
     for name in ["gzip", "crafty", "twolf"] {
-        let (run, _) = run_bench(name, 0);
+        let (run, _) = optimize_bench(name, 0);
         let report = &run.report;
         assert!(
             report.total_cost(Strategy::HierJump) <= report.total_cost(Strategy::Baseline),

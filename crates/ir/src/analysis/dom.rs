@@ -218,8 +218,9 @@ impl DomTree {
     }
 
     /// The retired implementation (per-node child vectors, forward
-    /// direction only), kept verbatim for the perf-trajectory bench's
-    /// frozen pipeline. Same tree as [`DomTree::compute`].
+    /// direction only), kept verbatim for the frozen pipeline the
+    /// differential tests compare against. Same tree as
+    /// [`DomTree::compute`].
     pub fn compute_reference(graph: &Graph, root: usize) -> Self {
         let n = graph.num_nodes();
         let rpo = graph.reverse_postorder(root);

@@ -149,8 +149,8 @@ impl Liveness {
     }
 
     /// The retired per-visit-allocating implementation, kept verbatim as
-    /// the reference for differential tests and the perf-trajectory
-    /// bench (`spillopt bench`). Same unique fixpoint as
+    /// the reference for differential tests (the module-scale one is
+    /// `tests/differential_solver.rs`). Same unique fixpoint as
     /// [`Liveness::compute`].
     pub fn compute_reference(func: &Function, cfg: &Cfg, target: &Target) -> Self {
         let universe = RegUniverse::new(func, target);

@@ -86,8 +86,8 @@ pub fn random_walk_profile(cfg: &Cfg, walks: u64, max_steps: u64, seed: u64) -> 
 }
 
 /// The retired walk implementation, kept verbatim as the reference for
-/// the perf-trajectory bench (`spillopt bench`). Bit-identical output to
-/// [`random_walk_profile`].
+/// the module-scale differential test (`tests/differential_solver.rs`).
+/// Bit-identical output to [`random_walk_profile`].
 pub fn random_walk_profile_reference(
     cfg: &Cfg,
     walks: u64,

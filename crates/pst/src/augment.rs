@@ -94,8 +94,9 @@ impl AugGraph {
     }
 
     /// The retired construction (reversed-graph clone, reference
-    /// dominator algorithm), kept verbatim for the perf-trajectory
-    /// bench's frozen pipeline. Same structures as [`AugGraph::build`].
+    /// dominator algorithm), kept verbatim for the frozen pipeline the
+    /// differential tests compare against. Same structures as
+    /// [`AugGraph::build`].
     pub fn build_reference(cfg: &Cfg) -> Self {
         let n = cfg.num_blocks();
         let end = n;

@@ -252,13 +252,13 @@ impl Pst {
         }
     }
 
-    /// The retired construction, kept verbatim for the perf-trajectory
-    /// bench's frozen pipeline: reference dominator machinery, no
-    /// preorder arena (regions keep discovery numbering). Semantically
-    /// interchangeable with [`Pst::compute`] — every containment, LCA,
-    /// and boundary query answers the same — but region *ids* differ, so
-    /// only numbering-independent consumers (all placement passes) may
-    /// mix the two.
+    /// The retired construction, kept verbatim for the frozen pipeline
+    /// the differential tests compare against: reference dominator
+    /// machinery, no preorder arena (regions keep discovery numbering).
+    /// Semantically interchangeable with [`Pst::compute`] — every
+    /// containment, LCA, and boundary query answers the same — but
+    /// region *ids* differ, so only numbering-independent consumers (all
+    /// placement passes) may mix the two.
     pub fn compute_reference(cfg: &Cfg) -> Self {
         let aug = AugGraph::build_reference(cfg);
         let chains = SeseChains::compute(&aug);

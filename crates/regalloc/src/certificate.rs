@@ -2,7 +2,7 @@
 //! in the profile.
 //!
 //! [`crate::allocate`] reads the block weights only through the spill
-//! weights, and [`crate::color`] reads those only at a *blocked*
+//! weights, and [`crate::color()`] reads those only at a *blocked*
 //! simplify step, where no node has degree < k and the lowest
 //! `weight/degree` key is removed as a potential spill. Coalescing,
 //! select, spill rewriting and the call-crossing preference never read

@@ -313,8 +313,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
 }
 
 /// The retired coloring implementation, kept verbatim as the reference
-/// for differential tests and the perf-trajectory bench. Same output as
-/// [`color`].
+/// for differential tests. Same output as [`color`].
 pub fn color_reference(
     graph: &InterferenceGraph,
     target: &Target,

@@ -137,8 +137,8 @@ impl InterferenceGraph {
     }
 
     /// The retired push-per-edge construction, kept verbatim as the
-    /// reference for differential tests and the perf-trajectory bench.
-    /// Same interference relation as [`InterferenceGraph::build`].
+    /// reference for differential tests. Same interference relation as
+    /// [`InterferenceGraph::build`].
     pub fn build_reference(
         func: &Function,
         _cfg: &Cfg,

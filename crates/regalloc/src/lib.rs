@@ -173,9 +173,10 @@ pub fn allocate(
 
 /// As [`allocate`], running the retired reference implementations of
 /// liveness, interference-graph construction, and coloring. Kept for the
-/// perf-trajectory bench (`spillopt bench`) and differential tests; the
-/// produced function, result summary, and every intermediate decision
-/// are identical to [`allocate`].
+/// differential tests (the module-scale one is
+/// `tests/differential_solver.rs`); the produced function, result
+/// summary, and every intermediate decision are identical to
+/// [`allocate`].
 pub fn allocate_reference(
     func: &mut Function,
     target: &Target,

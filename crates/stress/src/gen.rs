@@ -57,10 +57,10 @@ pub fn gen_case(target: &Target, seed: u64) -> StressCase {
 /// [`gen_case`] (`scale` only multiplies drawn sizes), so `scale == 1`
 /// reproduces it bit for bit.
 ///
-/// The perf-trajectory bench uses scaled cases as its module-scale
-/// corpus: the adversarial *shapes* of the differential stress
-/// subsystem at the function sizes where optimizer wall-clock actually
-/// matters.
+/// The module-scale byte-identity test (`tests/differential_solver.rs`)
+/// and perfbench's `pool` workload use scaled cases as their corpus:
+/// the adversarial *shapes* of the differential stress subsystem at the
+/// function sizes where optimizer wall-clock actually matters.
 pub fn gen_case_scaled(target: &Target, seed: u64, scale: u32) -> StressCase {
     let scale = scale.max(1) as usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5712_E55C_A5E5_0000);

@@ -48,8 +48,8 @@
 //! ```
 
 pub use spillopt_driver::{
-    run_stress, ArenaStats, BenchConfig, BenchOutcome, CrossTargetReport, DriverError,
-    FunctionReport, Invariant, ModuleReport, ModuleRun, Observer, OptimizerBuilder,
-    PoolWorkerStats, ProfileSource, Provenance, Session, SessionStats, Strategy, StrategyReport,
-    StressConfig, StressSummary, TechniqueSet, REPORT_SCHEMA_VERSION,
+    run_stress, ArenaStats, CrossTargetReport, DriverError, FunctionReport, Invariant,
+    ModuleReport, ModuleRun, Observer, OptimizerBuilder, PoolWorkerStats, ProfileSource,
+    Provenance, Session, SessionStats, Strategy, StrategyReport, StressConfig, StressSummary,
+    TechniqueSet, REPORT_SCHEMA_VERSION,
 };

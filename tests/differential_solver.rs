@@ -17,15 +17,19 @@
 //!    frozen pre-rewrite pipeline (`spillopt_driver::refimpl`), as
 //!    `ModuleReport` JSON bytes.
 //!
-//! The same equality gate runs at module scale inside `spillopt bench`
-//! on every CI run; these tests keep the per-layer diagnosis sharp.
+//! Layer 4 runs on every tier-1 run over a few hand-picked cases plus
+//! the smoke corpus (stress seeds from 0 at scale 2, at least 40
+//! functions per target). The full corpus (scale 32, at least 200
+//! functions per target) is an `#[ignore]`d test that the nightly job
+//! runs in release: `cargo test --release --test differential_solver --
+//! --ignored`. Layers 1–3 keep the per-layer diagnosis sharp.
 
 use spillopt_core::{run_suite, CalleeSavedUsage, RegWords, SuiteInputs, SuiteOptions};
 use spillopt_driver::driver::ProfileSource;
 use spillopt_driver::refimpl::optimize_module_reference;
 use spillopt_driver::OptimizerBuilder;
 use spillopt_ir::analysis::loops::sccs;
-use spillopt_ir::{Cfg, DerivedCfg};
+use spillopt_ir::{Cfg, DerivedCfg, Module, Target};
 use spillopt_profile::random_walk_profile;
 use spillopt_pst::Pst;
 use spillopt_targets::{registry, TargetSpec};
@@ -155,11 +159,29 @@ fn suite_and_validator_match_reference_on_stress_modules() {
     }
 }
 
-#[test]
-fn module_reports_are_byte_identical_to_frozen_pipeline() {
+/// Whole stress cases `(seed, scale, module)` for `target`, from seed 0
+/// at `scale`, until they hold at least `functions` functions. The
+/// generator follows the target's convention, so the corpus is per
+/// target (same seeds everywhere).
+fn stress_corpus(target: &Target, scale: u32, functions: usize) -> Vec<(u64, u32, Module)> {
+    let mut corpus = Vec::new();
+    let mut total = 0;
+    let mut seed = 0;
+    while total < functions {
+        let module = spillopt_stress::gen_case_scaled(target, seed, scale).module;
+        total += module.num_funcs();
+        corpus.push((seed, scale, module));
+        seed += 1;
+    }
+    corpus
+}
+
+/// Runs the cases `corpus` builds for each registered target through an
+/// arena-free serial `Session` and through the frozen pipeline, and
+/// asserts the two `ModuleReport`s are the same JSON bytes.
+fn assert_reports_match_frozen_pipeline(corpus: impl Fn(&Target) -> Vec<(u64, u32, Module)>) {
     let profile = ProfileSource::default();
     for spec in registry() {
-        let target = spec.to_target();
         // Arena-free and serial: every call runs the whole cold pipeline
         // in the reference's schedule.
         let session = OptimizerBuilder::new()
@@ -169,12 +191,9 @@ fn module_reports_are_byte_identical_to_frozen_pipeline() {
             .threads(1)
             .build()
             .expect("valid session");
-        // A few small cases plus one scaled-up module-sized case.
-        for (seed, scale) in [(0, 1), (1, 1), (2, 1), (3, 4)] {
-            let case = spillopt_stress::gen_case_scaled(&target, seed, scale);
-            let current = session.optimize(&case.module).expect("current");
-            let reference =
-                optimize_module_reference(&case.module, &spec, 1, &profile).expect("reference");
+        for (seed, scale, module) in corpus(&spec.to_target()) {
+            let current = session.optimize(&module).expect("current");
+            let reference = optimize_module_reference(&module, &spec, &profile).expect("reference");
             assert_eq!(
                 current.report.to_json().to_compact(),
                 reference.report.to_json().to_compact(),
@@ -183,4 +202,26 @@ fn module_reports_are_byte_identical_to_frozen_pipeline() {
             );
         }
     }
+}
+
+#[test]
+fn module_reports_are_byte_identical_to_frozen_pipeline() {
+    // A few small cases plus one scaled-up module-sized case.
+    assert_reports_match_frozen_pipeline(|target| {
+        [(0, 1), (1, 1), (2, 1), (3, 4)]
+            .into_iter()
+            .map(|(seed, scale)| {
+                let module = spillopt_stress::gen_case_scaled(target, seed, scale).module;
+                (seed, scale, module)
+            })
+            .collect()
+    });
+    // The smoke corpus.
+    assert_reports_match_frozen_pipeline(|target| stress_corpus(target, 2, 40));
+}
+
+#[test]
+#[ignore = "full corpus, slow in a debug build; the nightly job runs it in release"]
+fn full_corpus_reports_are_byte_identical_to_frozen_pipeline() {
+    assert_reports_match_frozen_pipeline(|target| stress_corpus(target, 32, 200));
 }

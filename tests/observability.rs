@@ -1,11 +1,11 @@
-//! Shape validation for the observability surface (PR 7):
+//! Shape validation for the observability surface:
 //!
-//! * `spillopt bench --trace FILE` writes valid Chrome Trace Event JSON
+//! * `spillopt stats --json` follows its documented schema, and its
+//!   per-phase breakdown is well-formed;
+//! * `spillopt stats --trace FILE` writes valid Chrome Trace Event JSON
 //!   (loadable by Perfetto / `chrome://tracing`) with spans for every
-//!   core pipeline phase and counters for arena hits and solver
-//!   fixpoint iterations;
-//! * `spillopt bench --json` carries the per-phase breakdown section;
-//! * `spillopt stats --json` follows its documented schema;
+//!   core pipeline phase and counters for arena hits and misses and
+//!   solver fixpoint iterations;
 //! * `spillopt optimize --trace FILE` records a one-shot run.
 //!
 //! The workspace is dependency-free, so the checks parse JSON with the
@@ -314,30 +314,50 @@ fn check_chrome_trace(trace: &Value) -> (Vec<String>, HashMap<String, f64>) {
 // Tests
 // ---------------------------------------------------------------------
 
-/// `bench --trace` + `bench --json` in one run: the trace file is valid
+/// The `stats --json` schema: envelope, phase table, counters, arena
+/// ledger, pool workers; and the `--trace` file of the same run: valid
 /// Chrome Trace Event JSON with every core phase and the arena/solver
-/// counters; the JSON record carries the `phases` breakdown.
+/// counters.
 #[test]
-fn bench_trace_and_json_phase_breakdown() {
-    let trace_path = temp_path("bench.trace.json");
-    let json_path = temp_path("bench.json");
-    run_cli(&[
-        "bench",
-        "--smoke",
-        "--functions",
-        "8",
-        "--reps",
+fn stats_json_schema() {
+    let trace_path = temp_path("stats.trace.json");
+    let out = run_cli(&[
+        "stats",
+        "--bench",
+        "mcf",
+        "--threads",
         "1",
         "--json",
         "--trace",
         trace_path.to_str().unwrap(),
-        "--out",
-        json_path.to_str().unwrap(),
     ]);
+    let stats = parse_json(&out);
+    assert_eq!(stats.get("report").str(), "stats");
+    assert_eq!(stats.get("schema_version").num(), 1.0);
+    assert_eq!(stats.get("module").str(), "mcf");
+    assert_eq!(stats.get("target").str(), "pa-risc-like");
+    assert_eq!(stats.get("runs").num(), 3.0);
+    let functions = stats.get("functions").num();
+    assert!(functions > 0.0);
+    assert!(stats.get("elapsed_ms").num() > 0.0);
 
-    // --- the trace file ---
-    let trace_text = std::fs::read_to_string(&trace_path).expect("trace written");
-    let trace = parse_json(&trace_text);
+    let phases = stats.get("phases").arr();
+    for phase in ["function", "cfg", "liveness", "solver_fixpoint", "validate"] {
+        assert!(
+            phases.iter().any(|p| p.get("phase").str() == phase),
+            "stats has no `{phase}` phase"
+        );
+    }
+    for phase in phases {
+        for key in ["phase", "count", "total_ms", "p50_ms", "p95_ms", "max_ms"] {
+            assert!(phase.has(key), "phase entry missing `{key}`: {phase:?}");
+        }
+        assert!(phase.get("count").num() >= 1.0);
+        assert!(phase.get("max_ms").num() >= phase.get("p50_ms").num());
+    }
+
+    // The trace file of the same run.
+    let trace = parse_json(&std::fs::read_to_string(&trace_path).expect("trace written"));
     let (spans, counters) = check_chrome_trace(&trace);
     for phase in CORE_PHASES {
         assert!(
@@ -352,57 +372,6 @@ fn bench_trace_and_json_phase_breakdown() {
         assert!(*value > 0.0, "counter `{counter}` is zero");
     }
 
-    // --- the JSON record ---
-    let record = parse_json(&std::fs::read_to_string(&json_path).expect("record written"));
-    assert_eq!(record.get("schema_version").num(), 2.0);
-    assert_eq!(record.get("reports_identical"), &Value::Bool(true));
-    let phases = record.get("phases").arr();
-    assert!(!phases.is_empty(), "empty phases breakdown");
-    for phase in phases {
-        for key in ["phase", "count", "total_ms", "p50_ms", "p95_ms", "max_ms"] {
-            assert!(phase.has(key), "phase entry missing `{key}`: {phase:?}");
-        }
-        assert!(phase.get("count").num() >= 1.0);
-        assert!(phase.get("max_ms").num() >= phase.get("p50_ms").num());
-    }
-    for phase in ["function", "solver_fixpoint", "validate"] {
-        assert!(
-            phases.iter().any(|p| p.get("phase").str() == phase),
-            "phases breakdown has no `{phase}`"
-        );
-    }
-    assert!(record.get("counters").get("arena_hit").num() > 0.0);
-    assert!(record.get("counters").get("solver_fixpoint_iters").num() > 0.0);
-}
-
-/// The `stats --json` schema: envelope, phase table, counters, arena
-/// ledger, pool workers.
-#[test]
-fn stats_json_schema() {
-    let out = run_cli(&["stats", "--bench", "mcf", "--threads", "1", "--json"]);
-    let stats = parse_json(&out);
-    assert_eq!(stats.get("report").str(), "stats");
-    assert_eq!(stats.get("schema_version").num(), 1.0);
-    assert_eq!(stats.get("module").str(), "mcf");
-    assert_eq!(stats.get("target").str(), "pa-risc-like");
-    assert_eq!(stats.get("runs").num(), 3.0);
-    let functions = stats.get("functions").num();
-    assert!(functions > 0.0);
-    assert!(stats.get("elapsed_ms").num() > 0.0);
-
-    let phases = stats.get("phases").arr();
-    for phase in ["function", "cfg", "liveness"] {
-        assert!(
-            phases.iter().any(|p| p.get("phase").str() == phase),
-            "stats has no `{phase}` phase"
-        );
-    }
-    for phase in phases {
-        for key in ["phase", "count", "total_ms", "p50_ms", "p95_ms", "max_ms"] {
-            assert!(phase.has(key), "phase entry missing `{key}`: {phase:?}");
-        }
-    }
-
     // Cold + warm + drifted through the arena: the ledger must show a
     // full warm pass (hits >= functions), no more misses than cold
     // lookups, and an incremental re-fold of strictly fewer regions
@@ -412,6 +381,7 @@ fn stats_json_schema() {
     assert!(hits >= functions, "warm pass missed the arena: {out}");
     assert!(misses <= functions, "too many cold misses: {out}");
     assert!(stats.get("counters").get("arena_hit").num() >= functions);
+    assert!(stats.get("counters").get("solver_fixpoint_iters").num() > 0.0);
     assert!(
         stats.get("arena").get("incremental").num() > 0.0,
         "drifted pass skipped the incremental path: {out}"
