@@ -50,7 +50,6 @@ use spillopt_sync::{Arc, Mutex};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -411,12 +410,12 @@ pub struct ArenaStats {
 /// over the per-key payload `S` so the model-checked suites can
 /// exercise the exact production lock/atomic protocol with a trivial
 /// payload (see `arena_model_tests`). Keys are 64-bit structural
-/// fingerprints ([`fingerprint`]); a key only *locates* an entry, and
-/// the caller confirms it against the payload (for the analysis arena,
-/// [`StructState::source`] equality). All bookkeeping (LRU stamps,
-/// counters, the negative cache) lives here; payloads sit behind
-/// `Arc<Mutex<S>>` so lookups clone a pointer under the map lock and
-/// per-key work happens outside it.
+/// fingerprints ([`Function::fingerprint`]); a key only *locates* an
+/// entry, and the caller confirms it against the payload (for the
+/// analysis arena, [`StructState::source`] identity or equality). All
+/// bookkeeping (LRU stamps, counters, the negative cache) lives here;
+/// payloads sit behind `Arc<Mutex<S>>` so lookups clone a pointer under
+/// the map lock and per-key work happens outside it.
 pub(crate) struct Arena<S> {
     /// Fingerprint → (LRU stamp, shared state). The stamps live *here*,
     /// so eviction scans never take a state's own lock.
@@ -449,7 +448,8 @@ pub(crate) struct Arena<S> {
 /// two levels of input change a re-optimizing service sees:
 ///
 /// 1. **Structure** — the source (pre-allocation) function, located by
-///    its structural fingerprint and confirmed by structural equality.
+///    its structural fingerprint and confirmed by identity or, for a
+///    different object, structural equality.
 ///    One [`StructState`] per distinct function holds everything the
 ///    function alone determines once an allocation exists: the
 ///    allocated function, its [`AnalysisCache`] (CFG, usage, SCCs, PST,
@@ -460,15 +460,22 @@ pub(crate) struct Arena<S> {
 ///    profile.
 ///
 /// A repeated call with a seen profile is a wholesale hit
-/// ([`Provenance::Warm`]): one fingerprint, one equality check, one
-/// profile-map probe, and a clone of the small report — the allocated
-/// function is shared, not copied. A call with a *drifted* profile
-/// reuses the whole structure level when the drift leaves the
-/// allocation unchanged — the allocator reads the profile only at its
-/// blocked spill choices, so a cached [`AllocCertificate`] that still
-/// holds proves an identical allocation, and one that fails re-allocates
-/// once and compares — and then re-folds only the PST regions the
-/// [`ProfileDelta`] dirties
+/// ([`Provenance::Warm`]): the module's cached key
+/// ([`Module::fingerprint`]), one pointer compare, one profile-map
+/// probe, and a clone of the small report — neither function is hashed
+/// or copied. The entry holds the caller's [`Module::shared_func`], so
+/// resubmitting the same module (or a clone of it) confirms the entry
+/// by [`Arc::ptr_eq`]: the entry keeps that allocation alive, and a
+/// [`Module::func_mut`] edit copies on write, so the same allocation
+/// is always an equal function. Only an equal function in a different
+/// allocation, such as a re-parsed module, pays the structural `==`.
+///
+/// A call with a *drifted* profile reuses the whole structure level
+/// when the drift leaves the allocation unchanged — the allocator reads
+/// the profile only at its blocked spill choices, so a cached
+/// [`AllocCertificate`] that still holds proves an identical
+/// allocation, and one that fails re-allocates once and compares — and
+/// then re-folds only the PST regions the [`ProfileDelta`] dirties
 /// ([`Provenance::Incremental`]). Only a drift that changes the
 /// allocation itself re-runs the full cold pipeline.
 ///
@@ -478,8 +485,9 @@ pub(crate) struct Arena<S> {
 /// and named `Some("bb3")` print the same but are different keys).
 /// Inputs that differ only by names miss where they would share text,
 /// and run cold to the same report bytes. Two different functions with
-/// one fingerprint are told apart by the equality check: the second
-/// lookup is a counted miss that rebuilds the entry cold in place.
+/// one fingerprint are told apart by the identity-or-equality check:
+/// the second lookup is a counted miss that rebuilds the entry cold in
+/// place.
 ///
 /// By default the arena grows without bound (entries are exact, never
 /// invalidated); [`OptimizerBuilder::arena_capacity`] bounds the number
@@ -504,10 +512,11 @@ struct Quarantine {
 /// per-region fold memo — plus the per-profile outcomes retired
 /// against that structure.
 pub(crate) struct StructState {
-    /// The source (pre-allocation) function this entry was built from.
-    /// Its fingerprint is the entry's key; a lookup serves the entry
-    /// only when the caller's function equals it.
-    source: Function,
+    /// The source (pre-allocation) function this entry was built from,
+    /// shared with the module it came from. Its fingerprint is the
+    /// entry's key; a lookup serves the entry only when the caller's
+    /// function is this allocation or equals it.
+    source: Arc<Function>,
     /// The allocated (physical, pre-placement) function, shared with
     /// every [`ModuleRun`] this entry retires into.
     func: Arc<Function>,
@@ -538,70 +547,6 @@ type FunctionOutcome = (FunctionReport, Arc<Function>, Option<FunctionFault>);
 
 /// A cross-target module loader.
 type Loader<'l> = dyn Fn(&TargetSpec) -> Result<(Module, ProfileSource), DriverError> + Sync + 'l;
-
-/// A small deterministic multiply-rotate [`Hasher`]: each word is
-/// folded in as `(state.rotl(5) ^ word) * K`. Not collision-resistant
-/// (nothing here needs that — every fingerprint hit is confirmed by
-/// equality), but several times cheaper than std's SipHash over a
-/// function's instruction stream, and stable across runs.
-#[derive(Default)]
-struct FoldHasher(u64);
-
-impl FoldHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-
-    fn fold(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.fold(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.fold(u64::from(n));
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.fold(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.fold(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.fold(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.fold(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The arena's structure key: the derived [`Hash`] of the whole source
-/// function (blocks, instructions, layout, frame, counters, names) fed
-/// through a [`FoldHasher`].
-fn fingerprint(func: &Function) -> u64 {
-    let mut hasher = FoldHasher::default();
-    func.hash(&mut hasher);
-    hasher.finish()
-}
 
 impl<S> Arena<S> {
     fn new(capacity: usize) -> Self {
@@ -1549,7 +1494,7 @@ fn run_function(
             &synthesized
         }
     };
-    let key = engine.arena.map(|_| fingerprint(source_func));
+    let key = engine.arena.map(|_| module.fingerprint(fid));
     // One wall-clock deadline per function, shared by every attempt
     // (ladder rungs included); iteration caps are per attempt.
     let deadline = engine.budget.deadline_from_now();
@@ -1559,7 +1504,7 @@ fn run_function(
     if engine.policy != FailurePolicy::Fail {
         if let (Some(arena), Some(key)) = (engine.arena, key) {
             if arena.quarantine_skip(key) {
-                let (report, alloc) = passthrough(fid, source_func);
+                let (report, alloc) = passthrough(fid, module.shared_func(fid));
                 let fault = FunctionFault {
                     function: source_func.name().to_string(),
                     index: fid.index(),
@@ -1640,7 +1585,7 @@ fn run_function(
 
     // Skip policy, or a fully exhausted ladder: unoptimized passthrough.
     spillopt_obs::count("fault_skipped", 1);
-    let (report, alloc) = passthrough(fid, source_func);
+    let (report, alloc) = passthrough(fid, module.shared_func(fid));
     let fault = fault_entry(FaultAction::Skipped);
     notify_retired(engine, module, &report, Provenance::Degraded)?;
     Ok((report, alloc, Some(fault)))
@@ -1676,12 +1621,12 @@ fn attempt_full_inner(
     engine: &Engine<'_>,
     key: Option<u64>,
 ) -> Result<(FunctionReport, Arc<Function>, Provenance), DriverError> {
-    let source_func = module.func(fid);
+    let shared = module.shared_func(fid);
     let (Some(arena), Some(key)) = (engine.arena, key) else {
         // No arena: the frozen whole-pipeline cold path — also the
         // differential oracle the drift fuzzer compares every
         // incremental result against.
-        let (func, cache, mut report, _) = cold_prefix(fid, source_func, engine, profile, None);
+        let (func, cache, mut report, _) = cold_prefix(fid, shared, engine, profile, None);
         if cache.needs_placement() {
             let inputs = suite_inputs(&cache);
             let suite = run_suite(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
@@ -1694,9 +1639,12 @@ fn attempt_full_inner(
     if let Some(state) = arena.structure(key) {
         let mut guard = state.lock().unwrap();
         let st = &mut *guard;
-        // The fingerprint located the entry; equality confirms it is
-        // this function's and not a colliding one's.
-        let allocated = if st.source == *source_func {
+        // The fingerprint located the entry; identity or equality
+        // confirms it is this function's and not a colliding one's.
+        // Identity suffices because the entry holds its source (so the
+        // allocation cannot be freed and reused) and a module sharing
+        // it copies on write.
+        let allocated = if Arc::ptr_eq(&st.source, shared) || *st.source == **shared {
             if let Some(report) = st.outcomes.get(profile) {
                 arena.record_hit();
                 let mut report = report.clone();
@@ -1706,7 +1654,7 @@ fn attempt_full_inner(
             // The profile drifted: keep the cached allocation unless it
             // is proven stale, and then rebuild on the trial allocation
             // that proved it.
-            let allocated = drifted_allocation(st, source_func, engine, profile, arena);
+            let allocated = drifted_allocation(st, shared, engine, profile, arena);
             if allocated.is_none() {
                 // The re-fold rebases the structure on this profile.
                 let report = refold_incremental(fid, st, engine, profile.clone(), arena)?;
@@ -1722,14 +1670,14 @@ fn attempt_full_inner(
         // (the old outcomes priced a different function, so they are
         // cleared with it).
         arena.record_miss();
-        let (state, report) = cold_structure(fid, source_func, engine, profile, allocated)?;
+        let (state, report) = cold_structure(fid, shared, engine, profile, allocated)?;
         *st = state;
         return Ok((report, Arc::clone(&st.func), Provenance::Cold));
     }
 
     // Unseen function: full cold pipeline, then cache the structure.
     arena.record_miss();
-    let (state, report) = cold_structure(fid, source_func, engine, profile, None)?;
+    let (state, report) = cold_structure(fid, shared, engine, profile, None)?;
     let func = Arc::clone(&state.func);
     arena.insert_structure(key, state);
     Ok((report, func, Provenance::Cold))
@@ -1784,7 +1732,7 @@ fn attempt_single(
 /// The ladder's last rung: the source function passes through
 /// unoptimized (still pre-allocation). [`crate::ModuleRun::apply`]
 /// emits it as-is, guided by the fault ledger.
-fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Arc<Function>) {
+fn passthrough(fid: FuncId, source_func: &Arc<Function>) -> (FunctionReport, Arc<Function>) {
     let insts = source_func
         .block_ids()
         .map(|b| source_func.block(b).insts.len())
@@ -1799,7 +1747,7 @@ fn passthrough(fid: FuncId, source_func: &Function) -> (FunctionReport, Arc<Func
         strategies: Vec::new(),
         best: None,
     };
-    (report, Arc::new(source_func.clone()))
+    (report, Arc::clone(source_func))
 }
 
 /// Classifies a caught panic payload into a structured driver error:
@@ -1943,7 +1891,7 @@ fn cold_prefix(
 /// `profile` when the caller already ran it.
 fn cold_structure(
     fid: FuncId,
-    source_func: &Function,
+    source_func: &Arc<Function>,
     engine: &Engine<'_>,
     profile: &EdgeProfile,
     allocated: Option<(Function, RegAllocResult)>,
@@ -1963,7 +1911,7 @@ fn cold_structure(
     let mut outcomes = HashMap::new();
     outcomes.insert(profile.clone(), report.clone());
     let state = StructState {
-        source: source_func.clone(),
+        source: Arc::clone(source_func),
         func: Arc::new(func),
         spilled_vregs: report.spilled_vregs,
         certificate,
@@ -2315,24 +2263,6 @@ mod tests {
         assert_eq!(g_bytes, run(&engine, g, &pg, None).0);
     }
 
-    #[test]
-    fn fingerprint_is_structural_and_deterministic() {
-        let (module, _, _) = mcf();
-        let f = module.func(FuncId::from_index(0));
-        assert_eq!(fingerprint(f), fingerprint(&f.clone()));
-        // A cosmetic block name prints the same as no name but is a
-        // different key.
-        let mut fb = spillopt_ir::FunctionBuilder::new("g", 0);
-        let entry = fb.create_block(None);
-        fb.switch_to(entry);
-        fb.ret(None);
-        let unnamed = fb.finish();
-        let mut named = unnamed.clone();
-        named.block_mut(entry).name = Some("bb0".to_string());
-        assert_eq!(named.to_string(), unnamed.to_string());
-        assert_ne!(fingerprint(&named), fingerprint(&unnamed));
-    }
-
     /// The profile-shape check counts edges without building a CFG;
     /// the count must be exactly the CFG's on every benchmark module
     /// and across the stress generator's shapes.
@@ -2422,13 +2352,15 @@ mod tests {
 /// warm-hit/insert, LRU-evict, and quarantine protocols explored over
 /// every interleaving reachable under the preemption bound, on an
 /// `Arena<u32>` keyed by bare fingerprints (the production lock/atomic
-/// structure with a trivial payload; the equality check that confirms
-/// a fingerprint is exercised by
-/// `tests::fingerprint_collision_is_a_counted_miss_that_replaces_the_entry`).
+/// structure with a trivial payload; the identity-or-equality check
+/// that confirms a fingerprint is exercised by
+/// `tests::fingerprint_collision_is_a_counted_miss_that_replaces_the_entry`),
+/// plus the module's lazily cached key under a racing first use.
 /// Run with `cargo test -p spillopt-driver --features model`.
 #[cfg(all(test, feature = "model"))]
 mod arena_model_tests {
-    use super::{Arc, Arena};
+    use super::{Arc, Arena, Module};
+    use spillopt_ir::FunctionBuilder;
     use spillopt_sync::model::{check, ModelOptions};
     use spillopt_sync::thread;
 
@@ -2631,6 +2563,35 @@ mod arena_model_tests {
         });
         eprintln!(
             "model_fingerprint_collision_never_serves_a_foreign_source: {} schedules",
+            report.executions
+        );
+        assert!(report.executions > 1);
+    }
+
+    /// Two threads race on the first [`Module::fingerprint`] of one
+    /// shared function, as two pool workers looking up the same module
+    /// do: under every schedule both read one value, the function's own
+    /// [`Function::fingerprint`](spillopt_ir::Function::fingerprint).
+    #[test]
+    fn model_first_fingerprint_is_shared() {
+        let report = check(ModelOptions::new(), || {
+            let mut fb = FunctionBuilder::new("f", 0);
+            let entry = fb.create_block(None);
+            fb.switch_to(entry);
+            fb.ret(None);
+            let mut module = Module::new("m");
+            let fid = module.add_func(fb.finish());
+            let module = Arc::new(module);
+            let worker = {
+                let module = Arc::clone(&module);
+                thread::spawn(move || module.fingerprint(fid))
+            };
+            let mine = module.fingerprint(fid);
+            assert_eq!(worker.join().unwrap(), mine, "two keys for one function");
+            assert_eq!(mine, module.func(fid).fingerprint());
+        });
+        eprintln!(
+            "model_first_fingerprint_is_shared: {} schedules",
             report.executions
         );
         assert!(report.executions > 1);

@@ -2,6 +2,7 @@
 
 use crate::block::Block;
 use crate::ids::{BlockId, FrameSlot, VReg};
+use std::hash::{Hash, Hasher};
 
 /// Description of a function's stack frame: a dense array of word-sized
 /// slots. Slots are allocated monotonically; the interpreter zero-
@@ -219,6 +220,76 @@ impl Function {
     /// Total number of instructions across all blocks (static size).
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
+    }
+
+    /// A deterministic 64-bit structural key: the derived [`Hash`] of
+    /// the whole function (blocks, instructions, layout, frame,
+    /// counters, names) fed through a multiply-rotate word folder.
+    ///
+    /// Every field takes part, including block ids (which the IR text
+    /// never prints) and cosmetic block names, so two functions that
+    /// print the same can still have different keys. The key is not
+    /// collision-resistant: a caller that serves cached products by key
+    /// must confirm the match by equality. It is several times cheaper
+    /// than std's SipHash over an instruction stream, and stable across
+    /// runs. [`Module::fingerprint`](crate::Module::fingerprint) caches
+    /// it per function.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hasher = FoldHasher::default();
+        self.hash(&mut hasher);
+        hasher.finish()
+    }
+}
+
+/// The [`Function::fingerprint`] hasher: each word is folded in as
+/// `(state.rotl(5) ^ word) * K`.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
