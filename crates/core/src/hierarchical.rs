@@ -240,8 +240,9 @@ pub fn hierarchical_placement_seeded(
         folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
     }
 
-    let root_sets = std::mem::take(&mut folded[pst.root().index()]);
-    let (placement, final_sets) = finalize_root(&ctx, shrink_wrap, root_sets);
+    let entry_exit = entry_exit_placement(cfg, usage);
+    let (placement, final_sets) =
+        finalize_root(&ctx, &entry_exit, shrink_wrap, &folded[pst.root().index()]);
 
     HierarchicalResult {
         placement,
@@ -396,32 +397,35 @@ pub(crate) fn fold_region(
 /// examples are untouched. When the override fires, the caller's `trace`
 /// keeps describing the overridden traversal (documented on
 /// [`HierarchicalResult::trace`]).
+///
+/// Both baselines and the root's folded sets are borrowed: the
+/// incremental re-fold passes its memoized entry/exit placement and
+/// root sets, and only the returned sets are copied.
 pub(crate) fn finalize_root(
     ctx: &FoldCtx<'_>,
+    entry_exit: &Placement,
     shrink_wrap: &Placement,
-    root_sets: Vec<LiveSet>,
+    root_sets: &[LiveSet],
 ) -> (Placement, Vec<SaveRestoreSet>) {
     let (cfg, usage, profile) = (ctx.cfg, ctx.usage, ctx.profile);
-    let mut final_sets: Vec<SaveRestoreSet> = root_sets.into_iter().map(|l| l.set).collect();
-    let mut placement = Placement::from_points(
-        final_sets
+    let placement = Placement::from_points(
+        root_sets
             .iter()
-            .flat_map(|s| s.points.iter().copied())
+            .flat_map(|l| l.set.points.iter().copied())
             .collect(),
     );
 
     if !placement.points().is_empty() {
         let ours = placement_cost_with(ctx.model, ctx.costs, cfg, profile, &placement);
-        let entry_exit = entry_exit_placement(cfg, usage);
-        let ee_cost = placement_cost_with(ctx.model, ctx.costs, cfg, profile, &entry_exit);
+        let ee_cost = placement_cost_with(ctx.model, ctx.costs, cfg, profile, entry_exit);
         let sw_cost = placement_cost_with(ctx.model, ctx.costs, cfg, profile, shrink_wrap);
         if ee_cost.min(sw_cost) < ours {
             let winner = if ee_cost <= sw_cost {
                 entry_exit
             } else {
-                shrink_wrap.clone()
+                shrink_wrap
             };
-            final_sets = winner
+            let final_sets = winner
                 .regs()
                 .into_iter()
                 .map(|reg| {
@@ -437,10 +441,11 @@ pub(crate) fn finalize_root(
                     }
                 })
                 .collect();
-            placement = winner;
+            return (winner.clone(), final_sets);
         }
     }
 
+    let final_sets = root_sets.iter().map(|l| l.set.clone()).collect();
     (placement, final_sets)
 }
 

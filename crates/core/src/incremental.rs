@@ -37,12 +37,14 @@ use crate::cost::CostModel;
 use crate::hierarchical::{
     finalize_root, fold_region, home_live_sets, FoldCtx, HierarchicalResult, LiveSet,
 };
+use crate::location::Placement;
 use crate::modified::InitialSets;
-use crate::overhead::placement_cost_with;
-use crate::pipeline::{PlacementSuite, SuiteError, SuiteInputs, SuiteOptions};
+use crate::pipeline::{
+    check_all, price_all, PlacementSuite, SuiteError, SuiteInputs, SuiteOptions,
+};
 use crate::sets::EdgeShares;
 use crate::solver::RegionBusyCounts;
-use crate::validate::check_placement;
+use crate::validate::PlacementChecker;
 use spillopt_ir::{Cfg, DenseBitSet};
 use spillopt_profile::ProfileDelta;
 
@@ -56,6 +58,11 @@ use spillopt_profile::ProfileDelta;
 /// it. Callers must pass a [`ProfileDelta`] computed from that base
 /// profile to the new one; the driver's session arena owns this
 /// bookkeeping.
+///
+/// Beyond the fold tables the memo keeps only profile-independent
+/// products — the two baseline placements and the placement checker —
+/// never a whole suite: every call rebuilds its suite from the root's
+/// folded sets.
 #[derive(Debug)]
 pub struct PlacementMemo {
     /// Edge shares of the initial solution (profile-independent).
@@ -67,8 +74,15 @@ pub struct PlacementMemo {
     exec: ModelMemo,
     /// Fold tables of the jump-edge model.
     jump: ModelMemo,
-    /// The last computed suite, returned wholesale on an empty delta.
-    suite: PlacementSuite,
+    /// The entry/exit placement (profile-independent): a suite member
+    /// and one of the root finalize's two baselines.
+    entry_exit: Placement,
+    /// Chow's shrink-wrapping (profile-independent): a suite member and
+    /// the root finalize's other baseline.
+    chow: Placement,
+    /// The validator of the function's `(cfg, usage)`, built once and
+    /// run on both re-folded placements of every call.
+    checker: PlacementChecker,
 }
 
 /// One cost model's fold tables: the home sets (costs valid for the
@@ -156,8 +170,8 @@ pub fn run_suite_memoized(
             live.extend(home_sets[r.index()].iter().cloned());
             folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
         }
-        let root_sets = folded[pst.root().index()].clone();
-        let (placement, final_sets) = finalize_root(&ctx, &chow, root_sets);
+        let (placement, final_sets) =
+            finalize_root(&ctx, &entry_exit, &chow, &folded[pst.root().index()]);
         (
             HierarchicalResult {
                 placement,
@@ -175,60 +189,53 @@ pub fn run_suite_memoized(
     let (hierarchical_exec, exec) = fold_all(CostModel::ExecutionCount, initial.clone());
     let (hierarchical_jump, jump) = fold_all(CostModel::JumpEdge, initial);
 
-    {
+    let checker = {
         let _s = spillopt_obs::span("validate");
-        for (technique, p) in [
-            ("entry_exit", &entry_exit),
-            ("chow", &chow),
-            ("hierarchical_exec", &hierarchical_exec.placement),
-            ("hierarchical_jump", &hierarchical_jump.placement),
-        ] {
-            let errors = check_placement(cfg, usage, p);
-            if !errors.is_empty() {
-                return Err(SuiteError {
-                    technique,
-                    errors,
-                    placement: p.clone(),
-                });
-            }
-        }
-    }
+        let checker = PlacementChecker::new(cfg, usage);
+        check_all(
+            &checker,
+            cfg,
+            usage,
+            [
+                ("entry_exit", &entry_exit),
+                ("chow", &chow),
+                ("hierarchical_exec", &hierarchical_exec.placement),
+                ("hierarchical_jump", &hierarchical_jump.placement),
+            ],
+        )?;
+        checker
+    };
 
     let predicted = {
         let _s = spillopt_obs::span("price");
-        [
-            placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &entry_exit),
-            placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &chow),
-            placement_cost_with(
-                CostModel::JumpEdge,
-                costs,
-                cfg,
-                profile,
+        price_all(
+            costs,
+            cfg,
+            profile,
+            [
+                &entry_exit,
+                &chow,
                 &hierarchical_exec.placement,
-            ),
-            placement_cost_with(
-                CostModel::JumpEdge,
-                costs,
-                cfg,
-                profile,
                 &hierarchical_jump.placement,
-            ),
-        ]
+            ],
+        )
     };
 
+    let memo = PlacementMemo {
+        shares,
+        busy_counts,
+        exec,
+        jump,
+        entry_exit: entry_exit.clone(),
+        chow: chow.clone(),
+        checker,
+    };
     let suite = PlacementSuite {
         entry_exit,
         chow,
         hierarchical_exec,
         hierarchical_jump,
         predicted,
-    };
-    let memo = PlacementMemo {
-        shares,
-        busy_counts,
-        exec,
-        jump,
-        suite: suite.clone(),
     };
     Ok((suite, memo))
 }
@@ -240,13 +247,18 @@ pub fn run_suite_memoized(
 /// `inputs` must carry the *new* profile; `delta` must be the
 /// [`ProfileDelta`] from the memo's base profile to it; `cfg`, the
 /// analyses, and `options` must be those the memo was built with. On
-/// return the memo's base profile is the new one. An empty delta returns
-/// the memoized suite unchanged (zero regions re-folded).
+/// return the memo's base profile is the new one.
+///
+/// Every call rebuilds the suite from the memo: the root's folded sets
+/// go through the same root finalize as a cold run, both hierarchical
+/// placements are validated with the memo's [`PlacementChecker`], and
+/// all four placements are re-priced. An empty delta dirties no region,
+/// so it re-folds nothing and rebuilds the memoized result.
 ///
 /// The returned suite is byte-identical to what [`crate::run_suite`]
-/// would compute cold on the new profile (the `trace` of the
-/// hierarchical results excepted: it covers only the re-folded
-/// regions). The driver's drift fuzzer enforces the equivalence
+/// would compute cold on the new profile, except for the `trace` of the
+/// hierarchical results: it covers only the re-folded regions (empty on
+/// an empty delta). The driver's drift fuzzer enforces the equivalence
 /// differentially on every registered target.
 ///
 /// # Errors
@@ -260,23 +272,13 @@ pub fn run_suite_incremental(
     memo: &mut PlacementMemo,
     delta: &ProfileDelta,
 ) -> Result<(PlacementSuite, RefoldStats), SuiteError> {
-    let pst = inputs.pst();
-    let regions_total = pst.num_regions();
-    if delta.is_empty() {
-        return Ok((
-            memo.suite.clone(),
-            RefoldStats {
-                regions_total,
-                regions_refolded: 0,
-            },
-        ));
-    }
-
     let _s = spillopt_obs::span("place_incremental");
+    let pst = inputs.pst();
     let usage = inputs.usage();
     let profile = inputs.profile();
     let costs = &options.costs;
 
+    let regions_total = pst.num_regions();
     let dirty = pst.dirty_regions(cfg, delta.changed_edges(), delta.entry_changed());
     let regions_refolded = dirty.iter().filter(|&&d| d).count();
     spillopt_obs::count("regions_refolded", regions_refolded as u64);
@@ -287,9 +289,10 @@ pub fn run_suite_incremental(
         busy_counts,
         exec,
         jump,
-        suite,
+        entry_exit,
+        chow,
+        checker,
     } = memo;
-    let chow = suite.chow.clone();
 
     let refold = |mm: &mut ModelMemo| -> HierarchicalResult {
         let ctx = FoldCtx {
@@ -322,8 +325,8 @@ pub fn run_suite_incremental(
             live.extend(mm.home_sets[r.index()].iter().cloned());
             mm.folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
         }
-        let root_sets = mm.folded[pst.root().index()].clone();
-        let (placement, final_sets) = finalize_root(&ctx, &chow, root_sets);
+        let (placement, final_sets) =
+            finalize_root(&ctx, entry_exit, chow, &mm.folded[pst.root().index()]);
         HierarchicalResult {
             placement,
             final_sets,
@@ -334,49 +337,42 @@ pub fn run_suite_incremental(
     let hierarchical_exec = refold(exec);
     let hierarchical_jump = refold(jump);
 
-    for (technique, p) in [
-        ("hierarchical_exec", &hierarchical_exec.placement),
-        ("hierarchical_jump", &hierarchical_jump.placement),
-    ] {
-        let errors = check_placement(cfg, usage, p);
-        if !errors.is_empty() {
-            return Err(SuiteError {
-                technique,
-                errors,
-                placement: p.clone(),
-            });
-        }
+    {
+        let _s = spillopt_obs::span("validate");
+        check_all(
+            checker,
+            cfg,
+            usage,
+            [
+                ("hierarchical_exec", &hierarchical_exec.placement),
+                ("hierarchical_jump", &hierarchical_jump.placement),
+            ],
+        )?;
     }
 
-    let predicted = [
-        placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &suite.entry_exit),
-        placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &chow),
-        placement_cost_with(
-            CostModel::JumpEdge,
+    let predicted = {
+        let _s = spillopt_obs::span("price");
+        price_all(
             costs,
             cfg,
             profile,
-            &hierarchical_exec.placement,
-        ),
-        placement_cost_with(
-            CostModel::JumpEdge,
-            costs,
-            cfg,
-            profile,
-            &hierarchical_jump.placement,
-        ),
-    ];
-
-    let new_suite = PlacementSuite {
-        entry_exit: suite.entry_exit.clone(),
-        chow,
-        hierarchical_exec,
-        hierarchical_jump,
-        predicted,
+            [
+                entry_exit,
+                chow,
+                &hierarchical_exec.placement,
+                &hierarchical_jump.placement,
+            ],
+        )
     };
-    *suite = new_suite.clone();
+
     Ok((
-        new_suite,
+        PlacementSuite {
+            entry_exit: entry_exit.clone(),
+            chow: chow.clone(),
+            hierarchical_exec,
+            hierarchical_jump,
+            predicted,
+        },
         RefoldStats {
             regions_total,
             regions_refolded,

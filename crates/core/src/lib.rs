@@ -118,4 +118,4 @@ pub use pipeline::{
 pub use sets::{EdgeShares, SaveRestoreSet};
 pub use solver::{chow_grow_all, chow_points_all, initial_sets_all, RegWords, RegionBusyCounts};
 pub use usage::CalleeSavedUsage;
-pub use validate::{check_placement, PlacementError};
+pub use validate::{check_placement, PlacementChecker, PlacementError};

@@ -15,7 +15,7 @@ use crate::hierarchical::{hierarchical_placement_seeded, HierarchicalResult};
 use crate::location::Placement;
 use crate::overhead::placement_cost_with;
 use crate::usage::CalleeSavedUsage;
-use crate::validate::{check_placement, PlacementError};
+use crate::validate::{check_placement, PlacementChecker, PlacementError};
 use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
 use spillopt_ir::{Cfg, DerivedCfg};
 use spillopt_profile::EdgeProfile;
@@ -280,43 +280,32 @@ pub fn run_suite(
 
     {
         let _s = spillopt_obs::span("validate");
-        for (technique, p) in [
-            ("entry_exit", &entry_exit),
-            ("chow", &chow),
-            ("hierarchical_exec", &hierarchical_exec.placement),
-            ("hierarchical_jump", &hierarchical_jump.placement),
-        ] {
-            let errors = check_placement(cfg, usage, p);
-            if !errors.is_empty() {
-                return Err(SuiteError {
-                    technique,
-                    errors,
-                    placement: p.clone(),
-                });
-            }
-        }
+        check_all(
+            &PlacementChecker::new(cfg, usage),
+            cfg,
+            usage,
+            [
+                ("entry_exit", &entry_exit),
+                ("chow", &chow),
+                ("hierarchical_exec", &hierarchical_exec.placement),
+                ("hierarchical_jump", &hierarchical_jump.placement),
+            ],
+        )?;
     }
 
     let predicted = {
         let _s = spillopt_obs::span("price");
-        [
-            placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &entry_exit),
-            placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, &chow),
-            placement_cost_with(
-                CostModel::JumpEdge,
-                costs,
-                cfg,
-                profile,
+        price_all(
+            costs,
+            cfg,
+            profile,
+            [
+                &entry_exit,
+                &chow,
                 &hierarchical_exec.placement,
-            ),
-            placement_cost_with(
-                CostModel::JumpEdge,
-                costs,
-                cfg,
-                profile,
                 &hierarchical_jump.placement,
-            ),
-        ]
+            ],
+        )
     };
 
     Ok(PlacementSuite {
@@ -326,6 +315,39 @@ pub fn run_suite(
         hierarchical_jump,
         predicted,
     })
+}
+
+/// Checks each `(technique, placement)` with `checker`, failing on the
+/// first invalid one.
+pub(crate) fn check_all<const N: usize>(
+    checker: &PlacementChecker,
+    cfg: &Cfg,
+    usage: &CalleeSavedUsage,
+    placements: [(&'static str, &Placement); N],
+) -> Result<(), SuiteError> {
+    for (technique, p) in placements {
+        let errors = checker.check(cfg, usage, p);
+        if !errors.is_empty() {
+            return Err(SuiteError {
+                technique,
+                errors,
+                placement: p.clone(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The suite's predicted costs: each placement priced under jump-edge
+/// accounting, in suite order (entry/exit, Chow, hierarchical exec,
+/// hierarchical jump).
+pub(crate) fn price_all(
+    costs: &SpillCostModel,
+    cfg: &Cfg,
+    profile: &EdgeProfile,
+    placements: [&Placement; 4],
+) -> [Cost; 4] {
+    placements.map(|p| placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, p))
 }
 
 /// One placement technique of the suite, for callers that want a single

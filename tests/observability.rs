@@ -397,6 +397,37 @@ fn stats_json_schema() {
     assert_eq!(stats.get("pool_workers").arr().len(), 0);
 }
 
+/// The drifted pass validates and prices too: every incremental re-fold
+/// opens one `validate` span (both hierarchical placements, checked with
+/// the structure's checker) and one `price` span, on top of the cold
+/// pass's one each per placed function. crafty places every function,
+/// so the cold pass alone accounts for exactly `functions` of each.
+#[test]
+fn stats_counts_the_drifted_pass_validation() {
+    let out = run_cli(&["stats", "--bench", "crafty", "--threads", "1", "--json"]);
+    let stats = parse_json(&out);
+    let functions = stats.get("functions").num();
+    let count = |name: &str| -> f64 {
+        stats
+            .get("phases")
+            .arr()
+            .iter()
+            .find(|p| p.get("phase").str() == name)
+            .map_or(0.0, |p| p.get("count").num())
+    };
+    let cold = count("place_entry_exit");
+    let refolds = count("place_incremental");
+    assert_eq!(cold, functions, "crafty places every function: {out}");
+    assert!(
+        refolds > 0.0,
+        "drifted pass skipped the incremental path: {out}"
+    );
+    for phase in ["validate", "price"] {
+        assert_eq!(count(phase), cold + refolds, "`{phase}` count: {out}");
+        assert!(count(phase) > functions, "`{phase}` count: {out}");
+    }
+}
+
 /// `stats` with a worker pool reports per-worker activity.
 #[test]
 fn stats_json_reports_pool_workers() {
