@@ -152,7 +152,7 @@ impl Cfg {
         self.entry
     }
 
-    /// Returns the blocks ending in `Return`.
+    /// Returns the blocks ending in `Return`, in block order.
     pub fn exit_blocks(&self) -> &[BlockId] {
         &self.exit_blocks
     }

@@ -4,8 +4,10 @@
 //! with a virtual END node fed by every return block, and a virtual
 //! END -> entry edge that closes every entry-to-exit path into a cycle.
 //! Cycle equivalence is computed on the *undirected* version of this
-//! multigraph; dominance between edges is computed on a *split graph* in
-//! which every augmented edge receives a mid-point node, so that edge
+//! multigraph. [`crate::Pst::compute`] needs nothing more; the
+//! dominance-based reference construction and [`crate::verify_pst`]
+//! compute dominance between edges on a *split graph* in which every
+//! augmented edge receives a mid-point node, so that edge
 //! dominance/post-dominance reduce to plain node dominance of mid-points.
 
 use spillopt_ir::analysis::dom::DomTree;
@@ -48,56 +50,9 @@ pub struct AugGraph {
 
 impl AugGraph {
     /// Builds the augmented graph of `cfg` and computes split-graph
-    /// dominators and post-dominators.
+    /// dominators and post-dominators with the reference dominator
+    /// algorithm (post-dominators over a reversed clone).
     pub fn build(cfg: &Cfg) -> Self {
-        let n = cfg.num_blocks();
-        let end = n;
-        let mut edges = Vec::with_capacity(cfg.num_edges() + cfg.exit_blocks().len() + 1);
-        for (id, e) in cfg.edges() {
-            edges.push(AugEdge {
-                from: e.from.index(),
-                to: e.to.index(),
-                what: AugEdgeRef::Cfg(id),
-            });
-        }
-        for &b in cfg.exit_blocks() {
-            edges.push(AugEdge {
-                from: b.index(),
-                to: end,
-                what: AugEdgeRef::Ret(b),
-            });
-        }
-        edges.push(AugEdge {
-            from: end,
-            to: cfg.entry().index(),
-            what: AugEdgeRef::Top,
-        });
-
-        // Split graph: nodes 0..=n are blocks + END; node n+1+i is the
-        // mid-point of augmented edge i.
-        let m = edges.len();
-        let split_edges: Vec<(usize, usize)> = edges
-            .iter()
-            .enumerate()
-            .flat_map(|(i, e)| [(e.from, n + 1 + i), (n + 1 + i, e.to)])
-            .collect();
-        let split = Graph::from_edges(n + 1 + m, &split_edges);
-        let doms = DomTree::compute(&split, cfg.entry().index());
-        let pdoms = DomTree::compute_reversed(&split, end);
-
-        AugGraph {
-            num_blocks: n,
-            edges,
-            doms,
-            pdoms,
-        }
-    }
-
-    /// The retired construction (reversed-graph clone, reference
-    /// dominator algorithm), kept verbatim for the frozen pipeline the
-    /// differential tests compare against. Same structures as
-    /// [`AugGraph::build`].
-    pub fn build_reference(cfg: &Cfg) -> Self {
         let n = cfg.num_blocks();
         let end = n;
         let mut edges = Vec::with_capacity(cfg.num_edges() + cfg.exit_blocks().len() + 1);
@@ -139,11 +94,6 @@ impl AugGraph {
             doms,
             pdoms,
         }
-    }
-
-    /// Index of the END node.
-    pub fn end_node(&self) -> usize {
-        self.num_blocks
     }
 
     /// Split-graph node index of the mid-point of augmented edge `i`.

@@ -38,33 +38,14 @@ use rand::{Rng, SeedableRng};
 /// Panics if the graph is disconnected (a CFG whose blocks all reach the
 /// exit is always connected once augmented).
 pub fn cycle_equivalence_classes(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u32> {
-    let labels = edge_labels(num_nodes, edges);
-    // Group equal labels by sorting edge indices on (label, index): each
-    // run's first index is the class's first appearance.
-    let mut by_label: Vec<u32> = (0..labels.len() as u32).collect();
-    by_label.sort_unstable_by_key(|&i| (labels[i as usize], i));
-    let mut first = vec![0u32; labels.len()];
-    let mut run_start = 0;
-    for (k, &i) in by_label.iter().enumerate() {
-        if labels[i as usize] != labels[by_label[run_start] as usize] {
-            run_start = k;
-        }
-        first[i as usize] = by_label[run_start];
-    }
-    // Number the classes in first-appearance order; a class's first
-    // edge precedes every other member, so its id is already set.
-    let mut out = vec![0u32; labels.len()];
-    let mut next = 0u32;
-    for i in 0..labels.len() {
-        let f = first[i] as usize;
-        if f == i {
-            out[i] = next;
-            next += 1;
-        } else {
-            out[i] = out[f];
-        }
-    }
-    out
+    let mut ids = std::collections::HashMap::new();
+    edge_labels(num_nodes, edges)
+        .into_iter()
+        .map(|label| {
+            let next = ids.len() as u32;
+            *ids.entry(label).or_insert(next)
+        })
+        .collect()
 }
 
 /// Computes the 128-bit cycle-space label of every edge (see module docs).
@@ -96,10 +77,7 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
 
     // Iterative undirected DFS building a spanning tree.
     let mut parent_edge: Vec<Option<usize>> = vec![None; num_nodes]; // tree edge to parent
-    let mut parent: Vec<usize> = vec![usize::MAX; num_nodes];
     let mut visited = vec![false; num_nodes];
-    let mut edge_used = vec![false; edges.len()]; // traversed as tree edge
-    let mut is_tree = vec![false; edges.len()];
     let mut order = Vec::with_capacity(num_nodes); // DFS preorder
 
     let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
@@ -109,11 +87,8 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
         if off[u] + *ci < off[u + 1] {
             let (v, e) = adj[off[u] + *ci];
             *ci += 1;
-            if !visited[v] && !edge_used[e] {
+            if !visited[v] {
                 visited[v] = true;
-                edge_used[e] = true;
-                is_tree[e] = true;
-                parent[v] = u;
                 parent_edge[v] = Some(e);
                 order.push(v);
                 stack.push((v, 0));
@@ -126,6 +101,24 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
         visited.iter().all(|&v| v),
         "cycle equivalence requires a connected graph"
     );
+    spanning_tree_labels(num_nodes, edges, &parent_edge, &order)
+}
+
+/// The labelling of [`edge_labels`] over a caller-supplied rooted
+/// spanning tree: `parent_edge[v]` is the tree edge joining node `v` to
+/// its parent (`None` for the root) and `preorder` lists every node,
+/// each after its parent. Any spanning tree yields the same partition
+/// into equal labels; the labels themselves depend on the tree.
+pub fn spanning_tree_labels(
+    num_nodes: usize,
+    edges: &[(usize, usize)],
+    parent_edge: &[Option<usize>],
+    preorder: &[usize],
+) -> Vec<u128> {
+    let mut is_tree = vec![false; edges.len()];
+    for e in parent_edge.iter().flatten() {
+        is_tree[*e] = true;
+    }
 
     // Random labels for non-tree edges; XOR-accumulate onto endpoints.
     let mut rng = SmallRng::seed_from_u64(0x005e_5ec7_c1e9_u64);
@@ -141,10 +134,11 @@ pub fn edge_labels(num_nodes: usize, edges: &[(usize, usize)]) -> Vec<u128> {
     }
 
     // Subtree XOR in reverse preorder gives each tree edge's label.
-    for &v in order.iter().rev() {
+    for &v in preorder.iter().rev() {
         if let Some(e) = parent_edge[v] {
             labels[e] = acc[v];
-            let p = parent[v];
+            let (a, b) = edges[e];
+            let p = if a == v { b } else { a };
             acc[p] ^= acc[v];
         }
     }

@@ -11,15 +11,19 @@
 //! change", which is why they suffice for a minimum-cost save/restore
 //! placement.
 //!
-//! * [`cycle_equiv`] — linear-time cycle equivalence via spanning-tree XOR
-//!   labelling of the cycle space (plus an exact oracle for tests);
-//! * [`augment`] — the virtual-END augmented graph and the mid-edge split
-//!   graph on which edge dominance is plain node dominance;
-//! * [`regions`] — dominance chains, canonical and **maximal** regions
-//!   (the paper uses maximal; canonical are kept for the ablation);
 //! * [`tree`] — the [`Pst`] itself with containment and traversal
-//!   queries; [`verify`] — invariant checking and tree comparison for
-//!   tests.
+//!   queries. [`Pst::compute`] builds it from one DFS of the augmented
+//!   graph plus a sort of the edges' cycle-space labels;
+//! * [`cycle_equiv`] — linear-time cycle equivalence via spanning-tree XOR
+//!   labelling of the cycle space, over any rooted spanning tree (plus an
+//!   exact oracle for tests);
+//! * [`augment`] and [`regions`] — the dominance-based route used by the
+//!   reference construction [`Pst::compute_reference`] and by [`verify`]:
+//!   the virtual-END augmented graph, the mid-edge split graph on which
+//!   edge dominance is plain node dominance, and the dominance chains
+//!   whose ends are the **maximal** regions;
+//! * [`verify`] — invariant checking (including the literal
+//!   single-entry single-exit property) and tree comparison for tests.
 //!
 //! # Examples
 //!
@@ -61,7 +65,9 @@ pub mod tree;
 pub mod verify;
 
 pub use augment::{AugEdge, AugEdgeRef, AugGraph};
-pub use cycle_equiv::{cycle_equivalence_classes, cycle_equivalence_classes_oracle, edge_labels};
+pub use cycle_equiv::{
+    cycle_equivalence_classes, cycle_equivalence_classes_oracle, edge_labels, spanning_tree_labels,
+};
 pub use regions::{SeseChains, SesePair};
 pub use tree::{Pst, Region, RegionBoundary, RegionId};
 pub use verify::{pst_differences, verify_pst};

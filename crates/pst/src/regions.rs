@@ -5,7 +5,12 @@
 //! cycle equivalent. Within one cycle-equivalence class the edges form a
 //! dominance chain `e1, e2, ..., ek`; consecutive pairs are the *canonical*
 //! (smallest) regions and `(e1, ek)` is the *maximal* region — the variant
-//! this paper's algorithm uses (its Section 4 definition).
+//! this paper's algorithm uses (its Section 4 definition), and the only
+//! one built here.
+//!
+//! These chains are the dominance-based route to the boundaries, used by
+//! [`crate::Pst::compute_reference`]; [`crate::Pst::compute`] reads the
+//! same boundaries off its DFS instead.
 
 use crate::augment::{AugEdgeRef, AugGraph};
 use crate::cycle_equiv::cycle_equivalence_classes;
@@ -20,13 +25,9 @@ pub struct SesePair {
 }
 
 /// The dominance chains of every cycle-equivalence class with ≥ 2 members.
-///
-/// The chains are stored back to back in one flat array: chain `k` is
-/// `edges[bounds[k]..bounds[k + 1]]`.
 #[derive(Clone, Debug)]
 pub struct SeseChains {
-    edges: Vec<usize>,
-    bounds: Vec<usize>,
+    chains: Vec<Vec<usize>>,
 }
 
 impl SeseChains {
@@ -42,82 +43,38 @@ impl SeseChains {
         let undirected: Vec<(usize, usize)> = aug.edges.iter().map(|e| (e.from, e.to)).collect();
         let classes = cycle_equivalence_classes(aug.num_blocks + 1, &undirected);
 
-        // Group the members of every class by a stable counting sort on
-        // the class id: class `c` is `members[start[c]..start[c + 1]]`,
-        // in edge order. The virtual top edge is never a boundary.
-        let num_classes = classes.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let is_top = |i: usize| matches!(aug.edges[i].what, AugEdgeRef::Top);
-        let mut start = vec![0usize; num_classes + 1];
+        // Every class's members in edge order. The virtual top edge is
+        // never a boundary.
+        let num_classes = classes.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut members = vec![Vec::new(); num_classes];
         for (i, &c) in classes.iter().enumerate() {
-            if !is_top(i) {
-                start[c as usize + 1] += 1;
+            if !matches!(aug.edges[i].what, AugEdgeRef::Top) {
+                members[c as usize].push(i);
             }
         }
-        for c in 1..=num_classes {
-            start[c] += start[c - 1];
-        }
-        let mut fill = start.clone();
-        let mut members = vec![0usize; start[num_classes]];
-        for (i, &c) in classes.iter().enumerate() {
-            if !is_top(i) {
-                members[fill[c as usize]] = i;
-                fill[c as usize] += 1;
-            }
-        }
-
-        let mut chains = SeseChains {
-            edges: Vec::with_capacity(members.len()),
-            bounds: vec![0],
-        };
-        for c in 0..num_classes {
-            let m = &mut members[start[c]..start[c + 1]];
-            if m.len() < 2 {
-                continue;
-            }
-            m.sort_by_key(|&e| aug.edge_depth(e));
+        let mut chains = Vec::new();
+        for mut class in members {
+            class.sort_by_key(|&e| aug.edge_depth(e));
             // Split into maximal valid runs.
-            chains.edges.push(m[0]);
-            for &e in &m[1..] {
-                let prev = *chains.edges.last().expect("non-empty run");
-                if !(aug.edge_dominates(prev, e) && aug.edge_postdominates(e, prev)) {
-                    chains.close_run();
+            let mut run: Vec<usize> = Vec::new();
+            for e in class {
+                if let Some(&prev) = run.last() {
+                    if !(aug.edge_dominates(prev, e) && aug.edge_postdominates(e, prev)) {
+                        chains.push(std::mem::take(&mut run));
+                    }
                 }
-                chains.edges.push(e);
+                run.push(e);
             }
-            chains.close_run();
+            chains.push(run);
         }
-        chains
-    }
-
-    /// Ends the run open at the back of `edges`: kept as a chain if it
-    /// has ≥ 2 members, dropped otherwise.
-    fn close_run(&mut self) {
-        let run_start = *self.bounds.last().expect("bounds start at 0");
-        if self.edges.len() - run_start >= 2 {
-            self.bounds.push(self.edges.len());
-        } else {
-            self.edges.truncate(run_start);
-        }
+        chains.retain(|chain| chain.len() >= 2);
+        SeseChains { chains }
     }
 
     /// The chains, each a dominance-ordered slice of augmented-edge
     /// indices (virtual top edge excluded).
     pub fn chains(&self) -> impl Iterator<Item = &[usize]> + '_ {
-        self.bounds.windows(2).map(|w| &self.edges[w[0]..w[1]])
-    }
-
-    /// All canonical (smallest) SESE regions: consecutive chain pairs.
-    pub fn canonical_regions(&self) -> Vec<SesePair> {
-        let mut out = Vec::new();
-        for chain in self.chains() {
-            for w in chain.windows(2) {
-                out.push(SesePair {
-                    entry: w[0],
-                    exit: w[1],
-                });
-            }
-        }
-        out
+        self.chains.iter().map(Vec::as_slice)
     }
 
     /// All maximal SESE regions: first and last edge of each chain
@@ -179,11 +136,7 @@ mod tests {
         let (first, last) = (spine[0], *spine.last().unwrap());
         assert!(aug.edge_dominates(first, last));
         assert!(aug.edge_postdominates(last, first));
-        // Canonical count within a chain of length k is k-1.
-        let canon = chains.canonical_regions();
-        let maximal = chains.maximal_regions();
-        assert!(canon.len() >= maximal.len());
-        for m in &maximal {
+        for m in &chains.maximal_regions() {
             assert!(aug.edge_dominates(m.entry, m.exit));
             assert!(aug.edge_postdominates(m.exit, m.entry));
         }
@@ -212,7 +165,6 @@ mod tests {
         assert_eq!(all[0].len(), 3); // A->B, B->C, C->END
         let maximal = chains.maximal_regions();
         assert_eq!(maximal.len(), 1);
-        let canon = chains.canonical_regions();
-        assert_eq!(canon.len(), 2);
+        assert_eq!((maximal[0].entry, maximal[0].exit), (all[0][0], all[0][2]));
     }
 }

@@ -1,6 +1,7 @@
 //! The Program Structure Tree over maximal SESE regions.
 
 use crate::augment::{AugEdgeRef, AugGraph};
+use crate::cycle_equiv::spanning_tree_labels;
 use crate::regions::SeseChains;
 use spillopt_ir::{BlockId, Cfg, DenseBitSet, EdgeId};
 
@@ -45,7 +46,7 @@ pub enum RegionBoundary {
 
 /// A node of the PST: a maximal SESE region (or the root = the whole
 /// procedure).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Region {
     /// This region's id.
     pub id: RegionId,
@@ -72,7 +73,7 @@ pub struct Region {
 /// Iterating ids in reverse ([`Pst::bottom_up`]) is therefore a
 /// children-first traversal over contiguous memory, and dense per-region
 /// side tables can be indexed by `RegionId` without hashing.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Pst {
     regions: Vec<Region>,
     block_region: Vec<RegionId>,
@@ -80,187 +81,211 @@ pub struct Pst {
 }
 
 impl Pst {
-    /// Computes the PST of a CFG.
+    /// Computes the PST of a CFG the way Johnson, Pearson & Pingali
+    /// (PLDI'94) do, from one iterative DFS of the augmented graph: the
+    /// CFG edges, a return edge per exit block into a virtual END, and
+    /// END -> entry. The IR verifier's reachability rules guarantee that
+    /// the DFS from the entry reaches every block and END; on a CFG the
+    /// verifier rejects, the tree is unspecified and the build may
+    /// panic. That one DFS gives:
     ///
-    /// Cycle equivalence is linear in the augmented graph (spanning-tree
-    /// XOR labelling, see [`crate::cycle_equiv`]) and the split-graph
-    /// dominator trees are built on CSR adjacency. The containment
-    /// bookkeeping is not linear: each region's block set costs O(blocks)
-    /// dominance queries, and the parent of each region is its smallest
-    /// strict superset, found by an O(regions²) scan of word-parallel
-    /// subset tests over block counts computed once. At compiler scales
-    /// this is small next to the placement passes, and it does not touch
-    /// the paper's complexity claims about the placement algorithm
-    /// itself.
+    /// - **cycle equivalence** — its tree is the spanning tree of the
+    ///   XOR cycle-space labelling ([`spanning_tree_labels`]); sorting
+    ///   the edges by label groups the classes;
+    /// - **boundaries** — a class's edges are examined in dominance
+    ///   order, so the first examined edge of a class with ≥ 2 members
+    ///   is its maximal region's entry and the last its exit (END ->
+    ///   entry closes the cycle space and is never a boundary);
+    /// - **nesting** — walking the tree in preorder, crossing a region's
+    ///   entry opens the region inside the current one and crossing its
+    ///   exit returns to the parent, which places every block in its
+    ///   innermost region.
+    ///
+    /// Block sets are the bottom-up union of the innermost assignment.
+    /// Everything is linear in the augmented graph except the label sort
+    /// and the per-region block sets.
     pub fn compute(cfg: &Cfg) -> Self {
-        let aug = AugGraph::build(cfg);
-        let chains = SeseChains::compute(&aug);
+        const NONE: u32 = u32::MAX;
         let n = cfg.num_blocks();
-
-        let boundary_of = |edge_idx: usize| match aug.edges[edge_idx].what {
-            AugEdgeRef::Cfg(e) => RegionBoundary::CfgEdge(e),
-            AugEdgeRef::Ret(b) => RegionBoundary::ReturnEdge(b),
-            AugEdgeRef::Top => unreachable!("top edge is never a boundary"),
+        let m = cfg.num_edges();
+        let exits = cfg.exit_blocks();
+        let (end, top) = (n, m + exits.len());
+        let mut ends: Vec<(usize, usize)> = Vec::with_capacity(top + 1);
+        ends.extend(cfg.edges().map(|(_, e)| (e.from.index(), e.to.index())));
+        ends.extend(exits.iter().map(|b| (b.index(), end)));
+        ends.push((end, cfg.entry().index()));
+        // The `i`-th out-edge of a node: a block's CFG successor edges,
+        // a return block's return edge, END's edge to the entry.
+        let out_edge = |u: usize, i: usize| -> Option<usize> {
+            if u == end {
+                return (i == 0).then_some(top);
+            }
+            let succs = cfg.succ_edges(BlockId::from_index(u));
+            if succs.is_empty() && i == 0 {
+                let k = exits.binary_search(&BlockId::from_index(u));
+                return Some(m + k.expect("a block without successors returns"));
+            }
+            succs.get(i).map(|e| e.index())
         };
 
-        // Regions in discovery order: the root, then one per maximal
-        // SESE pair.
-        let mut all = DenseBitSet::new(n);
-        for b in 0..n {
-            all.insert(b);
-        }
-        let mut regions = vec![Region {
-            id: RegionId(0),
-            parent: None,
-            children: Vec::new(),
-            entry: RegionBoundary::ProcEntry,
-            exit: RegionBoundary::ProcExits,
-            blocks: all,
-            depth: 0,
-        }];
-        for pair in chains.maximal_regions() {
-            let mut blocks = DenseBitSet::new(n);
-            for b in 0..n {
-                if aug.edge_dominates_block(pair.entry, b)
-                    && aug.edge_postdominates_block(pair.exit, b)
-                {
-                    blocks.insert(b);
-                }
-            }
-            debug_assert!(!blocks.is_empty(), "maximal SESE region with no blocks");
-            let id = RegionId(regions.len() as u32);
-            regions.push(Region {
-                id,
-                parent: None,
-                children: Vec::new(),
-                entry: boundary_of(pair.entry),
-                exit: boundary_of(pair.exit),
-                blocks,
-                depth: 0,
-            });
-        }
-        let count: Vec<usize> = regions.iter().map(|r| r.blocks.count()).collect();
-
-        // Parent = smallest strict superset (the first one on ties).
-        for i in 1..regions.len() {
-            let mut best: usize = 0; // root
-            let mut best_count = usize::MAX;
-            for j in 0..regions.len() {
-                let cj = count[j];
-                if j != i
-                    && cj > count[i]
-                    && cj < best_count
-                    && regions[i].blocks.is_subset(&regions[j].blocks)
-                {
-                    best = j;
-                    best_count = cj;
-                }
-            }
-            regions[i].parent = Some(RegionId(best as u32));
-        }
-        for i in 1..regions.len() {
-            let p = regions[i].parent.expect("non-root has parent").index();
-            let id = regions[i].id;
-            regions[p].children.push(id);
-        }
-        // Deterministic child order: by smallest contained block index.
-        let keys: Vec<usize> = regions
-            .iter()
-            .map(|r| r.blocks.iter().next().unwrap_or(usize::MAX))
-            .collect();
-        for r in &mut regions {
-            r.children.sort_by_key(|c| keys[c.index()]);
-        }
-
-        // Innermost region per block: smallest containing region wins.
-        let mut block_region = vec![RegionId(0); n];
-        let mut assigned = vec![false; n];
-        let mut by_size: Vec<usize> = (0..regions.len()).collect();
-        by_size.sort_by_key(|&i| count[i]);
-        for &i in &by_size {
-            for b in regions[i].blocks.iter() {
-                if !assigned[b] {
-                    assigned[b] = true;
-                    block_region[b] = RegionId(i as u32);
-                }
-            }
-        }
-
-        // Flatten the tree into a preorder arena: renumber regions so
-        // that `RegionId(i)` *is* preorder position `i` (root = 0, every
-        // child id greater than its parent's). Bottom-up passes then walk
-        // the region array back to front — contiguous memory, no
-        // hash-keyed bookkeeping — and dense per-region side tables can
-        // be indexed by `RegionId` directly.
-        let mut preorder = Vec::with_capacity(regions.len());
-        {
-            let mut stack: Vec<(RegionId, usize)> = vec![(RegionId(0), 0)];
-            preorder.push(RegionId(0));
-            while let Some(&mut (r, ref mut ci)) = stack.last_mut() {
-                let children = &regions[r.index()].children;
-                if *ci < children.len() {
-                    let c = children[*ci];
-                    *ci += 1;
-                    preorder.push(c);
-                    stack.push((c, 0));
-                } else {
-                    stack.pop();
-                }
-            }
-        }
-        let mut new_id = vec![0u32; regions.len()];
-        for (new, old) in preorder.iter().enumerate() {
-            new_id[old.index()] = new as u32;
-        }
-        // Move each region into its preorder slot, renumbered; a parent
-        // precedes its children, so depths follow in the same pass.
-        let mut slots: Vec<Option<Region>> = regions.into_iter().map(Some).collect();
-        let mut regions: Vec<Region> = Vec::with_capacity(slots.len());
-        for &old in &preorder {
-            let mut r = slots[old.index()].take().expect("each region moved once");
-            r.id = RegionId(new_id[old.index()]);
-            r.parent = r.parent.map(|p| RegionId(new_id[p.index()]));
-            for c in &mut r.children {
-                *c = RegionId(new_id[c.index()]);
-            }
-            r.depth = r.parent.map_or(0, |p| regions[p.index()].depth + 1);
-            regions.push(r);
-        }
-        for br in &mut block_region {
-            *br = RegionId(new_id[br.index()]);
-        }
-
-        // Postorder (children before parents).
-        let mut postorder = Vec::with_capacity(regions.len());
-        let mut stack: Vec<(RegionId, usize)> = vec![(RegionId(0), 0)];
-        while let Some(&mut (r, ref mut ci)) = stack.last_mut() {
-            let children = &regions[r.index()].children;
-            if *ci < children.len() {
-                let c = children[*ci];
-                *ci += 1;
-                stack.push((c, 0));
-            } else {
-                postorder.push(r);
+        // The DFS: tree edges, node preorder, edge examination rank.
+        let mut parent_edge: Vec<Option<usize>> = vec![None; n + 1];
+        let mut visited = vec![false; n + 1];
+        let mut rank = vec![NONE; top + 1];
+        let mut preorder = Vec::with_capacity(n + 1);
+        let mut stack = vec![(cfg.entry().index(), 0usize)];
+        visited[cfg.entry().index()] = true;
+        preorder.push(cfg.entry().index());
+        let mut examined = 0u32;
+        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
+            let Some(e) = out_edge(u, *i) else {
                 stack.pop();
+                continue;
+            };
+            *i += 1;
+            rank[e] = examined;
+            examined += 1;
+            let v = ends[e].1;
+            if !visited[v] {
+                visited[v] = true;
+                parent_edge[v] = Some(e);
+                preorder.push(v);
+                stack.push((v, 0));
+            }
+        }
+        debug_assert_eq!(preorder.len(), n + 1, "the DFS must reach every node");
+
+        // Cycle-equivalence classes in dominance order: every edge but
+        // END -> entry, sorted by label and then by examination rank.
+        let labels = spanning_tree_labels(n + 1, &ends, &parent_edge, &preorder);
+        let mut by_class: Vec<usize> = (0..top).collect();
+        by_class.sort_unstable_by_key(|&e| (labels[e], rank[e]));
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut entry_of = vec![NONE; top];
+        let mut exit_of = vec![NONE; top];
+        for class in by_class.chunk_by(|&a, &b| labels[a] == labels[b]) {
+            if let [first, .., last] = *class {
+                entry_of[first] = pairs.len() as u32;
+                exit_of[last] = pairs.len() as u32;
+                pairs.push((first, last));
             }
         }
 
+        // The cursor walk. Regions are numbered as their entries are
+        // crossed, so every parent precedes its children.
+        let boundary = |e: usize| {
+            if e < m {
+                RegionBoundary::CfgEdge(EdgeId::from_index(e))
+            } else {
+                RegionBoundary::ReturnEdge(exits[e - m])
+            }
+        };
+        let mut regions = vec![root_region(n)];
+        let mut opened: Vec<Option<RegionId>> = vec![None; pairs.len()];
+        let mut region_of = vec![RegionId(0); n + 1];
+        for &v in &preorder[1..] {
+            let e = parent_edge[v].expect("non-root nodes have a tree edge");
+            let mut cursor = region_of[ends[e].0];
+            if exit_of[e] != NONE {
+                let r = opened[exit_of[e] as usize].expect("entries precede exits");
+                debug_assert_eq!(r, cursor, "a region is left only from its own blocks");
+                cursor = regions[r.index()].parent.expect("non-root has parent");
+            } else if entry_of[e] != NONE {
+                let k = entry_of[e] as usize;
+                let id = RegionId::from_index(regions.len());
+                regions.push(Region {
+                    id,
+                    parent: Some(cursor),
+                    children: Vec::new(),
+                    entry: boundary(pairs[k].0),
+                    exit: boundary(pairs[k].1),
+                    blocks: DenseBitSet::new(n),
+                    depth: 0,
+                });
+                opened[k] = Some(id);
+                cursor = id;
+            }
+            region_of[v] = cursor;
+        }
+        debug_assert!(
+            opened.iter().all(Option::is_some),
+            "every entry is a tree edge"
+        );
+
+        // Block sets: each region's own blocks, then children unioned
+        // into parents back to front.
+        region_of.truncate(n);
+        for (b, r) in region_of.iter().enumerate() {
+            regions[r.index()].blocks.insert(b);
+        }
+        for r in (1..regions.len()).rev() {
+            let (lo, hi) = regions.split_at_mut(r);
+            let p = hi[0].parent.expect("non-root has parent").index();
+            lo[p].blocks.union_with(&hi[0].blocks);
+        }
+        let postorder = link(&mut regions);
         Pst {
             regions,
-            block_region,
+            block_region: region_of,
             postorder,
+        }
+        .into_preorder()
+    }
+
+    /// Renumbers this tree into the canonical arena [`Pst::compute`]
+    /// builds, keeping its child order: every region moves to its
+    /// preorder slot so that `RegionId(i)` *is* preorder position `i`
+    /// (root = 0, every child id greater than its parent's). Bottom-up
+    /// passes then walk the region array back to front — contiguous
+    /// memory, no hash-keyed bookkeeping — and dense per-region side
+    /// tables can be indexed by `RegionId` directly. Turns
+    /// [`Pst::compute_reference`]'s discovery numbering into exactly
+    /// `compute`'s tree.
+    pub fn into_preorder(self) -> Pst {
+        let mut preorder = Vec::with_capacity(self.regions.len());
+        let mut stack = vec![self.root()];
+        while let Some(r) = stack.pop() {
+            preorder.push(r);
+            stack.extend(self.regions[r.index()].children.iter().rev());
+        }
+        let mut new_id = vec![RegionId(0); self.regions.len()];
+        for (new, old) in preorder.iter().enumerate() {
+            new_id[old.index()] = RegionId::from_index(new);
+        }
+        let mut slots: Vec<Option<Region>> = self.regions.into_iter().map(Some).collect();
+        let regions = preorder
+            .iter()
+            .map(|old| {
+                let mut r = slots[old.index()].take().expect("each region moved once");
+                r.id = new_id[r.id.index()];
+                r.parent = r.parent.map(|p| new_id[p.index()]);
+                for c in &mut r.children {
+                    *c = new_id[c.index()];
+                }
+                r
+            })
+            .collect();
+        let renumber = |ids: Vec<RegionId>| ids.into_iter().map(|r| new_id[r.index()]).collect();
+        Pst {
+            regions,
+            block_region: renumber(self.block_region),
+            postorder: renumber(self.postorder),
         }
     }
 
-    /// The retired construction, kept verbatim for the frozen pipeline
-    /// the differential tests compare against: reference dominator
-    /// machinery, no preorder arena (regions keep discovery numbering).
-    /// Semantically interchangeable with [`Pst::compute`] — every
-    /// containment, LCA, and boundary query answers the same — but
-    /// region *ids* differ, so only numbering-independent consumers (all
-    /// placement passes) may mix the two.
+    /// The dominance-based construction: the test oracle for
+    /// [`Pst::compute`] and the PST of the frozen pipeline the
+    /// differential tests compare against. Boundaries come from
+    /// split-graph dominator trees ([`AugGraph`], [`SeseChains`]); a
+    /// block belongs to region `(a, b)` when `a` dominates it, `b`
+    /// post-dominates it, and it is reachable from `a`'s head without
+    /// crossing `b`; the parent of a region is its smallest strict
+    /// superset. Regions keep discovery numbering, so region *ids* differ
+    /// from `compute`'s and only numbering-independent consumers (all
+    /// placement passes) may mix the two; [`Pst::into_preorder`] turns
+    /// this tree into exactly `compute`'s.
     pub fn compute_reference(cfg: &Cfg) -> Self {
-        let aug = AugGraph::build_reference(cfg);
+        let aug = AugGraph::build(cfg);
         let chains = SeseChains::compute(&aug);
         let maximal = chains.maximal_regions();
         let n = cfg.num_blocks();
@@ -271,26 +296,29 @@ impl Pst {
             AugEdgeRef::Top => unreachable!("top edge is never a boundary"),
         };
 
-        // Root region.
-        let mut all = DenseBitSet::new(n);
-        for b in 0..n {
-            all.insert(b);
-        }
-        let mut regions = vec![Region {
-            id: RegionId(0),
-            parent: None,
-            children: Vec::new(),
-            entry: RegionBoundary::ProcEntry,
-            exit: RegionBoundary::ProcExits,
-            blocks: all,
-            depth: 0,
-        }];
+        let mut regions = vec![root_region(n)];
 
         for pair in &maximal {
+            // The blocks reachable from the entry's head without
+            // crossing the exit (a return-edge exit is not a CFG edge,
+            // so no CFG path crosses it).
+            let mut reach = DenseBitSet::new(n);
+            let mut work = vec![aug.edges[pair.entry].to];
+            while let Some(b) = work.pop() {
+                if !reach.insert(b) {
+                    continue;
+                }
+                for &e in cfg.succ_edges(BlockId::from_index(b)) {
+                    if aug.edges[pair.exit].what != AugEdgeRef::Cfg(e) {
+                        work.push(cfg.edge(e).to.index());
+                    }
+                }
+            }
             let mut blocks = DenseBitSet::new(n);
             for b in 0..n {
                 if aug.edge_dominates_block(pair.entry, b)
                     && aug.edge_postdominates_block(pair.exit, b)
+                    && reach.contains(b)
                 {
                     blocks.insert(b);
                 }
@@ -308,76 +336,30 @@ impl Pst {
             });
         }
 
-        // Parent = smallest strict superset.
-        let mut order: Vec<usize> = (1..regions.len()).collect();
-        order.sort_by_key(|&i| regions[i].blocks.count());
-        for &i in &order {
-            let mut best: usize = 0; // root
-            let mut best_count = usize::MAX;
-            for j in 0..regions.len() {
-                if j == i {
-                    continue;
-                }
-                let cj = regions[j].blocks.count();
-                let ci = regions[i].blocks.count();
-                if cj > ci && regions[i].blocks.is_subset(&regions[j].blocks) && cj < best_count {
-                    best = j;
-                    best_count = cj;
-                }
-            }
-            regions[i].parent = Some(RegionId(best as u32));
-        }
+        // Parent = smallest strict superset (the first one on ties).
+        let counts: Vec<usize> = regions.iter().map(|r| r.blocks.count()).collect();
         for i in 1..regions.len() {
-            let p = regions[i].parent.expect("non-root has parent").index();
-            let id = regions[i].id;
-            regions[p].children.push(id);
+            let parent = (0..regions.len())
+                .filter(|&j| {
+                    counts[j] > counts[i] && regions[i].blocks.is_subset(&regions[j].blocks)
+                })
+                .min_by_key(|&j| counts[j])
+                .unwrap_or(0);
+            regions[i].parent = Some(RegionId::from_index(parent));
         }
-        // Deterministic child order: by smallest contained block index.
-        let keys: Vec<usize> = regions
-            .iter()
-            .map(|r| r.blocks.iter().next().unwrap_or(usize::MAX))
-            .collect();
-        for r in &mut regions {
-            r.children.sort_by_key(|c| keys[c.index()]);
-        }
-
-        // Depths.
-        let mut stack = vec![RegionId(0)];
-        while let Some(r) = stack.pop() {
-            let d = regions[r.index()].depth;
-            let children = regions[r.index()].children.clone();
-            for c in children {
-                regions[c.index()].depth = d + 1;
-                stack.push(c);
-            }
-        }
+        let postorder = link(&mut regions);
 
         // Innermost region per block: smallest containing region wins.
         let mut block_region = vec![RegionId(0); n];
         let mut assigned = vec![false; n];
         let mut by_size: Vec<usize> = (0..regions.len()).collect();
-        by_size.sort_by_key(|&i| regions[i].blocks.count());
+        by_size.sort_by_key(|&i| counts[i]);
         for &i in &by_size {
             for b in regions[i].blocks.iter() {
                 if !assigned[b] {
                     assigned[b] = true;
                     block_region[b] = RegionId(i as u32);
                 }
-            }
-        }
-
-        // Postorder (children before parents).
-        let mut postorder = Vec::with_capacity(regions.len());
-        let mut stack: Vec<(RegionId, usize)> = vec![(RegionId(0), 0)];
-        while let Some(&mut (r, ref mut ci)) = stack.last_mut() {
-            let children = &regions[r.index()].children;
-            if *ci < children.len() {
-                let c = children[*ci];
-                *ci += 1;
-                stack.push((c, 0));
-            } else {
-                postorder.push(r);
-                stack.pop();
             }
         }
 
@@ -540,6 +522,58 @@ impl Pst {
         }
         dirty
     }
+}
+
+/// The root region: the whole procedure.
+fn root_region(num_blocks: usize) -> Region {
+    let mut blocks = DenseBitSet::new(num_blocks);
+    for b in 0..num_blocks {
+        blocks.insert(b);
+    }
+    Region {
+        id: RegionId(0),
+        parent: None,
+        children: Vec::new(),
+        entry: RegionBoundary::ProcEntry,
+        exit: RegionBoundary::ProcExits,
+        blocks,
+        depth: 0,
+    }
+}
+
+/// Links regions whose `parent` and `blocks` are set (root at index 0)
+/// into a tree: fills every region's children, ordered by their smallest
+/// block, and its depth, and returns the postorder (children before
+/// parents).
+fn link(regions: &mut [Region]) -> Vec<RegionId> {
+    for i in 1..regions.len() {
+        let p = regions[i].parent.expect("non-root has parent").index();
+        regions[p].children.push(RegionId::from_index(i));
+    }
+    let keys: Vec<usize> = regions
+        .iter()
+        .map(|r| r.blocks.iter().next().unwrap_or(usize::MAX))
+        .collect();
+    let mut postorder = Vec::with_capacity(regions.len());
+    let mut stack: Vec<(RegionId, usize)> = vec![(RegionId(0), 0)];
+    while let Some(&mut (r, ref mut ci)) = stack.last_mut() {
+        let region = &mut regions[r.index()];
+        if *ci == 0 {
+            region.children.sort_by_key(|c| keys[c.index()]);
+        }
+        match region.children.get(*ci) {
+            Some(&c) => {
+                *ci += 1;
+                regions[c.index()].depth = region.depth + 1;
+                stack.push((c, 0));
+            }
+            None => {
+                postorder.push(r);
+                stack.pop();
+            }
+        }
+    }
+    postorder
 }
 
 #[cfg(test)]

@@ -19,7 +19,10 @@ use std::collections::HashMap;
 /// 4. every block's innermost region contains it and no smaller region
 ///    does;
 /// 5. postorder lists children before parents and covers every region
-///    exactly once.
+///    exactly once;
+/// 6. every non-root region is literally single-entry single-exit: the
+///    only CFG edge entering its block set is its entry, and the only
+///    edge leaving it, return edges included, is its exit.
 pub fn verify_pst(cfg: &Cfg, pst: &Pst) -> Vec<String> {
     let mut errs = Vec::new();
     let aug = AugGraph::build(cfg);
@@ -111,6 +114,42 @@ pub fn verify_pst(cfg: &Cfg, pst: &Pst) -> Vec<String> {
             if pos[&c] >= pos[&r.id] {
                 errs.push(format!("postorder: {c} not before parent {}", r.id));
             }
+        }
+    }
+
+    // 6.
+    for r in pst.regions() {
+        if r.id == pst.root() {
+            continue;
+        }
+        let mut entering = Vec::new();
+        let mut leaving = Vec::new();
+        for (id, e) in cfg.edges() {
+            match (
+                r.blocks.contains(e.from.index()),
+                r.blocks.contains(e.to.index()),
+            ) {
+                (false, true) => entering.push(RegionBoundary::CfgEdge(id)),
+                (true, false) => leaving.push(RegionBoundary::CfgEdge(id)),
+                _ => {}
+            }
+        }
+        for &b in cfg.exit_blocks() {
+            if r.blocks.contains(b.index()) {
+                leaving.push(RegionBoundary::ReturnEdge(b));
+            }
+        }
+        if entering != [r.entry] {
+            errs.push(format!(
+                "{}: entered by {entering:?}, not only by its entry",
+                r.id
+            ));
+        }
+        if leaving != [r.exit] {
+            errs.push(format!(
+                "{}: left by {leaving:?}, not only by its exit",
+                r.id
+            ));
         }
     }
 

@@ -1,12 +1,14 @@
 //! Property tests for the PST substrate: the fast cycle-equivalence
 //! labelling must match the exact fundamental-cycle-matrix oracle on
-//! random connected multigraphs, and PSTs of random structured CFGs must
-//! satisfy every structural invariant and match the frozen reference
-//! construction up to region numbering.
+//! random connected multigraphs, over its own DFS tree and over any
+//! other spanning tree, and PSTs of random structured CFGs must
+//! satisfy every structural invariant and equal the dominance-based
+//! reference construction renumbered into the canonical preorder.
 
 use proptest::prelude::*;
 use spillopt_pst::{
-    cycle_equivalence_classes, cycle_equivalence_classes_oracle, pst_differences, verify_pst, Pst,
+    cycle_equivalence_classes, cycle_equivalence_classes_oracle, pst_differences,
+    spanning_tree_labels, verify_pst, Pst,
 };
 
 /// Random connected multigraph: a random spanning tree plus extra edges
@@ -37,6 +39,51 @@ proptest! {
         prop_assert!(
             spillopt_pst::cycle_equiv::same_partition(&fast, &slow),
             "partition mismatch on {edges:?}: fast {fast:?} vs oracle {slow:?}"
+        );
+    }
+}
+
+/// Class ids by first appearance of each distinct label.
+fn classes_of(labels: &[u128]) -> Vec<u32> {
+    let mut ids = std::collections::HashMap::new();
+    labels
+        .iter()
+        .map(|l| {
+            let next = ids.len() as u32;
+            *ids.entry(*l).or_insert(next)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The labelling is tree-agnostic: over a breadth-first spanning
+    /// tree it induces the oracle's partition too.
+    #[test]
+    fn any_spanning_tree_gives_the_oracle_partition((n, edges) in arb_connected_graph()) {
+        let mut parent_edge = vec![None; n];
+        let mut visited = vec![false; n];
+        let mut order = vec![0];
+        visited[0] = true;
+        let mut next = 0;
+        while next < order.len() {
+            let u = order[next];
+            next += 1;
+            for (e, &(a, b)) in edges.iter().enumerate() {
+                let v = if a == u { b } else if b == u { a } else { continue };
+                if !visited[v] {
+                    visited[v] = true;
+                    parent_edge[v] = Some(e);
+                    order.push(v);
+                }
+            }
+        }
+        let labels = spanning_tree_labels(n, &edges, &parent_edge, &order);
+        let slow = cycle_equivalence_classes_oracle(n, &edges);
+        prop_assert!(
+            spillopt_pst::cycle_equiv::same_partition(&classes_of(&labels), &slow),
+            "partition mismatch on {edges:?}"
         );
     }
 }
@@ -104,20 +151,23 @@ mod structured {
             prop_assert_eq!(a.postorder(), b.postorder());
         }
 
-        /// `compute` builds the same tree as the frozen
-        /// `compute_reference` up to numbering, and numbers it in
-        /// preorder.
+        /// `compute` builds the same tree as the dominance-based
+        /// `compute_reference` up to numbering, and numbers it in the
+        /// canonical preorder: it equals the reference renumbered, ids,
+        /// child order, postorder and innermost regions included.
         #[test]
-        fn pst_matches_reference_up_to_numbering(seed in 0u64..100_000, budget in 5usize..40) {
+        fn pst_matches_reference_exactly(seed in 0u64..100_000, budget in 5usize..40) {
             let cfg = generated_cfg(seed, budget);
             let pst = Pst::compute(&cfg);
-            let diffs = pst_differences(&pst, &Pst::compute_reference(&cfg));
+            let reference = Pst::compute_reference(&cfg);
+            let diffs = pst_differences(&pst, &reference);
             prop_assert!(diffs.is_empty(), "{diffs:?}");
             for r in pst.regions() {
                 if let Some(p) = r.parent {
                     prop_assert!(p < r.id, "{} numbered before its parent {p}", r.id);
                 }
             }
+            prop_assert!(pst == reference.into_preorder(), "not the canonical arena");
         }
 
         /// Every non-root region's boundary edges really are the *only*

@@ -26,6 +26,9 @@
 //!    than the configured percentage above the certified optimum fails,
 //!    and the measured gaps (for both cost models) are accumulated into
 //!    [`ExactStats`] for the `spillopt gap` report.
+//!
+//! Before any placement runs, every allocated function's PST must pass
+//! [`spillopt_pst::verify_pst`] ([`FailureKind::PstStructure`]).
 
 use spillopt_core::{
     check_placement, insert_placement, placement_cost_with, predicted_spill_counts, run_suite,
@@ -34,6 +37,7 @@ use spillopt_core::{
 use spillopt_exact::{solve_exact, ExactLimits, ExactOutcome};
 use spillopt_ir::{Cfg, FuncId, Module, RegDiscipline, Target};
 use spillopt_profile::{EdgeProfile, Machine, SpillCounts};
+use spillopt_pst::{verify_pst, Pst};
 use spillopt_regalloc::allocate;
 use spillopt_targets::TargetSpec;
 use std::fmt;
@@ -65,6 +69,10 @@ pub enum FailureKind {
     /// above the exact solver's certified optimum — or the solver's own
     /// certificate failed its sanity cross-checks.
     Suboptimal,
+    /// An allocated function's PST broke a structural invariant of
+    /// [`spillopt_pst::verify_pst`] (a region that is not literally
+    /// single-entry single-exit, say).
+    PstStructure,
 }
 
 impl fmt::Display for FailureKind {
@@ -77,6 +85,7 @@ impl fmt::Display for FailureKind {
             FailureKind::InvalidPlacement => "invalid-placement",
             FailureKind::Panic => "panic",
             FailureKind::Suboptimal => "suboptimal",
+            FailureKind::PstStructure => "pst-structure",
         };
         f.write_str(s)
     }
@@ -356,6 +365,24 @@ pub fn check_case_with(
         .func_ids()
         .map(|f| Cfg::compute(allocated.func(f)))
         .collect();
+    // The placements all walk the PST: every allocated function's tree
+    // must hold its structural invariants.
+    for f in allocated.func_ids() {
+        let cfg = &cfgs[f.index()];
+        let errs = verify_pst(cfg, &Pst::compute(cfg));
+        if !errs.is_empty() {
+            return Err(fail(
+                FailureKind::PstStructure,
+                None,
+                format!(
+                    "`{}` on {}: {}",
+                    allocated.func(f).name(),
+                    spec.name,
+                    errs.join("; ")
+                ),
+            ));
+        }
+    }
     let usages: Vec<CalleeSavedUsage> = allocated
         .func_ids()
         .map(|f| CalleeSavedUsage::from_function(allocated.func(f), &cfgs[f.index()], &target))

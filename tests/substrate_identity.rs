@@ -1,7 +1,7 @@
 //! The cold-path substrate against its frozen reference twins, at corpus
 //! scale: `allocate` must produce exactly what `allocate_reference`
-//! produces, and `Pst::compute` must build the same tree as
-//! `Pst::compute_reference` up to region numbering. The post-allocation
+//! produces, and `Pst::compute` must build exactly the tree of
+//! `Pst::compute_reference` renumbered into preorder. The post-allocation
 //! analyses are held to oracles that share no code with them: the
 //! allocator's exported CFG to a fresh `Cfg::compute`, its
 //! `used_callee_saved` to an operand scan written here, and the
@@ -16,16 +16,18 @@
 //!   seed in turn, under random-walk profiles;
 //! - a move-injected copy of every stress case (see [`inject_copies`]).
 //!   Neither generator emits a vreg→vreg `Move`, so without these
-//!   copies the sweep would never reach the allocator's coalescing.
+//!   copies the sweep would never reach the allocator's coalescing;
+//! - for the PST alone, every function of stress seeds 0..300 on every
+//!   registered target, before and after allocation.
 
 use spillopt_benchgen::{all_benchmarks, build_bench};
 use spillopt_core::CalleeSavedUsage;
 use spillopt_driver::{OptimizerBuilder, ProfileSource};
 use spillopt_ir::{
-    Cfg, Function, Inst, InstKind, Liveness, PReg, Reg, RegDiscipline, Target, VReg,
+    Cfg, FuncId, Function, Inst, InstKind, Liveness, PReg, Reg, RegDiscipline, Target, VReg,
 };
 use spillopt_profile::{random_walk_profile, EdgeProfile};
-use spillopt_pst::{pst_differences, Pst};
+use spillopt_pst::{pst_differences, verify_pst, Pst};
 use spillopt_regalloc::{allocate, allocate_reference};
 use spillopt_targets::registry;
 use std::collections::HashMap;
@@ -261,12 +263,80 @@ fn pst_matches_reference_on_allocated_cfgs() {
         allocate(&mut func, &input.target, Some(&input.profile));
         let cfg = Cfg::compute(&func);
         let pst = Pst::compute(&cfg);
-        let diffs = pst_differences(&pst, &Pst::compute_reference(&cfg));
+        let reference = Pst::compute_reference(&cfg);
+        let diffs = pst_differences(&pst, &reference);
         assert!(diffs.is_empty(), "{}: {diffs:?}", input.label);
         for r in pst.regions() {
             if let Some(p) = r.parent {
                 assert!(p < r.id, "{}: {} not in preorder", input.label, r.id);
             }
         }
+        assert!(
+            pst == reference.into_preorder(),
+            "{}: not the reference's canonical arena",
+            input.label
+        );
+    }
+}
+
+/// The PST of every function of stress cases `seeds` on every
+/// registered target, before and after allocation, must equal the
+/// reference renumbered into preorder and pass [`verify_pst`]. Returns
+/// the number of CFGs checked.
+fn check_stress_psts(seeds: impl IntoIterator<Item = u64>) -> usize {
+    let mut checked = 0;
+    for seed in seeds {
+        for spec in registry() {
+            let target = spec.to_target();
+            let case = spillopt_stress::gen_case(&target, seed);
+            for f in case.module.func_ids() {
+                let mut func = case.module.func(f).clone();
+                let before = Cfg::compute(&func);
+                allocate(&mut func, &target, None);
+                for (when, cfg) in [("before", before), ("after", Cfg::compute(&func))] {
+                    let label = format!("{} seed {seed} {} {when} allocation", spec.name, f);
+                    let pst = Pst::compute(&cfg);
+                    let errs = verify_pst(&cfg, &pst);
+                    assert!(errs.is_empty(), "{label}: {errs:?}");
+                    assert!(
+                        pst == Pst::compute_reference(&cfg).into_preorder(),
+                        "{label}: not the reference's canonical arena"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    checked
+}
+
+#[test]
+fn pst_matches_reference_on_the_stress_sweep() {
+    assert_eq!(check_stress_psts(0..300), 6048);
+}
+
+/// Stress functions containing a loop that exits mid-body: the block
+/// after the loop exit is dominated by a region's entry and
+/// post-dominated by its exit, yet runs only after the exit. Bounding a
+/// region by dominance alone put such blocks inside it, and the region
+/// was then entered and left through other edges as well.
+#[test]
+fn regions_stay_single_entry_single_exit_around_mid_body_loop_exits() {
+    for (target, seed, func) in [
+        ("pa-risc-like", 33, 1),
+        ("pa-risc-like", 51, 1),
+        ("x86-64-sysv", 114, 0),
+        ("aarch64-aapcs64", 149, 2),
+        ("x86-64-sysv", 177, 0),
+    ] {
+        let spec = registry().into_iter().find(|s| s.name == target).unwrap();
+        let case = spillopt_stress::gen_case(&spec.to_target(), seed);
+        let cfg = Cfg::compute(case.module.func(FuncId::from_index(func)));
+        let pst = Pst::compute(&cfg);
+        let errs = verify_pst(&cfg, &pst);
+        assert!(errs.is_empty(), "{target} seed {seed} f{func}: {errs:?}");
+        let reference = Pst::compute_reference(&cfg);
+        assert!(verify_pst(&cfg, &reference).is_empty());
+        assert!(pst == reference.into_preorder());
     }
 }
