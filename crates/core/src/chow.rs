@@ -31,9 +31,7 @@ pub fn chow_shrink_wrap(cfg: &Cfg, usage: &CalleeSavedUsage) -> Placement {
 /// ([`crate::solver::chow_grow_all`]) — one membership word per block,
 /// one fixpoint, one boundary sweep — instead of one saved-region
 /// fixpoint per register. The placement is identical to the retired
-/// per-register path ([`crate::reference::chow_shrink_wrap_reference`]),
-/// which also serves as the fallback for the impossible case of more
-/// than 64 callee-saved registers.
+/// per-register path ([`crate::reference::chow_shrink_wrap_reference`]).
 pub fn chow_shrink_wrap_with(
     cfg: &Cfg,
     cyclic: &[CyclicRegion],
@@ -52,10 +50,7 @@ pub fn chow_shrink_wrap_derived(
     cyclic: &[CyclicRegion],
     usage: &CalleeSavedUsage,
 ) -> Placement {
-    match chow_points_all(cfg, derived, cyclic, usage) {
-        Some(points) => Placement::from_points(points),
-        None => crate::reference::chow_shrink_wrap_reference(cfg, cyclic, usage),
-    }
+    Placement::from_points(chow_points_all(cfg, derived, cyclic, usage))
 }
 
 #[cfg(test)]

@@ -67,9 +67,8 @@ use spillopt_profile::ProfileDelta;
 pub struct PlacementMemo {
     /// Edge shares of the initial solution (profile-independent).
     shares: EdgeShares,
-    /// Memoized busy intersections (profile-independent; `None` on the
-    /// >64-register fallback, where folds recompute intersections).
-    busy_counts: Option<RegionBusyCounts>,
+    /// Memoized busy intersections (profile-independent).
+    busy_counts: RegionBusyCounts,
     /// Fold tables of the execution-count model.
     exec: ModelMemo,
     /// Fold tables of the jump-edge model.
@@ -155,7 +154,7 @@ pub fn run_suite_memoized(
             model,
             costs,
             shares: &shares,
-            busy_counts: busy_counts.as_ref(),
+            busy_counts: Some(&busy_counts),
         };
         let home_sets = home_live_sets(&ctx, initial);
         let mut folded: Vec<Vec<LiveSet>> = (0..pst.num_regions()).map(|_| Vec::new()).collect();
@@ -303,7 +302,7 @@ pub fn run_suite_incremental(
             model: mm.model,
             costs,
             shares,
-            busy_counts: busy_counts.as_ref(),
+            busy_counts: Some(busy_counts),
         };
         let mut busy_inside = DenseBitSet::new(cfg.num_blocks());
         let mut trace = Vec::new();

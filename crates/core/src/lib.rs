@@ -104,9 +104,7 @@ pub use hierarchical::{
 pub use incremental::{run_suite_incremental, run_suite_memoized, PlacementMemo, RefoldStats};
 pub use insert::{insert_placement, InsertionReport};
 pub use location::{Placement, SpillKind, SpillLoc, SpillPoint};
-pub use modified::{
-    modified_shrink_wrap, modified_shrink_wrap_derived, modified_shrink_wrap_hoisted, InitialSets,
-};
+pub use modified::{modified_shrink_wrap, modified_shrink_wrap_derived, InitialSets};
 pub use overhead::{
     placement_cost, placement_cost_with, placement_model_cost, predicted_spill_counts,
     static_overhead,

@@ -6,8 +6,7 @@
 //! tightest valid placement — saves and restores immediately around each
 //! connected busy cluster — which seeds the hierarchical algorithm.
 
-use crate::dataflow::{busy_clusters, region_boundary};
-use crate::location::{Placement, SpillKind, SpillLoc, SpillPoint};
+use crate::location::Placement;
 use crate::sets::SaveRestoreSet;
 use crate::usage::CalleeSavedUsage;
 use spillopt_ir::{Cfg, DerivedCfg};
@@ -39,8 +38,7 @@ impl InitialSets {
 /// All registers' clusters are wrapped in one edge sweep over busy
 /// membership words ([`crate::solver::initial_sets_all`]) instead of one
 /// boundary sweep per cluster; the sets are identical to the retired
-/// path ([`crate::reference::modified_shrink_wrap_reference`]), which
-/// also serves as the over-64-registers fallback.
+/// path ([`crate::reference::modified_shrink_wrap_reference`]).
 pub fn modified_shrink_wrap(cfg: &Cfg, usage: &CalleeSavedUsage) -> InitialSets {
     let derived = DerivedCfg::compute(cfg);
     modified_shrink_wrap_derived(cfg, &derived, usage)
@@ -52,65 +50,15 @@ pub fn modified_shrink_wrap_derived(
     derived: &DerivedCfg,
     usage: &CalleeSavedUsage,
 ) -> InitialSets {
-    match crate::solver::initial_sets_all(cfg, derived, usage) {
-        Some(sets) => InitialSets { sets },
-        None => crate::reference::modified_shrink_wrap_reference(cfg, usage),
+    InitialSets {
+        sets: crate::solver::initial_sets_all(cfg, derived, usage),
     }
-}
-
-/// Variant used by the ablation study: initial sets grown by the
-/// anticipation/availability hoisting closure (as Chow's dataflow would
-/// hoist them) but still without loop or jump-edge artificial flow.
-pub fn modified_shrink_wrap_hoisted(cfg: &Cfg, usage: &CalleeSavedUsage) -> InitialSets {
-    let mut sets = Vec::new();
-    for (reg, busy) in usage.regs() {
-        let hoisted =
-            crate::dataflow::avail_closure(cfg, &crate::dataflow::antic_closure(cfg, busy));
-        for cluster in busy_clusters(cfg, &hoisted) {
-            let b = region_boundary(cfg, &cluster);
-            let mut points = Vec::new();
-            if b.save_at_entry {
-                points.push(SpillPoint {
-                    reg,
-                    kind: SpillKind::Save,
-                    loc: SpillLoc::BlockTop(cfg.entry()),
-                });
-            }
-            for e in b.save_edges {
-                points.push(SpillPoint {
-                    reg,
-                    kind: SpillKind::Save,
-                    loc: SpillLoc::OnEdge(e),
-                });
-            }
-            for e in b.restore_edges {
-                points.push(SpillPoint {
-                    reg,
-                    kind: SpillKind::Restore,
-                    loc: SpillLoc::OnEdge(e),
-                });
-            }
-            for x in b.restore_at_exits {
-                points.push(SpillPoint {
-                    reg,
-                    kind: SpillKind::Restore,
-                    loc: SpillLoc::BlockBottom(x),
-                });
-            }
-            sets.push(SaveRestoreSet {
-                reg,
-                points,
-                cluster,
-                initial: true,
-            });
-        }
-    }
-    InitialSets { sets }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::location::SpillLoc;
     use spillopt_ir::{Cond, FunctionBuilder, PReg, Reg};
 
     #[test]
@@ -187,27 +135,5 @@ mod tests {
         assert!(exit_cluster
             .restores()
             .any(|p| p.loc == SpillLoc::BlockBottom(c)));
-    }
-
-    #[test]
-    fn hoisted_variant_merges_gap() {
-        // A -> B(busy) -> C -> D(busy) -> E.
-        let mut fb = FunctionBuilder::new("f", 0);
-        let blocks: Vec<_> = (0..5).map(|_| fb.create_block(None)).collect();
-        for i in 0..4 {
-            fb.switch_to(blocks[i]);
-            fb.jump(blocks[i + 1]);
-        }
-        fb.switch_to(blocks[4]);
-        fb.ret(None);
-        let f = fb.finish();
-        let cfg = Cfg::compute(&f);
-        let mut usage = CalleeSavedUsage::new();
-        usage.set_busy(PReg::new(11), blocks[1], 5);
-        usage.set_busy(PReg::new(11), blocks[3], 5);
-        let plain = modified_shrink_wrap(&cfg, &usage);
-        assert_eq!(plain.sets.len(), 2);
-        let hoisted = modified_shrink_wrap_hoisted(&cfg, &usage);
-        assert_eq!(hoisted.sets.len(), 1);
     }
 }

@@ -23,10 +23,11 @@
 //!   ([`initial_sets_all`]), replacing one boundary sweep per (register,
 //!   cluster).
 //!
-//! More than 64 callee-saved registers cannot occur on a real target
-//! (conventions top out around a dozen); the entry points fall back to
-//! the per-register reference implementation in that case rather than
-//! chunking words.
+//! One word is always enough: a [`CalleeSavedUsage`] never holds more
+//! than 64 registers ([`spillopt_ir::target::MAX_CALLEE_SAVED`]), because
+//! [`CalleeSavedUsage::from_function`] reads a [`spillopt_ir::Target`],
+//! which [`spillopt_ir::Target::try_new`] caps at 64, and
+//! [`CalleeSavedUsage::set_busy`] panics on a 65th register.
 
 use crate::location::{SpillKind, SpillLoc, SpillPoint};
 use crate::sets::SaveRestoreSet;
@@ -46,13 +47,8 @@ pub struct RegWords {
 }
 
 impl RegWords {
-    /// Packs the busy sets of `usage` into per-block words. Returns
-    /// `None` when more than 64 registers are in use (callers fall back
-    /// to the per-register path).
-    pub fn from_busy(num_blocks: usize, usage: &CalleeSavedUsage) -> Option<Self> {
-        if usage.num_regs() > 64 {
-            return None;
-        }
+    /// Packs the busy sets of `usage` into per-block words.
+    pub fn from_busy(num_blocks: usize, usage: &CalleeSavedUsage) -> Self {
         let regs: Vec<PReg> = usage.regs().map(|(r, _)| r).collect();
         let mut words = vec![0u64; num_blocks];
         for (bit, (_, busy)) in usage.regs().enumerate() {
@@ -60,7 +56,7 @@ impl RegWords {
                 words[b] |= 1 << bit;
             }
         }
-        Some(RegWords { words, regs })
+        RegWords { words, regs }
     }
 
     /// Projects bit `r` out into a per-block set (for tests and
@@ -191,17 +187,16 @@ pub fn chow_grow_all(
 
 /// Chow's shrink-wrapping placement for all used callee-saved registers
 /// via the bit-parallel solver, as [`SpillPoint`]s (unsorted; the caller
-/// builds the [`crate::Placement`], which sorts). Returns `None` when
-/// the register count exceeds one word.
+/// builds the [`crate::Placement`], which sorts).
 pub fn chow_points_all(
     cfg: &Cfg,
     derived: &DerivedCfg,
     cyclic: &[CyclicRegion],
     usage: &CalleeSavedUsage,
-) -> Option<Vec<SpillPoint>> {
-    let mut w = RegWords::from_busy(cfg.num_blocks(), usage)?;
+) -> Vec<SpillPoint> {
+    let mut w = RegWords::from_busy(cfg.num_blocks(), usage);
     chow_grow_all(derived, cfg.entry().index(), cyclic, &mut w);
-    Some(chow_boundaries(cfg, &w))
+    chow_boundaries(cfg, &w)
 }
 
 /// Extracts every register's region-boundary placement from grown
@@ -264,8 +259,7 @@ fn chow_boundaries(cfg: &Cfg, w: &RegWords) -> Vec<SpillPoint> {
 
 /// The paper's initial save/restore sets — one set per (register,
 /// connected busy cluster) — assembled from a single edge sweep over the
-/// busy membership words. Returns `None` when the register count exceeds
-/// one word.
+/// busy membership words.
 ///
 /// Produces exactly the sets of the retired per-cluster scan
 /// ([`crate::reference::modified_shrink_wrap_reference`]): same set
@@ -276,12 +270,12 @@ pub fn initial_sets_all(
     cfg: &Cfg,
     derived: &DerivedCfg,
     usage: &CalleeSavedUsage,
-) -> Option<Vec<SaveRestoreSet>> {
+) -> Vec<SaveRestoreSet> {
     let n = cfg.num_blocks();
-    let w = RegWords::from_busy(n, usage)?;
+    let w = RegWords::from_busy(n, usage);
     let num_regs = w.regs.len();
     if num_regs == 0 {
-        return Some(Vec::new());
+        return Vec::new();
     }
 
     // Label the busy clusters of every register: labels[r][b] = dense
@@ -416,7 +410,7 @@ pub fn initial_sets_all(
             });
         }
     }
-    Some(sets)
+    sets
 }
 
 /// Per-(region, register) busy-block counts over a PST — the
@@ -440,15 +434,9 @@ pub struct RegionBusyCounts {
 
 impl RegionBusyCounts {
     /// Counts, for every PST region and callee-saved register, the busy
-    /// blocks of the register inside the region. Returns `None` when
-    /// more than 64 registers are in use (callers keep the per-register
-    /// intersection path).
-    pub fn compute(
-        pst: &spillopt_pst::Pst,
-        num_blocks: usize,
-        usage: &CalleeSavedUsage,
-    ) -> Option<Self> {
-        let w = RegWords::from_busy(num_blocks, usage)?;
+    /// blocks of the register inside the region.
+    pub fn compute(pst: &spillopt_pst::Pst, num_blocks: usize, usage: &CalleeSavedUsage) -> Self {
+        let w = RegWords::from_busy(num_blocks, usage);
         let num_regs = w.regs.len();
         let mut counts = vec![0u32; pst.num_regions() * num_regs];
         for region in pst.regions() {
@@ -462,10 +450,10 @@ impl RegionBusyCounts {
                 }
             }
         }
-        Some(RegionBusyCounts {
+        RegionBusyCounts {
             regs: w.regs,
             counts,
-        })
+        }
     }
 
     /// The busy-block count of `reg` inside `region`, or `None` if the
@@ -524,7 +512,7 @@ mod tests {
                 usage.set_busy(PReg::new(11 + i as u8), BlockId::from_index(b), n);
             }
         }
-        let mut w = RegWords::from_busy(n, &usage).expect("fits one word");
+        let mut w = RegWords::from_busy(n, &usage);
         let derived = DerivedCfg::compute(&cfg);
         chow_grow_all(&derived, cfg.entry().index(), &cyclic, &mut w);
         for (bit, (_, busy)) in usage.regs().enumerate() {
@@ -548,7 +536,7 @@ mod tests {
                 usage.set_busy(PReg::new(11 + i as u8), BlockId::from_index(b), n);
             }
         }
-        let counts = RegionBusyCounts::compute(&pst, n, &usage).expect("fits one word");
+        let counts = RegionBusyCounts::compute(&pst, n, &usage);
         let mut scratch = DenseBitSet::new(n);
         for region in pst.regions() {
             for (reg, busy) in usage.regs() {
@@ -579,7 +567,7 @@ mod tests {
             }
         }
         let derived = DerivedCfg::compute(&cfg);
-        let fast = initial_sets_all(&cfg, &derived, &usage).expect("fits one word");
+        let fast = initial_sets_all(&cfg, &derived, &usage);
         let slow = crate::reference::modified_shrink_wrap_reference(&cfg, &usage);
         assert_eq!(fast.len(), slow.sets.len());
         for (a, b) in fast.iter().zip(&slow.sets) {

@@ -2,6 +2,7 @@
 //! which blocks each is *busy* (holds an allocated variable and must not be
 //! restored over).
 
+use spillopt_ir::target::MAX_CALLEE_SAVED;
 use spillopt_ir::{BlockId, Cfg, DenseBitSet, Function, Liveness, PReg, Reg, Target};
 
 /// For each callee-saved register the allocator used, the set of blocks
@@ -20,12 +21,23 @@ impl CalleeSavedUsage {
 
     /// Marks `reg` busy in `block`. `num_blocks` sizes the bitset on first
     /// use of a register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` would be the 65th distinct register: a usage
+    /// holds at most [`MAX_CALLEE_SAVED`] registers, the bound
+    /// [`Target::try_new`] puts on callee-saved registers, so the
+    /// placement solvers always fit every register in one word.
     pub fn set_busy(&mut self, reg: PReg, block: BlockId, num_blocks: usize) {
         match self.entries.iter_mut().find(|(r, _)| *r == reg) {
             Some((_, set)) => {
                 set.insert(block.index());
             }
             None => {
+                assert!(
+                    self.entries.len() < MAX_CALLEE_SAVED,
+                    "more than {MAX_CALLEE_SAVED} callee-saved registers in use"
+                );
                 let mut set = DenseBitSet::new(num_blocks);
                 set.insert(block.index());
                 self.entries.push((reg, set));
@@ -347,6 +359,20 @@ mod tests {
         assert!(!u.busy(r12).unwrap().contains(1));
         assert!(u.busy(PReg::new(13)).is_none());
         assert!(!u.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 callee-saved registers")]
+    fn sixty_fifth_register_panics() {
+        let mut u = CalleeSavedUsage::new();
+        let b = BlockId::from_index(0);
+        for r in 0..MAX_CALLEE_SAVED as u8 {
+            u.set_busy(PReg::new(r), b, 1);
+        }
+        // A register already in use is still accepted.
+        u.set_busy(PReg::new(0), b, 1);
+        assert_eq!(u.num_regs(), MAX_CALLEE_SAVED);
+        u.set_busy(PReg::new(MAX_CALLEE_SAVED as u8), b, 1);
     }
 
     #[test]

@@ -125,8 +125,7 @@ pub struct PlacementChecker {
     /// Usage registers in bit order (`usage.regs()` order, sorted).
     regs: Vec<PReg>,
     /// Bit of each usage register, indexed by [`PReg::index`]; [`NO_BIT`]
-    /// for registers the usage does not list. Unfilled past 64 usage
-    /// registers (the reference fallback).
+    /// for registers the usage does not list.
     bit_of: [u8; 256],
     /// Per-block busy words.
     busy: Vec<u64>,
@@ -147,12 +146,10 @@ impl PlacementChecker {
         let regs: Vec<PReg> = usage.regs().map(|(r, _)| r).collect();
         let mut bit_of = [NO_BIT; 256];
         let mut busy = vec![0u64; n];
-        if regs.len() <= 64 {
-            for (bit, (reg, set)) in usage.regs().enumerate() {
-                bit_of[reg.index()] = bit as u8;
-                for b in set.iter_ones() {
-                    busy[b] |= 1 << bit;
-                }
+        for (bit, (reg, set)) in usage.regs().enumerate() {
+            bit_of[reg.index()] = bit as u8;
+            for b in set.iter_ones() {
+                busy[b] |= 1 << bit;
             }
         }
         let mut is_exit = vec![false; n];
@@ -215,9 +212,7 @@ impl PlacementChecker {
         let m = self.succs.len();
         debug_assert_eq!((n, m), (cfg.num_blocks(), cfg.num_edges()));
         // Bit order: usage registers, then placement-only registers in
-        // ascending order (points are sorted by register first). Past 64
-        // usage registers no bit is assigned, so every placed register
-        // counts as placement-only and the check falls back below.
+        // ascending order (points are sorted by register first).
         let mut extra: Vec<PReg> = Vec::new();
         for p in placement.points() {
             if self.bit_of[p.reg.index()] == NO_BIT && extra.last() != Some(&p.reg) {
@@ -822,14 +817,15 @@ mod tests {
         }
     }
 
-    /// More than 64 registers in all takes the reference path, whether
-    /// the usage alone has too many or placement-only registers push it
-    /// over; the checker then returns the reference's list verbatim.
+    /// More than 64 registers in all takes the reference path; a usage
+    /// holds at most 64, so only placement-only registers can push it
+    /// over, however few the usage has. The checker then returns the
+    /// reference's list verbatim.
     #[test]
     fn over_64_registers_fall_back_to_the_reference() {
         let (f, [a, b, _, d]) = diamond();
         let cfg = Cfg::compute(&f);
-        for (used, placement_only) in [(65u8, 0u8), (64, 1)] {
+        for (used, placement_only) in [(64u8, 1u8), (1, 64)] {
             let mut usage = CalleeSavedUsage::new();
             for r in 0..used {
                 usage.set_busy(PReg::new(r), b, 4);

@@ -17,15 +17,14 @@
 //! decides whether a function needs placement at all — by
 //! [`CalleeSavedUsage::from_function`]'s word-parallel liveness over the
 //! callee-saved registers alone; no full-universe liveness is run or
-//! kept. Everything else (SCCs, PST, the dense [`DerivedCfg`] tables,
-//! dominators, post-dominators, loops) is built lazily on first access,
-//! so the many functions that use no callee-saved register
+//! kept. Everything else (SCCs, PST, the dense [`DerivedCfg`] tables) is
+//! built lazily on first access, so the many functions that use no callee-saved register
 //! ([`AnalysisCache::needs_placement`] returns `false`) pay for none of
 //! it.
 
 use spillopt_core::CalleeSavedUsage;
 use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
-use spillopt_ir::{BlockDoms, BlockPostDoms, Cfg, DerivedCfg, Function, LoopInfo, Target};
+use spillopt_ir::{Cfg, DerivedCfg, Function, Target};
 use spillopt_profile::EdgeProfile;
 use spillopt_pst::Pst;
 use spillopt_sync::OnceLock;
@@ -42,9 +41,6 @@ pub struct AnalysisCache {
     cyclic: OnceLock<Vec<CyclicRegion>>,
     pst: OnceLock<Pst>,
     derived: OnceLock<DerivedCfg>,
-    doms: OnceLock<BlockDoms>,
-    postdoms: OnceLock<BlockPostDoms>,
-    loops: OnceLock<LoopInfo>,
 }
 
 impl AnalysisCache {
@@ -64,9 +60,6 @@ impl AnalysisCache {
             cyclic: OnceLock::new(),
             pst: OnceLock::new(),
             derived: OnceLock::new(),
-            doms: OnceLock::new(),
-            postdoms: OnceLock::new(),
-            loops: OnceLock::new(),
         }
     }
 
@@ -102,23 +95,6 @@ impl AnalysisCache {
             DerivedCfg::compute(&self.cfg)
         })
     }
-
-    /// Dominators.
-    pub fn doms(&self) -> &BlockDoms {
-        self.doms.get_or_init(|| BlockDoms::compute(&self.cfg))
-    }
-
-    /// Post-dominators.
-    pub fn postdoms(&self) -> &BlockPostDoms {
-        self.postdoms
-            .get_or_init(|| BlockPostDoms::compute(&self.cfg))
-    }
-
-    /// Natural loops.
-    pub fn loops(&self) -> &LoopInfo {
-        self.loops
-            .get_or_init(|| LoopInfo::compute(&self.cfg, self.doms()))
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +123,6 @@ mod tests {
         assert_eq!(cache.cfg.num_blocks(), cfg.num_blocks());
         assert_eq!(cache.pst().num_regions(), Pst::compute(&cfg).num_regions());
         assert_eq!(cache.cyclic().len(), sccs(&cfg).len());
-        assert_eq!(cache.loops().loops().len(), 0);
-        assert!(cache.doms().dominates(cfg.entry(), cfg.entry()));
-        let _ = cache.postdoms();
+        assert_eq!(cache.derived().num_edges(), cfg.num_edges());
     }
 }

@@ -18,7 +18,7 @@
 //!   body, and every method has an `_observed` form that streams
 //!   per-function reports to an [`Observer`];
 //! * [`AnalysisCache`] — every CFG-derived analysis a function's
-//!   placement needs (CFG, dominators, loops, SCCs, PST, profile,
+//!   placement needs (CFG, SCCs, PST, derived CFG tables, profile,
 //!   callee-saved usage), computed **once** per function and
 //!   shared by all selected techniques through
 //!   [`spillopt_core::run_suite`]'s borrowed-analysis inputs;

@@ -1,4 +1,4 @@
-//! Dominator and post-dominator trees (Cooper-Harvey-Kennedy).
+//! Dominator trees (Cooper-Harvey-Kennedy).
 
 use crate::analysis::graph::Graph;
 use crate::cfg::Cfg;
@@ -21,58 +21,8 @@ impl DomTree {
     /// Computes the dominator tree of `graph` rooted at `root`.
     /// Nodes unreachable from `root` have no immediate dominator.
     pub fn compute(graph: &Graph, root: usize) -> Self {
-        Self::compute_dir(graph, root, false)
-    }
-
-    /// Computes the dominator tree of the *reversed* graph rooted at
-    /// `root` — post-dominators of the forward graph — without
-    /// materializing a reversed copy (the graph already stores both
-    /// adjacency directions).
-    pub fn compute_reversed(graph: &Graph, root: usize) -> Self {
-        Self::compute_dir(graph, root, true)
-    }
-
-    /// The shared implementation: `rev` swaps the roles of the
-    /// successor and predecessor lists.
-    fn compute_dir(graph: &Graph, root: usize, rev: bool) -> Self {
         let n = graph.num_nodes();
-        let succs = |u: usize| -> &[u32] {
-            if rev {
-                graph.preds(u)
-            } else {
-                graph.succs(u)
-            }
-        };
-        let preds = |u: usize| -> &[u32] {
-            if rev {
-                graph.succs(u)
-            } else {
-                graph.preds(u)
-            }
-        };
-        // Reverse postorder over the chosen direction.
-        let rpo = {
-            let mut seen = vec![false; n];
-            let mut order = Vec::with_capacity(n);
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-            seen[root] = true;
-            while let Some(&mut (u, ref mut ci)) = stack.last_mut() {
-                let row = succs(u);
-                if *ci < row.len() {
-                    let v = row[*ci] as usize;
-                    *ci += 1;
-                    if !seen[v] {
-                        seen[v] = true;
-                        stack.push((v, 0));
-                    }
-                } else {
-                    order.push(u);
-                    stack.pop();
-                }
-            }
-            order.reverse();
-            order
-        };
+        let rpo = graph.reverse_postorder(root);
         let mut rpo_num = vec![u32::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_num[b] = i as u32;
@@ -101,7 +51,7 @@ impl DomTree {
                     continue;
                 }
                 let mut new_idom: Option<usize> = None;
-                for &p in preds(b) {
+                for &p in graph.preds(b) {
                     let p = p as usize;
                     if idom[p].is_none() {
                         continue;
@@ -347,50 +297,6 @@ impl BlockDoms {
     /// Returns the underlying generic tree.
     pub fn tree(&self) -> &DomTree {
         &self.tree
-    }
-}
-
-/// Post-dominator tree over a function's blocks, rooted at a virtual exit
-/// that all return blocks feed.
-#[derive(Clone, Debug)]
-pub struct BlockPostDoms {
-    tree: DomTree,
-    virtual_exit: usize,
-}
-
-impl BlockPostDoms {
-    /// Computes post-dominators of a CFG.
-    pub fn compute(cfg: &Cfg) -> Self {
-        let (graph, vexit) = Graph::from_cfg_with_virtual_exit(cfg);
-        BlockPostDoms {
-            tree: DomTree::compute_reversed(&graph, vexit),
-            virtual_exit: vexit,
-        }
-    }
-
-    /// Returns `true` if `a` post-dominates `b` (reflexively).
-    pub fn postdominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.tree.dominates(a.index(), b.index())
-    }
-
-    /// Returns the immediate post-dominator of `b`; `None` when it is the
-    /// virtual exit (i.e. for return blocks and diverging merge points).
-    pub fn ipostdom(&self, b: BlockId) -> Option<BlockId> {
-        match self.tree.idom(b.index()) {
-            Some(i) if i != self.virtual_exit && i != b.index() => Some(BlockId::from_index(i)),
-            _ => None,
-        }
-    }
-
-    /// Returns the underlying generic tree (nodes: blocks plus the virtual
-    /// exit at index [`Self::virtual_exit_index`]).
-    pub fn tree(&self) -> &DomTree {
-        &self.tree
-    }
-
-    /// Returns the index of the virtual exit node.
-    pub fn virtual_exit_index(&self) -> usize {
-        self.virtual_exit
     }
 }
 

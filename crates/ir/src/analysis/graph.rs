@@ -71,21 +71,6 @@ impl Graph {
         Graph::from_edges(cfg.num_blocks(), &edges)
     }
 
-    /// Builds the *augmented* graph of a CFG: blocks `0..n` plus a virtual
-    /// exit node `n` that every return block feeds into. Useful for
-    /// post-dominators on multi-exit functions.
-    ///
-    /// Returns the graph and the virtual exit's index.
-    pub fn from_cfg_with_virtual_exit(cfg: &Cfg) -> (Graph, usize) {
-        let n = cfg.num_blocks();
-        let edges: Vec<(usize, usize)> = cfg
-            .edges()
-            .map(|(_, e)| (e.from.index(), e.to.index()))
-            .chain(cfg.exit_blocks().iter().map(|b| (b.index(), n)))
-            .collect();
-        (Graph::from_edges(n + 1, &edges), n)
-    }
-
     /// Depth-first preorder from `root` (unreachable nodes omitted).
     pub fn preorder(&self, root: usize) -> Vec<usize> {
         let mut seen = vec![false; self.num_nodes()];

@@ -5,7 +5,7 @@ pub mod graph;
 pub mod liveness;
 pub mod loops;
 
-pub use dom::{BlockDoms, BlockPostDoms, DomTree};
+pub use dom::{BlockDoms, DomTree};
 pub use graph::Graph;
 pub use liveness::{Liveness, RegUniverse};
 pub use loops::{sccs, CyclicRegion, LoopInfo, NaturalLoop};

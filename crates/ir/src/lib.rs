@@ -18,7 +18,7 @@
 //! * CFG editing primitives ([`edit`]) that realize spill code on edges,
 //!   inserting **jump blocks** exactly when the paper's model says a jump
 //!   instruction is needed;
-//! * analyses: dominators/post-dominators, natural loops and SCCs,
+//! * analyses: dominators, natural loops and SCCs,
 //!   liveness ([`analysis`]);
 //! * a text format with printer and parser ([`display`], [`parse`]), a
 //!   structural verifier ([`verify`]), and a builder API ([`FunctionBuilder`]).
@@ -66,7 +66,7 @@ pub mod parse;
 pub mod target;
 pub mod verify;
 
-pub use analysis::{BlockDoms, BlockPostDoms, Graph, Liveness, LoopInfo, RegUniverse};
+pub use analysis::{BlockDoms, Graph, Liveness, LoopInfo, RegUniverse};
 pub use bitset::{BitMatrix, DenseBitSet, UnionFind};
 pub use block::Block;
 pub use builder::FunctionBuilder;
