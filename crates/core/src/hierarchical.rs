@@ -26,6 +26,7 @@ use crate::location::{Placement, SpillKind, SpillLoc, SpillPoint};
 use crate::modified::{modified_shrink_wrap, InitialSets};
 use crate::overhead::placement_cost_with;
 use crate::sets::{EdgeShares, SaveRestoreSet};
+use crate::solver::RegionBusyCounts;
 use crate::usage::CalleeSavedUsage;
 use spillopt_ir::{Cfg, DenseBitSet, PReg};
 use spillopt_profile::EdgeProfile;
@@ -33,7 +34,7 @@ use spillopt_pst::{Pst, RegionBoundary, RegionId};
 
 /// One decision made while traversing the PST (for tests, examples, and
 /// the harness's walkthrough output).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The region being analyzed.
     pub region: RegionId,
@@ -63,16 +64,21 @@ pub struct HierarchicalResult {
     /// pricing included) the traversal's result may afterwards be
     /// replaced wholesale by the entry/exit placement or by Chow's
     /// shrink-wrapping in the final group-wise comparison (see
-    /// [`hierarchical_placement_vs`]); the trace then describes the
+    /// [`hierarchical_placement_seeded`]); the trace then describes the
     /// traversal that was overridden, not the returned placement.
     pub trace: Vec<TraceEvent>,
 }
 
-/// Runs the hierarchical spill code placement algorithm.
+/// Runs the hierarchical spill code placement algorithm under the
+/// paper's unit (PA-RISC) costs.
 ///
-/// `model` selects between the paper's two cost models; the execution
-/// count model is optimal in-model, the jump edge model additionally
-/// prices the jump blocks needed on critical jump edges.
+/// `model` selects between the paper's two cost models; the jump edge
+/// model additionally prices the jump blocks needed on critical jump
+/// edges. Neither variant is proven optimal in-model. Against the exact
+/// solver (`spillopt gap --json --seeds 300 --target all`), the
+/// execution count variant reaches zero gap on 2,281 of the 2,282
+/// stress functions the solver solves; the one miss, on riscv64-lp64
+/// (which prices with these unit costs), is 66‰ above the optimum.
 pub fn hierarchical_placement(
     cfg: &Cfg,
     pst: &Pst,
@@ -80,7 +86,21 @@ pub fn hierarchical_placement(
     profile: &EdgeProfile,
     model: CostModel,
 ) -> HierarchicalResult {
-    hierarchical_placement_with(cfg, pst, usage, profile, model, &SpillCostModel::UNIT)
+    let cyclic = spillopt_ir::analysis::loops::sccs(cfg);
+    let shrink_wrap = crate::chow::chow_shrink_wrap_with(cfg, &cyclic, usage);
+    // Lines 2-3: initial sets from the modified shrink-wrapping, with the
+    // jump-cost sharing the paper prescribes for them.
+    let initial = modified_shrink_wrap(cfg, usage);
+    hierarchical_placement_seeded(
+        cfg,
+        pst,
+        usage,
+        profile,
+        model,
+        &SpillCostModel::UNIT,
+        &shrink_wrap,
+        initial,
+    )
 }
 
 /// A set in flight through the traversal, paired with its cost under the
@@ -88,9 +108,9 @@ pub fn hierarchical_placement(
 /// are fixed by the initial solution), so it is computed exactly once
 /// instead of at every ancestor region the set bubbles through.
 ///
-/// `Clone` because the delta-driven refold (`crate::incremental`) keeps
-/// every region's folded output alive across sessions and re-feeds
-/// cached copies to dirty ancestors.
+/// `Clone` because [`ModelFold`] keeps every region's folded output
+/// alive between folds and feeds copies to the parent, so a later
+/// re-fold of the parent alone can reuse them.
 #[derive(Clone, Debug)]
 pub(crate) struct LiveSet {
     pub(crate) set: SaveRestoreSet,
@@ -109,11 +129,13 @@ struct Candidate {
 }
 
 /// As [`hierarchical_placement`], priced with a target's
-/// [`SpillCostModel`].
+/// [`SpillCostModel`], with Chow's shrink-wrapping placement and the
+/// initial sets (lines 2-3) supplied by the caller. The suite runs the
+/// traversal once per cost model against the *same* initial solution
+/// and already has Chow's placement.
 ///
 /// With [`SpillCostModel::UNIT`] (the paper's PA-RISC accounting) the
-/// traversal is identical to [`hierarchical_placement`]. Other cost
-/// models change two things:
+/// traversal is the paper's. Other cost models change two things:
 ///
 /// * every replace-decision compares target-priced costs (cheap
 ///   `push`/`pop` at procedure entry/exit on x86-64, paired initial
@@ -129,31 +151,10 @@ struct Candidate {
 ///   placement can be unprofitable while a pair's is profitable.
 ///
 /// Every run ends with a group-wise comparison of the surviving sets
-/// against both the entry/exit baseline and Chow's shrink-wrapping under
-/// the physically accurate accounting ([`placement_cost_with`]), which
-/// keeps the paper's "never worse than entry/exit or shrink-wrapping"
-/// guarantee by construction on every target (see
-/// [`hierarchical_placement_vs`] for why the traversal alone cannot
-/// promise it). This entry point computes Chow's placement itself; use
-/// [`hierarchical_placement_vs`] when the caller already has it.
-pub fn hierarchical_placement_with(
-    cfg: &Cfg,
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    model: CostModel,
-    costs: &SpillCostModel,
-) -> HierarchicalResult {
-    let cyclic = spillopt_ir::analysis::loops::sccs(cfg);
-    let shrink_wrap = crate::chow::chow_shrink_wrap_with(cfg, &cyclic, usage);
-    hierarchical_placement_vs(cfg, pst, usage, profile, model, costs, &shrink_wrap)
-}
-
-/// As [`hierarchical_placement_with`], with Chow's shrink-wrapping
-/// placement supplied by the caller (the suite computes it anyway).
-///
-/// The final group-wise comparison exists because the traversal alone
-/// guarantees neither of the paper's "never worse" claims:
+/// against both the entry/exit baseline and `shrink_wrap` under the
+/// physically accurate accounting ([`placement_cost_with`]). It exists
+/// because the traversal alone guarantees neither of the paper's "never
+/// worse" claims:
 ///
 /// * its replace decisions price *initial* sets with jump (and pair)
 ///   costs shared among the registers of the initial solution — an
@@ -164,36 +165,9 @@ pub fn hierarchical_placement_with(
 ///   to per-path edges trades one location for several), and region
 ///   boundaries offer no way back to the cheaper shape.
 ///
-/// Comparing the traversal's result against both baselines under
-/// [`placement_cost_with`] and returning the cheapest closes both gaps
-/// on every cost model, unit pricing included; ties keep the paper's
-/// traversal result untouched.
-pub fn hierarchical_placement_vs(
-    cfg: &Cfg,
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    model: CostModel,
-    costs: &SpillCostModel,
-    shrink_wrap: &Placement,
-) -> HierarchicalResult {
-    // Lines 2-3: initial sets from the modified shrink-wrapping, with the
-    // jump-cost sharing the paper prescribes for them.
-    let initial = modified_shrink_wrap(cfg, usage);
-    hierarchical_placement_seeded(cfg, pst, usage, profile, model, costs, shrink_wrap, initial)
-}
-
-/// As [`hierarchical_placement_vs`], with the initial sets supplied by
-/// the caller. The suite runs the traversal once per cost model against
-/// the *same* initial solution; computing it once and handing it to both
-/// runs halves the shrink-wrapping work without changing any decision.
-///
-/// The traversal's bookkeeping is dense: the PST's preorder arena
-/// numbering indexes per-region set lists directly (no hash-keyed
-/// folding), every set's cost under the active model is computed once
-/// when the set is created (shares are fixed by the initial solution, so
-/// set costs never change as sets bubble up the tree), and the busy
-/// intersection reuses one scratch bitset across all regions.
+/// Returning the cheapest of the three closes both gaps on every cost
+/// model, unit pricing included; ties keep the paper's traversal result
+/// untouched.
 // The paper's parameter list, plus the two baselines the final
 // comparison needs; a struct would only relocate the argument list.
 #[allow(clippy::too_many_arguments)]
@@ -208,83 +182,116 @@ pub fn hierarchical_placement_seeded(
     initial: InitialSets,
 ) -> HierarchicalResult {
     let shares = EdgeShares::from_sets(&initial.sets);
+    let busy_counts = RegionBusyCounts::compute(pst, cfg.num_blocks(), usage);
     let ctx = FoldCtx {
         cfg,
         pst,
         usage,
         profile,
-        model,
         costs,
         shares: &shares,
-        busy_counts: None,
+        busy_counts: &busy_counts,
     };
-
-    // Assign each set to its home region: the innermost region containing
-    // the whole cluster and every location. Dense, indexed by the PST's
-    // preorder region numbering.
-    let mut home_sets = home_live_sets(&ctx, initial);
-
-    let mut trace = Vec::new();
-    // Folded sets flowing up the tree, indexed by region.
-    let mut folded: Vec<Vec<LiveSet>> = (0..pst.num_regions()).map(|_| Vec::new()).collect();
-    let mut busy_inside = DenseBitSet::new(cfg.num_blocks());
-
-    // Line 4: topological-order (children-first) traversal.
-    for &r in pst.postorder() {
-        let region = pst.region(r);
-        let mut live: Vec<LiveSet> = Vec::new();
-        for &c in &region.children {
-            live.append(&mut folded[c.index()]);
-        }
-        live.append(&mut home_sets[r.index()]);
-        folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
-    }
-
     let entry_exit = entry_exit_placement(cfg, usage);
-    let (placement, final_sets) =
-        finalize_root(&ctx, &entry_exit, shrink_wrap, &folded[pst.root().index()]);
-
-    HierarchicalResult {
-        placement,
-        final_sets,
-        trace,
-    }
+    ModelFold::new(cfg, pst, model, initial).fold(
+        &ctx,
+        &vec![true; pst.num_regions()],
+        &entry_exit,
+        shrink_wrap,
+    )
 }
 
-/// Everything one region fold (and the root finalize) reads: the shared
-/// analyses, the active cost model, and the edge shares fixed by the
-/// initial solution. Bundled so the cold traversal above and the
-/// delta-driven incremental refold ([`crate::incremental`]) run the
-/// exact same decision code — the cold path stays the differential
-/// oracle for the warm one.
+/// Everything one region fold (and the root finalize) reads besides the
+/// cost model: the shared analyses, the edge shares fixed by the initial
+/// solution, and the profile-independent busy intersections. Both cost
+/// models' folds share one context.
 pub(crate) struct FoldCtx<'a> {
     pub(crate) cfg: &'a Cfg,
     pub(crate) pst: &'a Pst,
     pub(crate) usage: &'a CalleeSavedUsage,
     pub(crate) profile: &'a EdgeProfile,
-    pub(crate) model: CostModel,
     pub(crate) costs: &'a SpillCostModel,
     pub(crate) shares: &'a EdgeShares,
-    /// Memoized per-(region, register) busy intersections
-    /// ([`crate::solver::RegionBusyCounts`], profile-independent). The
-    /// cold oracle passes `None` and recomputes the intersection in the
-    /// scratch bitset each time; the session memo passes its cached
-    /// product.
-    pub(crate) busy_counts: Option<&'a crate::solver::RegionBusyCounts>,
+    /// Per-(region, register) busy-block counts: the hoistability test.
+    pub(crate) busy_counts: &'a RegionBusyCounts,
 }
 
-/// Lines 2-3 bookkeeping: prices every initial set under the active model
-/// and files it at its home region (the innermost region containing the
-/// whole cluster and every location). Dense, indexed by the PST's
-/// preorder region numbering.
-pub(crate) fn home_live_sets(ctx: &FoldCtx<'_>, initial: InitialSets) -> Vec<Vec<LiveSet>> {
-    let mut home_sets: Vec<Vec<LiveSet>> = (0..ctx.pst.num_regions()).map(|_| Vec::new()).collect();
-    for set in initial.sets {
-        let home = home_region(ctx.cfg, ctx.pst, &set);
-        let cost = set.cost_with(ctx.model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
-        home_sets[home.index()].push(LiveSet { set, cost });
+/// One cost model's traversal state (line 4): the initial sets filed at
+/// their home regions and every region's folded output, both dense and
+/// indexed by the PST's preorder region numbering.
+///
+/// A cold run folds a fresh `ModelFold` with every region dirty. The
+/// delta-driven memo ([`crate::incremental`]) keeps it and, after a
+/// profile drift, folds it again over [`Pst::dirty_regions`]: a clean
+/// region's home and folded sets keep their costs, which the dirty
+/// mapping guarantees the drift left unchanged.
+#[derive(Debug)]
+pub(crate) struct ModelFold {
+    model: CostModel,
+    home_sets: Vec<Vec<LiveSet>>,
+    folded: Vec<Vec<LiveSet>>,
+}
+
+impl ModelFold {
+    /// Files every initial set at its home region: the innermost region
+    /// containing the whole cluster and every location. Filing reads no
+    /// profile, so the sets stay unpriced until their region is folded.
+    pub(crate) fn new(cfg: &Cfg, pst: &Pst, model: CostModel, initial: InitialSets) -> Self {
+        let mut home_sets: Vec<Vec<LiveSet>> = (0..pst.num_regions()).map(|_| Vec::new()).collect();
+        for set in initial.sets {
+            let home = home_region(cfg, pst, &set);
+            home_sets[home.index()].push(LiveSet {
+                set,
+                cost: Cost::ZERO,
+            });
+        }
+        ModelFold {
+            model,
+            home_sets,
+            folded: (0..pst.num_regions()).map(|_| Vec::new()).collect(),
+        }
     }
-    home_sets
+
+    /// Lines 4-9: folds the regions `dirty` marks children first, then
+    /// runs the root finalize against both baselines.
+    ///
+    /// `dirty` is indexed by region and must be ancestor-closed (as
+    /// [`Pst::dirty_regions`] returns it); the first fold of a fresh
+    /// `ModelFold` must mark every region. The returned `trace` covers
+    /// exactly the folded regions.
+    pub(crate) fn fold(
+        &mut self,
+        ctx: &FoldCtx<'_>,
+        dirty: &[bool],
+        entry_exit: &Placement,
+        shrink_wrap: &Placement,
+    ) -> HierarchicalResult {
+        let mut trace = Vec::new();
+        for &r in ctx.pst.postorder() {
+            if !dirty[r.index()] {
+                continue;
+            }
+            for hs in &mut self.home_sets[r.index()] {
+                hs.cost = hs
+                    .set
+                    .cost_with(self.model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
+            }
+            let mut live: Vec<LiveSet> = Vec::new();
+            for &c in &ctx.pst.region(r).children {
+                live.extend(self.folded[c.index()].iter().cloned());
+            }
+            live.extend(self.home_sets[r.index()].iter().cloned());
+            self.folded[r.index()] = fold_region(ctx, self.model, r, live, &mut trace);
+        }
+        let root_sets = &self.folded[ctx.pst.root().index()];
+        let (placement, final_sets) =
+            finalize_root(ctx, self.model, entry_exit, shrink_wrap, root_sets);
+        HierarchicalResult {
+            placement,
+            final_sets,
+            trace,
+        }
+    }
 }
 
 /// Lines 5-8 for one region: partitions the live sets per register,
@@ -292,15 +299,13 @@ pub(crate) fn home_live_sets(ctx: &FoldCtx<'_>, initial: InitialSets) -> Vec<Vec
 /// `live` must hold the children's folded outputs (in child order)
 /// followed by the region's own home sets; the returned vector is what
 /// the parent region sees.
-pub(crate) fn fold_region(
+fn fold_region(
     ctx: &FoldCtx<'_>,
+    model: CostModel,
     r: RegionId,
     mut live: Vec<LiveSet>,
-    busy_inside: &mut DenseBitSet,
     trace: &mut Vec<TraceEvent>,
 ) -> Vec<LiveSet> {
-    let region = ctx.pst.region(r);
-
     // Line 5: per callee-saved register.
     let mut regs: Vec<PReg> = live.iter().map(|s| s.set.reg).collect();
     regs.sort();
@@ -315,21 +320,16 @@ pub(crate) fn fold_region(
         // busy block of `reg` inside the region belongs to the
         // contained sets (otherwise another web of the same register
         // crosses the boundary).
-        let busy_in_region = match ctx.busy_counts.and_then(|bc| bc.count(r, reg)) {
-            Some(count) => count,
-            None => {
-                let busy = ctx.usage.busy(reg).expect("set exists for used register");
-                busy_inside.set_to_intersection(busy, &region.blocks);
-                busy_inside.count()
-            }
-        };
+        let busy_in_region = ctx
+            .busy_counts
+            .count(r, reg)
+            .expect("set exists for used register");
         let contained_blocks: usize = mine.iter().map(|s| s.set.cluster.count()).sum();
         let hoistable = contained_blocks == busy_in_region;
 
         let contained_cost: Cost = mine.iter().map(|s| s.cost).sum();
         let boundary = boundary_set(ctx.cfg, ctx.pst, r, reg);
-        let boundary_cost =
-            boundary.cost_with(ctx.model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
+        let boundary_cost = boundary.cost_with(model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
 
         candidates.push(Candidate {
             reg,
@@ -342,7 +342,7 @@ pub(crate) fn fold_region(
     }
 
     let decisions = if ctx.costs.pair_size > 1 {
-        decide_paired(ctx.model, ctx.costs, ctx.cfg, ctx.profile, &candidates)
+        decide_paired(model, ctx.costs, ctx.cfg, ctx.profile, &candidates)
     } else {
         // Line 6: the paper's per-register "less than or equal" rule.
         candidates
@@ -389,20 +389,17 @@ pub(crate) fn fold_region(
 }
 
 /// The final group-wise comparison against both baselines (see the doc
-/// comment of [`hierarchical_placement_vs`]): shared-cost pricing of
+/// comment of [`hierarchical_placement_seeded`]): shared-cost pricing of
 /// initial sets and the modified-vs-Chow gap mean the traversal alone
 /// can end costlier than entry/exit or shrink-wrapping; return the
 /// cheapest of the three under the physically accurate accounting.
 /// Ties keep the traversal's (the paper's) result, so the worked
 /// examples are untouched. When the override fires, the caller's `trace`
 /// keeps describing the overridden traversal (documented on
-/// [`HierarchicalResult::trace`]).
-///
-/// Both baselines and the root's folded sets are borrowed: the
-/// incremental re-fold passes its memoized entry/exit placement and
-/// root sets, and only the returned sets are copied.
-pub(crate) fn finalize_root(
+/// [`HierarchicalResult::trace`]). Only the returned sets are copied.
+fn finalize_root(
     ctx: &FoldCtx<'_>,
+    model: CostModel,
     entry_exit: &Placement,
     shrink_wrap: &Placement,
     root_sets: &[LiveSet],
@@ -416,9 +413,9 @@ pub(crate) fn finalize_root(
     );
 
     if !placement.points().is_empty() {
-        let ours = placement_cost_with(ctx.model, ctx.costs, cfg, profile, &placement);
-        let ee_cost = placement_cost_with(ctx.model, ctx.costs, cfg, profile, entry_exit);
-        let sw_cost = placement_cost_with(ctx.model, ctx.costs, cfg, profile, shrink_wrap);
+        let ours = placement_cost_with(model, ctx.costs, cfg, profile, &placement);
+        let ee_cost = placement_cost_with(model, ctx.costs, cfg, profile, entry_exit);
+        let sw_cost = placement_cost_with(model, ctx.costs, cfg, profile, shrink_wrap);
         if ee_cost.min(sw_cost) < ours {
             let winner = if ee_cost <= sw_cost {
                 entry_exit
@@ -862,8 +859,18 @@ mod tests {
             pair_size: 2,
             ..SpillCostModel::UNIT
         };
-        let res =
-            hierarchical_placement_with(&cfg, &pst, &usage, &profile, CostModel::JumpEdge, &paired);
+        let cyclic = spillopt_ir::analysis::loops::sccs(&cfg);
+        let chow = crate::chow::chow_shrink_wrap_with(&cfg, &cyclic, &usage);
+        let res = hierarchical_placement_seeded(
+            &cfg,
+            &pst,
+            &usage,
+            &profile,
+            CostModel::JumpEdge,
+            &paired,
+            &chow,
+            modified_shrink_wrap(&cfg, &usage),
+        );
         assert!(check_placement(&cfg, &usage, &res.placement).is_empty());
         assert_eq!(eval(&paired, &res), Cost::from_count(200));
         for p in res.placement.points() {

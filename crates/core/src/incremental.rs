@@ -28,24 +28,23 @@
 //!
 //! Decisions are pure functions of those inputs, so the clean fold
 //! output — membership *and* cost — is byte-for-byte what a cold run
-//! would recompute. The cold path ([`crate::run_suite`]) is kept intact
-//! as the differential oracle; the driver's drift fuzzer
-//! (`spillopt stress --drift`) compares the two on every step of every
-//! seeded drift sequence.
+//! would recompute. A cold run is the same fold with every region
+//! dirty, so the two paths differ only in the dirty map; the driver's
+//! drift fuzzer (`spillopt stress --drift`) compares them on every step
+//! of every seeded drift sequence, and `core::reference` holds an
+//! independent traversal that `tests/differential_solver.rs` compares
+//! against cold suites, traces included.
 
 use crate::cost::CostModel;
-use crate::hierarchical::{
-    finalize_root, fold_region, home_live_sets, FoldCtx, HierarchicalResult, LiveSet,
-};
+use crate::hierarchical::{FoldCtx, ModelFold};
 use crate::location::Placement;
-use crate::modified::InitialSets;
 use crate::pipeline::{
     check_all, price_all, PlacementSuite, SuiteError, SuiteInputs, SuiteOptions,
 };
 use crate::sets::EdgeShares;
 use crate::solver::RegionBusyCounts;
 use crate::validate::PlacementChecker;
-use spillopt_ir::{Cfg, DenseBitSet};
+use spillopt_ir::Cfg;
 use spillopt_profile::ProfileDelta;
 
 /// The memoized per-region folded products of one function's placement:
@@ -70,9 +69,9 @@ pub struct PlacementMemo {
     /// Memoized busy intersections (profile-independent).
     busy_counts: RegionBusyCounts,
     /// Fold tables of the execution-count model.
-    exec: ModelMemo,
+    exec: ModelFold,
     /// Fold tables of the jump-edge model.
-    jump: ModelMemo,
+    jump: ModelFold,
     /// The entry/exit placement (profile-independent): a suite member
     /// and one of the root finalize's two baselines.
     entry_exit: Placement,
@@ -82,15 +81,6 @@ pub struct PlacementMemo {
     /// The validator of the function's `(cfg, usage)`, built once and
     /// run on both re-folded placements of every call.
     checker: PlacementChecker,
-}
-
-/// One cost model's fold tables: the home sets (costs valid for the
-/// memo's base profile) and every region's folded output.
-#[derive(Debug)]
-struct ModelMemo {
-    model: CostModel,
-    home_sets: Vec<Vec<LiveSet>>,
-    folded: Vec<Vec<LiveSet>>,
 }
 
 /// The dirty-region ledger of one incremental call.
@@ -106,10 +96,10 @@ pub struct RefoldStats {
 /// As [`crate::run_suite`], additionally retaining every per-region
 /// folded product in a [`PlacementMemo`] for later incremental re-folds.
 ///
-/// The returned suite is identical to [`crate::run_suite`]'s on the same
-/// inputs: both paths run the exact same per-region decision code
-/// (`fold_region`), and keeping the fold tables alive instead of
-/// draining them changes no decision.
+/// This is the cold path: [`crate::run_suite`] is this call with the
+/// memo dropped. Each cost model's traversal is a fresh fold with every
+/// region dirty — the same fold [`run_suite_incremental`] runs over the
+/// regions a delta dirties.
 ///
 /// # Errors
 ///
@@ -134,59 +124,36 @@ pub fn run_suite_memoized(
         let _s = spillopt_obs::span("place_chow");
         crate::chow::chow_shrink_wrap_derived(cfg, derived, inputs.cyclic(), usage)
     };
+    // Both hierarchical runs start from the same initial solution (the
+    // initial sets do not depend on the cost model).
     let initial = {
         let _s = spillopt_obs::span("place_hier_seed");
         crate::modified::modified_shrink_wrap_derived(cfg, derived, usage)
     };
     let shares = EdgeShares::from_sets(&initial.sets);
     let busy_counts = RegionBusyCounts::compute(pst, cfg.num_blocks(), usage);
-
-    let fold_all = |model: CostModel, initial: InitialSets| {
-        let _s = spillopt_obs::span(match model {
-            CostModel::ExecutionCount => "place_hier_exec",
-            CostModel::JumpEdge => "place_hier_jump",
-        });
-        let ctx = FoldCtx {
-            cfg,
-            pst,
-            usage,
-            profile,
-            model,
-            costs,
-            shares: &shares,
-            busy_counts: Some(&busy_counts),
-        };
-        let home_sets = home_live_sets(&ctx, initial);
-        let mut folded: Vec<Vec<LiveSet>> = (0..pst.num_regions()).map(|_| Vec::new()).collect();
-        let mut busy_inside = DenseBitSet::new(cfg.num_blocks());
-        let mut trace = Vec::new();
-        for &r in pst.postorder() {
-            let region = pst.region(r);
-            let mut live: Vec<LiveSet> = Vec::new();
-            for &c in &region.children {
-                live.extend(folded[c.index()].iter().cloned());
-            }
-            live.extend(home_sets[r.index()].iter().cloned());
-            folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
-        }
-        let (placement, final_sets) =
-            finalize_root(&ctx, &entry_exit, &chow, &folded[pst.root().index()]);
-        (
-            HierarchicalResult {
-                placement,
-                final_sets,
-                trace,
-            },
-            ModelMemo {
-                model,
-                home_sets,
-                folded,
-            },
-        )
+    let ctx = FoldCtx {
+        cfg,
+        pst,
+        usage,
+        profile,
+        costs,
+        shares: &shares,
+        busy_counts: &busy_counts,
     };
-
-    let (hierarchical_exec, exec) = fold_all(CostModel::ExecutionCount, initial.clone());
-    let (hierarchical_jump, jump) = fold_all(CostModel::JumpEdge, initial);
+    let all = vec![true; pst.num_regions()];
+    let fold_cold = |span, model, initial| {
+        let _s = spillopt_obs::span(span);
+        let mut fold = ModelFold::new(cfg, pst, model, initial);
+        let result = fold.fold(&ctx, &all, &entry_exit, &chow);
+        (fold, result)
+    };
+    let (exec, hierarchical_exec) = fold_cold(
+        "place_hier_exec",
+        CostModel::ExecutionCount,
+        initial.clone(),
+    );
+    let (jump, hierarchical_jump) = fold_cold("place_hier_jump", CostModel::JumpEdge, initial);
 
     let checker = {
         let _s = spillopt_obs::span("validate");
@@ -256,9 +223,10 @@ pub fn run_suite_memoized(
 ///
 /// The returned suite is byte-identical to what [`crate::run_suite`]
 /// would compute cold on the new profile, except for the `trace` of the
-/// hierarchical results: it covers only the re-folded regions (empty on
-/// an empty delta). The driver's drift fuzzer enforces the equivalence
-/// differentially on every registered target.
+/// hierarchical results: it is the cold trace restricted to the
+/// re-folded regions (empty on an empty delta). The driver's drift
+/// fuzzer enforces the equivalence differentially on every registered
+/// target.
 ///
 /// # Errors
 ///
@@ -292,49 +260,17 @@ pub fn run_suite_incremental(
         chow,
         checker,
     } = memo;
-
-    let refold = |mm: &mut ModelMemo| -> HierarchicalResult {
-        let ctx = FoldCtx {
-            cfg,
-            pst,
-            usage,
-            profile,
-            model: mm.model,
-            costs,
-            shares,
-            busy_counts: Some(busy_counts),
-        };
-        let mut busy_inside = DenseBitSet::new(cfg.num_blocks());
-        let mut trace = Vec::new();
-        for &r in pst.postorder() {
-            if !dirty[r.index()] {
-                continue;
-            }
-            // The region's own home sets reprice under the new profile;
-            // clean regions' home and folded sets keep their cached
-            // costs (unchanged by the dirty-mapping invariant).
-            for hs in &mut mm.home_sets[r.index()] {
-                hs.cost = hs.set.cost_with(mm.model, costs, cfg, profile, shares);
-            }
-            let region = pst.region(r);
-            let mut live: Vec<LiveSet> = Vec::new();
-            for &c in &region.children {
-                live.extend(mm.folded[c.index()].iter().cloned());
-            }
-            live.extend(mm.home_sets[r.index()].iter().cloned());
-            mm.folded[r.index()] = fold_region(&ctx, r, live, &mut busy_inside, &mut trace);
-        }
-        let (placement, final_sets) =
-            finalize_root(&ctx, entry_exit, chow, &mm.folded[pst.root().index()]);
-        HierarchicalResult {
-            placement,
-            final_sets,
-            trace,
-        }
+    let ctx = FoldCtx {
+        cfg,
+        pst,
+        usage,
+        profile,
+        costs,
+        shares,
+        busy_counts,
     };
-
-    let hierarchical_exec = refold(exec);
-    let hierarchical_jump = refold(jump);
+    let hierarchical_exec = exec.fold(&ctx, &dirty, entry_exit, chow);
+    let hierarchical_jump = jump.fold(&ctx, &dirty, entry_exit, chow);
 
     {
         let _s = spillopt_obs::span("validate");
@@ -472,17 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_cold_run_matches_the_oracle() {
-        let fx = fixture();
-        let profile = random_walk_profile(&fx.cfg, 200, 64, 7);
-        let inputs = SuiteInputs::analyzed(&fx.usage, &profile, &fx.cyclic, &fx.pst, &fx.derived);
-        let opts = SuiteOptions::default();
-        let cold = run_suite(&fx.cfg, &inputs, &opts).expect("valid");
-        let (memoized, _memo) = run_suite_memoized(&fx.cfg, &inputs, &opts).expect("valid");
-        assert_suites_equal(&cold, &memoized, "memoized vs cold");
-    }
-
-    #[test]
     fn incremental_refold_matches_cold_across_drift_steps() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -522,9 +447,33 @@ mod tests {
                     run_suite_incremental(&fx.cfg, &next_inputs, &opts, &mut memo, &delta)
                         .expect("valid");
                 let cold = run_suite(&fx.cfg, &next_inputs, &opts).expect("valid");
-                assert_suites_equal(&cold, &warm, &format!("seed {seed} step {step}"));
+                let what = format!("seed {seed} step {step}");
+                assert_suites_equal(&cold, &warm, &what);
+                // The re-fold's trace is the cold trace restricted to the
+                // dirty regions: `ModelFold::fold` folds exactly those.
+                let dirty =
+                    fx.pst
+                        .dirty_regions(&fx.cfg, delta.changed_edges(), delta.entry_changed());
+                for (cold, warm) in [
+                    (&cold.hierarchical_exec, &warm.hierarchical_exec),
+                    (&cold.hierarchical_jump, &warm.hierarchical_jump),
+                ] {
+                    let expected: Vec<_> = cold
+                        .trace
+                        .iter()
+                        .filter(|t| dirty[t.region.index()])
+                        .cloned()
+                        .collect();
+                    assert_eq!(warm.trace, expected, "{what}: trace");
+                }
                 if delta.is_empty() {
                     assert_eq!(stats.regions_refolded, 0, "zero delta must re-fold nothing");
+                }
+                if step % 4 == 3 {
+                    assert_eq!(
+                        stats.regions_refolded, stats.regions_total,
+                        "{what}: full invalidation must dirty every region"
+                    );
                 }
                 assert!(stats.regions_refolded <= stats.regions_total);
                 prev = next;

@@ -18,10 +18,12 @@
 //! * [`modified_shrink_wrap`] — the paper's modified variant producing
 //!   the initial save/restore sets;
 //! * [`hierarchical_placement`] — the paper's contribution: a
-//!   profile-guided traversal of the Program Structure Tree that finds
+//!   profile-guided traversal of the Program Structure Tree that seeks
 //!   the minimum dynamic execution count placement, under either the
-//!   [`CostModel::ExecutionCount`] model (optimal in-model) or the more
-//!   physically accurate [`CostModel::JumpEdge`] model.
+//!   [`CostModel::ExecutionCount`] model or the more physically
+//!   accurate [`CostModel::JumpEdge`] model. The execution count
+//!   variant matches the exact solver's optimum on all but one of 2,282
+//!   solved stress functions (see [`hierarchical_placement`]).
 //!
 //! Placements are plain data ([`Placement`]); [`check_placement`] proves
 //! them valid, [`insert_placement`] materializes them into the IR
@@ -98,8 +100,7 @@ pub use cost::{
 };
 pub use entry_exit::entry_exit_placement;
 pub use hierarchical::{
-    hierarchical_placement, hierarchical_placement_seeded, hierarchical_placement_vs,
-    hierarchical_placement_with, HierarchicalResult, TraceEvent,
+    hierarchical_placement, hierarchical_placement_seeded, HierarchicalResult, TraceEvent,
 };
 pub use incremental::{run_suite_incremental, run_suite_memoized, PlacementMemo, RefoldStats};
 pub use insert::{insert_placement, InsertionReport};

@@ -1,6 +1,8 @@
 //! One-call driver: all placement techniques on one procedure.
 //!
-//! The one supported entry point is [`run_suite`]: the procedure's
+//! The cold entry point is [`run_suite`] (the session arena's
+//! [`crate::run_suite_memoized`] and [`crate::run_suite_incremental`]
+//! run the same fold and keep its tables): the procedure's
 //! analyses travel in a [`SuiteInputs`] — each analysis either **owned**
 //! (computed here, the one-call path) or **borrowed** (the module
 //! driver's cached path), behind one signature — the knobs travel in a
@@ -219,8 +221,9 @@ impl fmt::Display for SuiteError {
 
 impl std::error::Error for SuiteError {}
 
-/// Runs every technique on one procedure and verifies the results — the
-/// single supported entry point for the four-technique comparison.
+/// Runs every technique on one procedure and verifies the results: the
+/// four-technique comparison, as [`crate::run_suite_memoized`] with the
+/// memo dropped.
 ///
 /// # Errors
 ///
@@ -231,90 +234,7 @@ pub fn run_suite(
     inputs: &SuiteInputs<'_>,
     options: &SuiteOptions,
 ) -> Result<PlacementSuite, SuiteError> {
-    let usage = inputs.usage;
-    let profile = inputs.profile;
-    let derived = inputs.derived();
-    let costs = &options.costs;
-
-    let entry_exit = {
-        let _s = spillopt_obs::span("place_entry_exit");
-        entry_exit_placement(cfg, usage)
-    };
-    let chow = {
-        let _s = spillopt_obs::span("place_chow");
-        crate::chow::chow_shrink_wrap_derived(cfg, derived, inputs.cyclic(), usage)
-    };
-    // Both hierarchical runs start from the same initial solution;
-    // compute it once and seed both (identical decisions — the initial
-    // sets do not depend on the cost model).
-    let initial = {
-        let _s = spillopt_obs::span("place_hier_seed");
-        crate::modified::modified_shrink_wrap_derived(cfg, derived, usage)
-    };
-    let hierarchical_exec = {
-        let _s = spillopt_obs::span("place_hier_exec");
-        hierarchical_placement_seeded(
-            cfg,
-            inputs.pst(),
-            usage,
-            profile,
-            CostModel::ExecutionCount,
-            costs,
-            &chow,
-            initial.clone(),
-        )
-    };
-    let hierarchical_jump = {
-        let _s = spillopt_obs::span("place_hier_jump");
-        hierarchical_placement_seeded(
-            cfg,
-            inputs.pst(),
-            usage,
-            profile,
-            CostModel::JumpEdge,
-            costs,
-            &chow,
-            initial,
-        )
-    };
-
-    {
-        let _s = spillopt_obs::span("validate");
-        check_all(
-            &PlacementChecker::new(cfg, usage),
-            cfg,
-            usage,
-            [
-                ("entry_exit", &entry_exit),
-                ("chow", &chow),
-                ("hierarchical_exec", &hierarchical_exec.placement),
-                ("hierarchical_jump", &hierarchical_jump.placement),
-            ],
-        )?;
-    }
-
-    let predicted = {
-        let _s = spillopt_obs::span("price");
-        price_all(
-            costs,
-            cfg,
-            profile,
-            [
-                &entry_exit,
-                &chow,
-                &hierarchical_exec.placement,
-                &hierarchical_jump.placement,
-            ],
-        )
-    };
-
-    Ok(PlacementSuite {
-        entry_exit,
-        chow,
-        hierarchical_exec,
-        hierarchical_jump,
-        predicted,
-    })
+    crate::incremental::run_suite_memoized(cfg, inputs, options).map(|(suite, _)| suite)
 }
 
 /// Checks each `(technique, placement)` with `checker`, failing on the

@@ -287,7 +287,7 @@ struct Candidate {
 }
 
 /// The hierarchical traversal with hash-keyed bookkeeping — the retired
-/// form of [`crate::hierarchical_placement_vs`]. Identical decisions,
+/// form of [`crate::hierarchical_placement_seeded`]. Identical decisions,
 /// placement, final sets, and trace.
 pub fn hierarchical_placement_vs_reference(
     cfg: &Cfg,

@@ -419,10 +419,9 @@ pub fn initial_sets_all(
 /// words instead of one bitset intersection per (region, register) per
 /// cost model per session.
 ///
-/// The delta-driven session memo ([`crate::incremental`]) computes this
-/// once per function structure and reuses it across every cost model and
-/// every incremental refold; the cold traversal keeps the per-register
-/// scratch-bitset intersection as the differential oracle.
+/// Every hierarchical fold reads it: a cold run computes it once for
+/// both cost models, and the delta-driven session memo
+/// ([`crate::incremental`]) keeps it for every incremental refold.
 #[derive(Clone, Debug)]
 pub struct RegionBusyCounts {
     /// Bit order, as in [`RegWords::regs`] (usage order).

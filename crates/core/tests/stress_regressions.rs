@@ -59,7 +59,7 @@ block exit:
 /// traversal — which can only replace sets at region boundaries — could
 /// not recover, ending dynamically *worse than Chow* (28 vs 26 under
 /// unit pricing). Fixed by the final group-wise comparison in
-/// `hierarchical_placement_vs`: the traversal's result is compared
+/// `hierarchical_placement_seeded`: the traversal's result is compared
 /// against both entry/exit and Chow under the physically accurate
 /// accounting, on every cost model, and the cheapest wins.
 const MODIFIED_WORSE_THAN_CHOW: &str = "\

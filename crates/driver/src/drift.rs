@@ -10,8 +10,8 @@
 //! * a **warm session** (analysis arena on), whose repeated
 //!   [`crate::session::Session::optimize_profiled`] calls take the
 //!   warm-hit / incremental-refold / cold-replace paths; and
-//! * a **fresh cold session** per check (arena off), the frozen
-//!   whole-function recompute.
+//! * a **fresh cold session** per check (arena off), the whole-function
+//!   recompute, whose placement fold marks every PST region dirty.
 //!
 //! The [`crate::report::ModuleReport`] JSON bytes must be identical on
 //! every check — the warm arena is an invisible cache, never an answer

@@ -38,8 +38,8 @@ use crate::driver::{
 use crate::pool::{payload_message, try_run_indexed, ItemPanic, Pool, PoolWorkerStats};
 use crate::report::{CrossTargetReport, FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::{
-    run_suite, run_suite_incremental, run_suite_memoized, run_technique, PlacementMemo,
-    PlacementSuite, RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
+    run_suite_incremental, run_suite_memoized, run_technique, PlacementMemo, PlacementSuite,
+    RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
 use spillopt_ir::{FuncId, Function, Module, Target};
 use spillopt_obs::fault::{BudgetScope, BudgetSpec};
@@ -1623,17 +1623,11 @@ fn attempt_full_inner(
 ) -> Result<(FunctionReport, Arc<Function>, Provenance), DriverError> {
     let shared = module.shared_func(fid);
     let (Some(arena), Some(key)) = (engine.arena, key) else {
-        // No arena: the frozen whole-pipeline cold path — also the
+        // No arena: the same cold body, with nothing kept — also the
         // differential oracle the drift fuzzer compares every
         // incremental result against.
-        let (func, cache, mut report, _) = cold_prefix(fid, shared, engine, profile, None);
-        if cache.needs_placement() {
-            let inputs = suite_inputs(&cache);
-            let suite = run_suite(&cache.cfg, &inputs, &SuiteOptions::priced(*engine.costs))
-                .map_err(|e| suite_error(&func, e))?;
-            fill_report(&mut report, suite, engine.techniques);
-        }
-        return Ok((report, Arc::new(func), Provenance::Cold));
+        let (state, report) = cold_structure(fid, shared, engine, profile, None)?;
+        return Ok((report, state.func, Provenance::Cold));
     };
 
     if let Some(state) = arena.structure(key) {

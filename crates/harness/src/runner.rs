@@ -3,8 +3,8 @@
 
 use spillopt_benchgen::{build_bench, BenchSpec, GeneratedBench};
 use spillopt_core::{
-    chow_shrink_wrap_with, entry_exit_placement, hierarchical_placement_vs, insert_placement,
-    CalleeSavedUsage, CostModel, Placement, SpillCostModel,
+    chow_shrink_wrap_with, entry_exit_placement, hierarchical_placement_seeded, insert_placement,
+    modified_shrink_wrap, CalleeSavedUsage, CostModel, Placement, SpillCostModel,
 };
 use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
 use spillopt_ir::{Cfg, FuncId, Module, RegDiscipline, Target};
@@ -302,27 +302,23 @@ fn time_placement(
     let placement = match technique {
         Technique::Baseline => entry_exit_placement(cfg, usage),
         Technique::Shrinkwrap => chow_shrink_wrap_with(cfg, cyclic, usage),
-        Technique::Optimized => {
-            hierarchical_placement_vs(
+        Technique::Optimized | Technique::OptimizedExecModel => {
+            let model = if technique == Technique::Optimized {
+                CostModel::JumpEdge
+            } else {
+                CostModel::ExecutionCount
+            };
+            hierarchical_placement_seeded(
                 cfg,
                 pst,
                 usage,
                 profile,
-                CostModel::JumpEdge,
+                model,
                 costs,
                 chow.as_ref().expect("computed above"),
-            )
-            .placement
-        }
-        Technique::OptimizedExecModel => {
-            hierarchical_placement_vs(
-                cfg,
-                pst,
-                usage,
-                profile,
-                CostModel::ExecutionCount,
-                costs,
-                chow.as_ref().expect("computed above"),
+                // The initial sets (lines 2-3) are the technique's own
+                // work, so they stay inside the timed section.
+                modified_shrink_wrap(cfg, usage),
             )
             .placement
         }
