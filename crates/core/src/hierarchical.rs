@@ -193,12 +193,8 @@ pub fn hierarchical_placement_seeded(
         busy_counts: &busy_counts,
     };
     let entry_exit = entry_exit_placement(cfg, usage);
-    ModelFold::new(cfg, pst, model, initial).fold(
-        &ctx,
-        &vec![true; pst.num_regions()],
-        &entry_exit,
-        shrink_wrap,
-    )
+    let baselines = Baselines::priced(&ctx, model, &entry_exit, shrink_wrap);
+    ModelFold::new(cfg, pst, model, initial).fold(&ctx, &vec![true; pst.num_regions()], &baselines)
 }
 
 /// Everything one region fold (and the root finalize) reads besides the
@@ -214,6 +210,35 @@ pub(crate) struct FoldCtx<'a> {
     pub(crate) shares: &'a EdgeShares,
     /// Per-(region, register) busy-block counts: the hoistability test.
     pub(crate) busy_counts: &'a RegionBusyCounts,
+}
+
+/// The root finalize's two baselines, the entry/exit placement and
+/// Chow's shrink-wrapping, each priced under the folding model on the
+/// context's profile. Pricing is the caller's, so the suite prices the
+/// jump model's pair once and reports those same costs as the two
+/// baselines' predicted costs.
+pub(crate) struct Baselines<'a> {
+    pub(crate) entry_exit: &'a Placement,
+    pub(crate) shrink_wrap: &'a Placement,
+    /// `[entry_exit, shrink_wrap]` under the folding model.
+    pub(crate) costs: [Cost; 2],
+}
+
+impl<'a> Baselines<'a> {
+    /// Prices both baselines under `model` on `ctx`'s profile.
+    pub(crate) fn priced(
+        ctx: &FoldCtx<'_>,
+        model: CostModel,
+        entry_exit: &'a Placement,
+        shrink_wrap: &'a Placement,
+    ) -> Self {
+        let price = |p| placement_cost_with(model, ctx.costs, ctx.cfg, ctx.profile, p);
+        Baselines {
+            entry_exit,
+            shrink_wrap,
+            costs: [price(entry_exit), price(shrink_wrap)],
+        }
+    }
 }
 
 /// One cost model's traversal state (line 4): the initial sets filed at
@@ -253,7 +278,8 @@ impl ModelFold {
     }
 
     /// Lines 4-9: folds the regions `dirty` marks children first, then
-    /// runs the root finalize against both baselines.
+    /// runs the root finalize against both baselines, which must be
+    /// priced under this fold's model on `ctx`'s profile.
     ///
     /// `dirty` is indexed by region and must be ancestor-closed (as
     /// [`Pst::dirty_regions`] returns it); the first fold of a fresh
@@ -263,8 +289,7 @@ impl ModelFold {
         &mut self,
         ctx: &FoldCtx<'_>,
         dirty: &[bool],
-        entry_exit: &Placement,
-        shrink_wrap: &Placement,
+        baselines: &Baselines<'_>,
     ) -> HierarchicalResult {
         let mut trace = Vec::new();
         for &r in ctx.pst.postorder() {
@@ -284,8 +309,7 @@ impl ModelFold {
             self.folded[r.index()] = fold_region(ctx, self.model, r, live, &mut trace);
         }
         let root_sets = &self.folded[ctx.pst.root().index()];
-        let (placement, final_sets) =
-            finalize_root(ctx, self.model, entry_exit, shrink_wrap, root_sets);
+        let (placement, final_sets) = finalize_root(ctx, self.model, baselines, root_sets);
         HierarchicalResult {
             placement,
             final_sets,
@@ -400,8 +424,7 @@ fn fold_region(
 fn finalize_root(
     ctx: &FoldCtx<'_>,
     model: CostModel,
-    entry_exit: &Placement,
-    shrink_wrap: &Placement,
+    baselines: &Baselines<'_>,
     root_sets: &[LiveSet],
 ) -> (Placement, Vec<SaveRestoreSet>) {
     let (cfg, usage, profile) = (ctx.cfg, ctx.usage, ctx.profile);
@@ -414,13 +437,12 @@ fn finalize_root(
 
     if !placement.points().is_empty() {
         let ours = placement_cost_with(model, ctx.costs, cfg, profile, &placement);
-        let ee_cost = placement_cost_with(model, ctx.costs, cfg, profile, entry_exit);
-        let sw_cost = placement_cost_with(model, ctx.costs, cfg, profile, shrink_wrap);
+        let [ee_cost, sw_cost] = baselines.costs;
         if ee_cost.min(sw_cost) < ours {
             let winner = if ee_cost <= sw_cost {
-                entry_exit
+                baselines.entry_exit
             } else {
-                shrink_wrap
+                baselines.shrink_wrap
             };
             let final_sets = winner
                 .regs()

@@ -35,17 +35,16 @@
 //! independent traversal that `tests/differential_solver.rs` compares
 //! against cold suites, traces included.
 
-use crate::cost::CostModel;
-use crate::hierarchical::{FoldCtx, ModelFold};
+use crate::cost::{Cost, CostModel, SpillCostModel};
+use crate::hierarchical::{Baselines, FoldCtx, ModelFold};
 use crate::location::Placement;
-use crate::pipeline::{
-    check_all, price_all, PlacementSuite, SuiteError, SuiteInputs, SuiteOptions,
-};
+use crate::overhead::placement_cost_with;
+use crate::pipeline::{check_all, PlacementSuite, SuiteError, SuiteInputs, SuiteOptions};
 use crate::sets::EdgeShares;
 use crate::solver::RegionBusyCounts;
 use crate::validate::PlacementChecker;
 use spillopt_ir::Cfg;
-use spillopt_profile::ProfileDelta;
+use spillopt_profile::{EdgeProfile, ProfileDelta};
 
 /// The memoized per-region folded products of one function's placement:
 /// everything [`run_suite_incremental`] needs to re-establish the cold
@@ -59,8 +58,9 @@ use spillopt_profile::ProfileDelta;
 /// bookkeeping.
 ///
 /// Beyond the fold tables the memo keeps only profile-independent
-/// products — the two baseline placements and the placement checker —
-/// never a whole suite: every call rebuilds its suite from the root's
+/// products — the two baseline placements, the placement checker, and
+/// per cost model the last hierarchical placement that checker accepted
+/// — never a whole suite: every call rebuilds its suite from the root's
 /// folded sets.
 #[derive(Debug)]
 pub struct PlacementMemo {
@@ -79,8 +79,12 @@ pub struct PlacementMemo {
     /// the root finalize's other baseline.
     chow: Placement,
     /// The validator of the function's `(cfg, usage)`, built once and
-    /// run on both re-folded placements of every call.
+    /// run on every re-folded placement it has not already accepted.
     checker: PlacementChecker,
+    /// The last exec and jump placements `checker` accepted. Validity
+    /// reads no profile and `(cfg, usage)` is fixed for the memo's
+    /// lifetime, so a re-fold that reproduces one has its verdict.
+    accepted: [Placement; 2],
 }
 
 /// The dirty-region ledger of one incremental call.
@@ -144,16 +148,19 @@ pub fn run_suite_memoized(
     let all = vec![true; pst.num_regions()];
     let fold_cold = |span, model, initial| {
         let _s = spillopt_obs::span(span);
+        let baselines = Baselines::priced(&ctx, model, &entry_exit, &chow);
         let mut fold = ModelFold::new(cfg, pst, model, initial);
-        let result = fold.fold(&ctx, &all, &entry_exit, &chow);
-        (fold, result)
+        let result = fold.fold(&ctx, &all, &baselines);
+        (fold, result, baselines.costs)
     };
-    let (exec, hierarchical_exec) = fold_cold(
+    let (exec, hierarchical_exec, _) = fold_cold(
         "place_hier_exec",
         CostModel::ExecutionCount,
         initial.clone(),
     );
-    let (jump, hierarchical_jump) = fold_cold("place_hier_jump", CostModel::JumpEdge, initial);
+    // The jump model prices the baselines exactly as the suite does.
+    let (jump, hierarchical_jump, baseline_costs) =
+        fold_cold("place_hier_jump", CostModel::JumpEdge, initial);
 
     let checker = {
         let _s = spillopt_obs::span("validate");
@@ -174,16 +181,12 @@ pub fn run_suite_memoized(
 
     let predicted = {
         let _s = spillopt_obs::span("price");
-        price_all(
+        predicted_costs(
             costs,
             cfg,
             profile,
-            [
-                &entry_exit,
-                &chow,
-                &hierarchical_exec.placement,
-                &hierarchical_jump.placement,
-            ],
+            baseline_costs,
+            [&hierarchical_exec.placement, &hierarchical_jump.placement],
         )
     };
 
@@ -195,6 +198,10 @@ pub fn run_suite_memoized(
         entry_exit: entry_exit.clone(),
         chow: chow.clone(),
         checker,
+        accepted: [
+            hierarchical_exec.placement.clone(),
+            hierarchical_jump.placement.clone(),
+        ],
     };
     let suite = PlacementSuite {
         entry_exit,
@@ -216,10 +223,14 @@ pub fn run_suite_memoized(
 /// return the memo's base profile is the new one.
 ///
 /// Every call rebuilds the suite from the memo: the root's folded sets
-/// go through the same root finalize as a cold run, both hierarchical
-/// placements are validated with the memo's [`PlacementChecker`], and
-/// all four placements are re-priced. An empty delta dirties no region,
-/// so it re-folds nothing and rebuilds the memoized result.
+/// go through the same root finalize as a cold run, and all four
+/// placements are re-priced. Each hierarchical placement is validated
+/// with the memo's [`PlacementChecker`] unless it equals the last
+/// placement that checker accepted for its model: the check reads no
+/// profile, and the memo's `cfg` and `usage` never change, so the
+/// verdict is reused (counted as `validate_reused`, inside the same
+/// `validate` span). An empty delta dirties no region, so it re-folds
+/// nothing and rebuilds the memoized result.
 ///
 /// The returned suite is byte-identical to what [`crate::run_suite`]
 /// would compute cold on the new profile, except for the `trace` of the
@@ -259,6 +270,7 @@ pub fn run_suite_incremental(
         entry_exit,
         chow,
         checker,
+        accepted,
     } = memo;
     let ctx = FoldCtx {
         cfg,
@@ -269,34 +281,35 @@ pub fn run_suite_incremental(
         shares,
         busy_counts,
     };
-    let hierarchical_exec = exec.fold(&ctx, &dirty, entry_exit, chow);
-    let hierarchical_jump = jump.fold(&ctx, &dirty, entry_exit, chow);
+    let exec_baselines = Baselines::priced(&ctx, CostModel::ExecutionCount, entry_exit, chow);
+    let jump_baselines = Baselines::priced(&ctx, CostModel::JumpEdge, entry_exit, chow);
+    let hierarchical_exec = exec.fold(&ctx, &dirty, &exec_baselines);
+    let hierarchical_jump = jump.fold(&ctx, &dirty, &jump_baselines);
 
     {
         let _s = spillopt_obs::span("validate");
-        check_all(
-            checker,
-            cfg,
-            usage,
-            [
-                ("hierarchical_exec", &hierarchical_exec.placement),
-                ("hierarchical_jump", &hierarchical_jump.placement),
-            ],
-        )?;
+        let refolded = [
+            ("hierarchical_exec", &hierarchical_exec.placement),
+            ("hierarchical_jump", &hierarchical_jump.placement),
+        ];
+        for ((technique, placement), last) in refolded.into_iter().zip(accepted.iter_mut()) {
+            if placement == last {
+                spillopt_obs::count("validate_reused", 1);
+                continue;
+            }
+            check_all(checker, cfg, usage, [(technique, placement)])?;
+            last.clone_from(placement);
+        }
     }
 
     let predicted = {
         let _s = spillopt_obs::span("price");
-        price_all(
+        predicted_costs(
             costs,
             cfg,
             profile,
-            [
-                entry_exit,
-                chow,
-                &hierarchical_exec.placement,
-                &hierarchical_jump.placement,
-            ],
+            jump_baselines.costs,
+            [&hierarchical_exec.placement, &hierarchical_jump.placement],
         )
     };
 
@@ -313,6 +326,21 @@ pub fn run_suite_incremental(
             regions_refolded,
         },
     ))
+}
+
+/// The suite's predicted costs, in suite order (entry/exit, Chow,
+/// hierarchical exec, hierarchical jump), all under jump-edge
+/// accounting: the baselines' costs as the jump fold priced them, then
+/// both hierarchical placements priced the same way.
+fn predicted_costs(
+    costs: &SpillCostModel,
+    cfg: &Cfg,
+    profile: &EdgeProfile,
+    [entry_exit, chow]: [Cost; 2],
+    [exec, jump]: [&Placement; 2],
+) -> [Cost; 4] {
+    let price = |p| placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, p);
+    [entry_exit, chow, price(exec), price(jump)]
 }
 
 #[cfg(test)]

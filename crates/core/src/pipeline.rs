@@ -258,18 +258,6 @@ pub(crate) fn check_all<const N: usize>(
     Ok(())
 }
 
-/// The suite's predicted costs: each placement priced under jump-edge
-/// accounting, in suite order (entry/exit, Chow, hierarchical exec,
-/// hierarchical jump).
-pub(crate) fn price_all(
-    costs: &SpillCostModel,
-    cfg: &Cfg,
-    profile: &EdgeProfile,
-    placements: [&Placement; 4],
-) -> [Cost; 4] {
-    placements.map(|p| placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, p))
-}
-
 /// One placement technique of the suite, for callers that want a single
 /// result instead of the four-way comparison — the degradation ladder a
 /// fault-tolerant driver walks when the full suite fails.

@@ -279,8 +279,8 @@ impl Budget {
 pub enum Provenance {
     /// Full pipeline: allocation, analyses, every placement fold.
     Cold,
-    /// Exact arena hit — the (function, profile) pair was seen before
-    /// and the retired products were returned wholesale.
+    /// Exact arena hit — the function was last retired under this very
+    /// profile, and the retired products were returned wholesale.
     Warm,
     /// The function's structure was known but its profile drifted: the
     /// allocation and analyses were reused and only the PST regions the
@@ -373,8 +373,8 @@ pub struct SessionStats {
 pub struct ArenaStats {
     /// Cached function structures (distinct source functions).
     pub entries: usize,
-    /// Lookups served wholesale — the exact (function, profile) pair
-    /// was retired before ([`Provenance::Warm`]).
+    /// Lookups served wholesale — the function was last retired under
+    /// this exact profile ([`Provenance::Warm`]).
     pub hits: u64,
     /// Lookups that ran the full cold pipeline ([`Provenance::Cold`]):
     /// unseen functions, plus profile drifts that changed the
@@ -455,15 +455,15 @@ pub(crate) struct Arena<S> {
 ///    allocated function, its [`AnalysisCache`] (CFG, usage, SCCs, PST,
 ///    derived tables), and the [`PlacementMemo`] of per-region folded
 ///    products.
-/// 2. **Placement** — the exact edge profile. Each structure keeps its
-///    retired report (whose strategies carry the placements) per
-///    profile.
+/// 2. **Placement** — the exact edge profile. Each structure keeps one
+///    retired report (whose strategies carry the placements): the one
+///    for its current profile, the memo's base.
 ///
-/// A repeated call with a seen profile is a wholesale hit
-/// ([`Provenance::Warm`]): the module's cached key
-/// ([`Module::fingerprint`]), one pointer compare, one profile-map
-/// probe, and a clone of the small report — neither function is hashed
-/// or copied. The entry holds the caller's [`Module::shared_func`], so
+/// A repeated call with the structure's current profile is a wholesale
+/// hit ([`Provenance::Warm`]): the module's cached key
+/// ([`Module::fingerprint`]), one pointer compare, one profile compare,
+/// and a clone of the small report — neither function is hashed or
+/// copied. The entry holds the caller's [`Module::shared_func`], so
 /// resubmitting the same module (or a clone of it) confirms the entry
 /// by [`Arc::ptr_eq`]: the entry keeps that allocation alive, and a
 /// [`Module::func_mut`] edit copies on write, so the same allocation
@@ -477,7 +477,10 @@ pub(crate) struct Arena<S> {
 /// allocation, and one that fails re-allocates once and compares — and
 /// then re-folds only the PST regions the [`ProfileDelta`] dirties
 /// ([`Provenance::Incremental`]). Only a drift that changes the
-/// allocation itself re-runs the full cold pipeline.
+/// allocation itself re-runs the full cold pipeline. A re-fold replaces
+/// the structure's report, so a structure's memory does not grow with
+/// the number of profiles it has seen, and returning to an earlier
+/// profile re-folds to the same bytes rather than hitting.
 ///
 /// The structure key is exact, never coarser than the function: every
 /// field of [`Function`] takes part, including block ids (which the IR
@@ -509,8 +512,8 @@ struct Quarantine {
 
 /// Everything the source function determines for the session's fixed
 /// (target, cost model): the allocation, the analyses, and the
-/// per-region fold memo — plus the per-profile outcomes retired
-/// against that structure.
+/// per-region fold memo — plus the one outcome retired for the current
+/// profile.
 pub(crate) struct StructState {
     /// The source (pre-allocation) function this entry was built from,
     /// shared with the module it came from. Its fingerprint is the
@@ -530,10 +533,10 @@ pub(crate) struct StructState {
     /// Per-region folded products; `None` when the function needs no
     /// placement (no callee-saved use).
     memo: Option<PlacementMemo>,
-    /// Retired reports per exact profile. Every entry was produced
-    /// against the *current* `func` (a cold replace clears the map), so
-    /// a hit shares `func` next to it.
-    outcomes: HashMap<EdgeProfile, FunctionReport>,
+    /// The report retired for `cache.profile`, produced against the
+    /// current `func` (a cold replace rebuilds both, a re-fold
+    /// overwrites it), so a hit shares `func` next to it.
+    outcome: FunctionReport,
 }
 
 /// An LRU stamp paired with the shared per-key state it guards.
@@ -1059,12 +1062,13 @@ impl Session {
     /// edge vector matching that function's CFG.
     ///
     /// On a session with analysis reuse, repeated calls over drifting
-    /// profiles are where the two-level arena earns its keep: a profile
-    /// seen before returns wholesale ([`Provenance::Warm`]), and a
-    /// drifted profile that leaves a function's allocation unchanged
-    /// re-folds only the PST regions its [`ProfileDelta`] dirties
-    /// ([`Provenance::Incremental`]). The returned report is
-    /// byte-identical to a cold run on the same profiles regardless.
+    /// profiles are where the two-level arena earns its keep: a
+    /// function's latest profile, sent again, returns wholesale
+    /// ([`Provenance::Warm`]), and any other profile that leaves its
+    /// allocation unchanged re-folds only the PST regions its
+    /// [`ProfileDelta`] dirties ([`Provenance::Incremental`]). The
+    /// returned report is byte-identical to a cold run on the same
+    /// profiles regardless.
     ///
     /// # Errors
     ///
@@ -1639,9 +1643,9 @@ fn attempt_full_inner(
         // allocation cannot be freed and reused) and a module sharing
         // it copies on write.
         let allocated = if Arc::ptr_eq(&st.source, shared) || *st.source == **shared {
-            if let Some(report) = st.outcomes.get(profile) {
+            if st.cache.profile == *profile {
                 arena.record_hit();
-                let mut report = report.clone();
+                let mut report = st.outcome.clone();
                 report.index = fid.index();
                 return Ok((report, Arc::clone(&st.func), Provenance::Warm));
             }
@@ -1652,7 +1656,6 @@ fn attempt_full_inner(
             if allocated.is_none() {
                 // The re-fold rebases the structure on this profile.
                 let report = refold_incremental(fid, st, engine, profile.clone(), arena)?;
-                st.outcomes.insert(profile.clone(), report.clone());
                 return Ok((report, Arc::clone(&st.func), Provenance::Incremental));
             }
             allocated
@@ -1661,8 +1664,8 @@ fn attempt_full_inner(
         };
         // A colliding function holds this key, or the drift changed the
         // allocation itself: rebuild the whole structure cold in place
-        // (the old outcomes priced a different function, so they are
-        // cleared with it).
+        // (the old outcome priced a different function, so it goes with
+        // it).
         arena.record_miss();
         let (state, report) = cold_structure(fid, shared, engine, profile, allocated)?;
         *st = state;
@@ -1880,8 +1883,7 @@ fn cold_prefix(
 
 /// Runs the full cold pipeline for one function and packages the result
 /// as an arena [`StructState`] (with its [`PlacementMemo`], and the
-/// retired report already recorded as its outcome for `profile`) plus
-/// that report. `allocated` is `source_func`'s allocation under
+/// retired report as its outcome for `profile`) plus that report. `allocated` is `source_func`'s allocation under
 /// `profile` when the caller already ran it.
 fn cold_structure(
     fid: FuncId,
@@ -1902,8 +1904,6 @@ fn cold_structure(
     } else {
         None
     };
-    let mut outcomes = HashMap::new();
-    outcomes.insert(profile.clone(), report.clone());
     let state = StructState {
         source: Arc::clone(source_func),
         func: Arc::new(func),
@@ -1911,7 +1911,7 @@ fn cold_structure(
         certificate,
         cache,
         memo,
-        outcomes,
+        outcome: report.clone(),
     };
     Ok((state, report))
 }
@@ -1919,7 +1919,7 @@ fn cold_structure(
 /// Re-establishes one function's placement after a profile drift that
 /// left its allocation unchanged: computes the [`ProfileDelta`] from
 /// the structure's base profile, re-folds only the dirtied PST regions,
-/// and rebases the structure on the new profile.
+/// and rebases the structure, and its outcome, on the new profile.
 fn refold_incremental(
     fid: FuncId,
     st: &mut StructState,
@@ -1954,6 +1954,7 @@ fn refold_incremental(
         None => arena.record_incremental(RefoldStats::default()),
     }
     st.cache.profile = profile;
+    st.outcome.clone_from(&report);
     Ok(report)
 }
 

@@ -276,6 +276,62 @@ fn provenance_streams_cold_then_warm_then_incremental() {
     assert!(third.iter().all(|p| *p != Provenance::Cold), "{third:?}");
 }
 
+/// A structure keeps the outcome of its current profile only: on one
+/// placed function, profiles A → B → B → A (B a weights-preserving move
+/// of A, so the allocation stands) run cold, re-fold, hit, and re-fold
+/// again — revisiting A re-derives its report instead of keeping every
+/// profile's — and every report equals an arena-less session's bytes.
+#[test]
+fn one_outcome_per_structure_refolds_a_revisited_profile() {
+    let spec = registry().remove(0);
+    let (module, a, b) = (0..32u64)
+        .flat_map(|seed| {
+            let case = gen_case(&spec.to_target(), seed);
+            let funcs: Vec<_> = case.module.funcs().map(|(_, f)| f.clone()).collect();
+            funcs
+        })
+        .find_map(|f| {
+            let mut module = Module::new("one");
+            module.add_func(f);
+            let a = warm_session(&spec).resolve_profiles(&module).ok()?;
+            let mut b = a.clone();
+            let placed = warm_session(&spec).optimize_profiled(&module, &a).ok()?;
+            let admits = nudge_weight_preserving(&module, &mut b) == 1;
+            (admits && placed.report.placed_functions() == 1).then_some((module, a, b))
+        })
+        .expect("a placed stress function admitting a weights-preserving drift");
+
+    let session = warm_session(&spec);
+    let seen: Mutex<Vec<Provenance>> = Mutex::new(Vec::new());
+    let observer = |_t: &str, _m: &str, _r: &FunctionReport, p: Provenance| {
+        seen.lock().unwrap().push(p);
+    };
+    let mut provenance = Vec::new();
+    for (step, profiles) in [&a, &b, &b, &a].into_iter().enumerate() {
+        seen.lock().unwrap().clear();
+        let run = session
+            .optimize_profiled_observed(&module, profiles, &observer)
+            .expect("observed run");
+        provenance.extend(seen.lock().unwrap().iter().copied());
+        assert_eq!(
+            run.report.to_json().to_compact(),
+            cold_bytes(&spec, &module, profiles),
+            "step {step}"
+        );
+    }
+    assert_eq!(
+        provenance,
+        [
+            Provenance::Cold,
+            Provenance::Incremental,
+            Provenance::Warm,
+            Provenance::Incremental
+        ]
+    );
+    let arena = session.stats().arena;
+    assert_eq!((arena.hits, arena.incremental), (1, 2), "{arena:?}");
+}
+
 #[test]
 fn bounded_arena_evicts_lru_structures() {
     let spec = registry().remove(0);
