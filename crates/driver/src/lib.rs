@@ -22,10 +22,10 @@
 //!   callee-saved usage), computed **once** per function and
 //!   shared by all selected techniques through
 //!   [`spillopt_core::run_suite`]'s borrowed-analysis inputs;
-//! * [`pool`] — the `std`-only work pool: persistent workers for
-//!   sessions ([`pool::Pool`]), scoped per-call scheduling for the
-//!   stress fan-outs and the reference pipeline, deterministic
-//!   item-order results either way;
+//! * [`pool`] — the `std`-only work pool ([`pool::Pool`]): persistent
+//!   workers serving one FIFO queue, shared by sessions and the stress
+//!   fan-outs, with deterministic item-order results; a serial pool
+//!   (and the reference pipeline) runs the same batch inline;
 //! * [`refimpl`] — the frozen pre-rewrite pipeline, kept executable as
 //!   the oracle of the byte-identity differential test
 //!   (`tests/differential_solver.rs`);

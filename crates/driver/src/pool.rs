@@ -1,27 +1,27 @@
-//! A small work-stealing thread pool for per-function module work.
+//! The driver's work pool: persistent workers serving one shared FIFO
+//! queue.
 //!
-//! The driver's unit of work is one function's full placement pipeline
-//! (allocate → analyses → four techniques), whose cost varies wildly
-//! across functions — SPEC-like modules mix two-block leaves with
-//! thousand-instruction bodies. A static partition would leave workers
-//! idle behind the largest function, so each worker owns a deque seeded
-//! round-robin and steals from the *front* of a victim's deque when its
-//! own runs dry (owner pops from the back: stealers and owner contend
-//! only when a deque is nearly empty).
+//! The unit of work is one function's full placement pipeline (allocate
+//! → analyses → four techniques) or one stress case, whose cost varies
+//! wildly across items — SPEC-like modules mix two-block leaves with
+//! thousand-instruction bodies. Every item of a batch is queued as its
+//! own job, so an idle worker takes the next one instead of waiting
+//! behind a static partition.
 //!
-//! Determinism: results are returned in item order, independent of
-//! thread count and steal interleaving — [`run_indexed`] with 8 threads
-//! is bit-identical to a serial run. The pool uses only `std` and has no
-//! global state. Worker panics are *caught* ([`try_run_indexed`]), so a
-//! panicking item can never poison the deque or result mutexes and
-//! resurface on another thread as an opaque `PoisonError`; callers
-//! receive the first panicking item's index and payload instead
-//! ([`run_indexed`] re-raises it on the calling thread).
+//! Determinism: results are returned in item order, independent of the
+//! worker count and of which worker ran which job — a batch on 8
+//! workers is bit-identical to a serial pool's. The pool uses only `std`
+//! (through the `spillopt-sync` facade) and has no global state. Item
+//! panics are *caught* inside the job, so a panicking item can never
+//! poison the queue or result mutexes and resurface on another thread
+//! as an opaque `PoisonError`; callers receive the smallest observed
+//! panicking item's index and payload as an [`ItemPanic`].
 
-use spillopt_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use spillopt_obs::fault::panic_message;
+use spillopt_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use spillopt_sync::{thread, Arc, Condvar, Mutex};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A panic raised by one work item, caught by the pool.
@@ -35,29 +35,9 @@ pub struct ItemPanic {
 }
 
 impl ItemPanic {
-    /// The panic message: strings verbatim, the fault layer's typed
-    /// payloads via their `Display` forms.
+    /// The panic message, rendered by [`panic_message`].
     pub fn message(&self) -> String {
-        payload_message(&*self.payload)
-    }
-}
-
-/// Renders a caught panic payload: strings verbatim, the typed payloads
-/// of the fault layer (`spillopt_obs::fault`) via their `Display`
-/// forms. (Deliberately a local twin of `spillopt_stress::panic_message`
-/// for the string cases: the pool keeps no dependency on the fuzzing
-/// crate.)
-pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(b) = payload.downcast_ref::<spillopt_obs::fault::BudgetExceeded>() {
-        b.to_string()
-    } else if let Some(i) = payload.downcast_ref::<spillopt_obs::fault::InjectedFault>() {
-        i.to_string()
-    } else {
-        "non-string panic payload".to_string()
+        panic_message(&*self.payload)
     }
 }
 
@@ -70,134 +50,15 @@ impl std::fmt::Debug for ItemPanic {
     }
 }
 
-/// Runs `work(i, item)` for every item, on `threads` workers, returning
-/// the results in item order regardless of scheduling.
-///
-/// `threads == 0` selects the available CPU parallelism; `threads == 1`
-/// runs inline with no thread machinery at all (the reference serial
-/// schedule the parallel runs must match).
-///
-/// # Panics
-///
-/// Re-raises the first caught item panic on the calling thread (see
-/// [`try_run_indexed`] for the non-panicking form).
-pub fn run_indexed<I, T, F>(items: Vec<I>, threads: usize, work: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    try_run_indexed(items, threads, work).unwrap_or_else(|p| resume_unwind(p.payload))
-}
-
-/// As [`run_indexed`], but a panicking item aborts the run and is
-/// returned as an [`ItemPanic`] instead of unwinding through the pool.
-///
-/// Catching inside the worker keeps the deque and result mutexes
-/// unpoisoned and lets the driver attach context (which function's
-/// pipeline died) before surfacing the failure. When items panic
-/// concurrently the smallest observed index is reported; remaining items
-/// may be skipped.
-///
-/// # Errors
-///
-/// Returns the first caught [`ItemPanic`].
-pub fn try_run_indexed<I, T, F>(items: Vec<I>, threads: usize, work: F) -> Result<Vec<T>, ItemPanic>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        return serial_run(items, &work);
-    }
-
-    // Seed the deques round-robin so every worker starts with a share of
-    // the (typically size-correlated) item sequence.
-    let mut deques: Vec<Mutex<VecDeque<(usize, I)>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        deques.push(Mutex::new(VecDeque::new()));
-    }
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % threads].get_mut().unwrap().push_back((i, item));
-    }
-    let remaining = AtomicUsize::new(deques.iter_mut().map(|d| d.get_mut().unwrap().len()).sum());
-    let abort = AtomicBool::new(false);
-    let panicked: Mutex<Option<ItemPanic>> = Mutex::new(None);
-
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(remaining.load(Ordering::Relaxed), || None);
-    let slots = Mutex::new(&mut results);
-
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for me in 0..threads {
-            let deques = &deques;
-            let remaining = &remaining;
-            let abort = &abort;
-            let panicked = &panicked;
-            let slots = &slots;
-            let work = &work;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                while remaining.load(Ordering::Acquire) > 0 && !abort.load(Ordering::Acquire) {
-                    let next = pop_own(&deques[me]).or_else(|| steal(deques, me));
-                    match next {
-                        Some((i, item)) => {
-                            match catch_unwind(AssertUnwindSafe(|| work(i, item))) {
-                                Ok(out) => local.push((i, out)),
-                                Err(payload) => {
-                                    // Keep the smallest panicking index
-                                    // (deterministic for the serial
-                                    // schedule, best-effort otherwise).
-                                    let mut slot = panicked.lock().unwrap();
-                                    if slot.as_ref().is_none_or(|p| i < p.index) {
-                                        *slot = Some(ItemPanic { index: i, payload });
-                                    }
-                                    abort.store(true, Ordering::Release);
-                                }
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            // Deques are empty but another worker still
-                            // holds an in-flight item; a short sleep
-                            // bounds the CPU burned waiting for it.
-                            thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                    }
-                }
-                // Publish results under one short lock per worker.
-                let mut slots = slots.lock().unwrap();
-                for (i, out) in local {
-                    slots[i] = Some(out);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("pool workers never unwind");
-        }
-    });
-
-    if let Some(p) = panicked.into_inner().unwrap() {
-        return Err(p);
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every item completed"))
-        .collect())
-}
-
 /// A **persistent** work pool: workers are spawned once (when a
 /// [`crate::Session`] is built) and reused by every batch, so the
 /// warm-server shape — many `optimize` calls against one configured
 /// session — pays thread spin-up once instead of per module.
 ///
-/// Batches keep the free functions' contract: results in item order,
-/// panics caught per item and reported as [`ItemPanic`] (mutexes never
-/// poisoned), and output that is a pure function of the items — the
-/// worker count only changes wall-clock, never bytes.
+/// Batches return results in item order, catch panics per item and
+/// report them as [`ItemPanic`] (mutexes never poisoned), and produce
+/// output that is a pure function of the items — the worker count only
+/// changes wall-clock, never bytes.
 pub struct Pool {
     /// `None` when the pool is serial (1 effective worker): batches run
     /// inline on the calling thread with no thread machinery at all.
@@ -362,9 +223,10 @@ impl Pool {
     }
 
     /// Runs `work(i, item)` for every item on the persistent workers,
-    /// returning results in item order. Semantics match
-    /// [`try_run_indexed`]: a panicking item aborts the batch and is
-    /// returned as an [`ItemPanic`].
+    /// returning results in item order. A panicking item aborts the
+    /// batch (items not yet started are skipped) and is returned as an
+    /// [`ItemPanic`]; when items panic concurrently the smallest observed
+    /// index is reported, and a serial pool reports the first exactly.
     ///
     /// # Errors
     ///
@@ -514,9 +376,10 @@ fn worker_loop(shared: &Shared, me: usize) {
     }
 }
 
-/// The inline (no-thread) schedule shared by serial pools and
-/// single-item batches.
-fn serial_run<I, T, F>(items: Vec<I>, work: &F) -> Result<Vec<T>, ItemPanic>
+/// The inline (no-thread) schedule shared by serial pools, single-item
+/// batches and the engine's inline arm: items run in order on the
+/// calling thread, and the first panic ends the run.
+pub(crate) fn serial_run<I, T, F>(items: Vec<I>, work: &F) -> Result<Vec<T>, ItemPanic>
 where
     F: Fn(usize, I) -> T,
 {
@@ -531,25 +394,10 @@ where
 }
 
 /// The worker count actually used for `requested` over `n_items`.
-pub fn effective_threads(requested: usize, n_items: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize, n_items: usize) -> usize {
     let hw = thread::available_parallelism().map_or(1, |n| n.get());
     let t = if requested == 0 { hw } else { requested };
     t.min(n_items.max(1))
-}
-
-fn pop_own<I>(deque: &Mutex<VecDeque<(usize, I)>>) -> Option<(usize, I)> {
-    deque.lock().unwrap().pop_back()
-}
-
-fn steal<I>(deques: &[Mutex<VecDeque<(usize, I)>>], me: usize) -> Option<(usize, I)> {
-    let n = deques.len();
-    for k in 1..n {
-        let victim = (me + k) % n;
-        if let Some(stolen) = deques[victim].lock().unwrap().pop_front() {
-            return Some(stolen);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -558,54 +406,55 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_order() {
+        let work = |i: usize, x: u64| (i as u64) * 1000 + x * x;
         let items: Vec<u64> = (0..257).collect();
-        let serial = run_indexed(items.clone(), 1, |i, x| (i as u64) * 1000 + x * x);
-        let parallel = run_indexed(items, 7, |i, x| (i as u64) * 1000 + x * x);
+        let serial = Pool::new(1).run_batch(items.clone(), work).expect("serial");
+        let parallel = Pool::new(7).run_batch(items, work).expect("no panics");
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn uneven_work_is_stolen() {
-        // One huge item up front; the rest tiny. All must complete.
-        let items: Vec<u64> = (0..64).map(|i| if i == 0 { 1 << 14 } else { 1 }).collect();
-        let out = run_indexed(items, 4, |_, n| (0..n).map(|x| x ^ (x >> 3)).sum::<u64>());
-        assert_eq!(out.len(), 64);
-    }
-
-    #[test]
     fn zero_threads_means_auto() {
-        let out = run_indexed(vec![1, 2, 3], 0, |_, x| x * 2);
+        let pool = Pool::new(0);
+        let hw = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool.threads(), hw);
+        let out = pool.run_batch(vec![1, 2, 3], |_, x| x * 2).expect("no panics");
         assert_eq!(out, vec![2, 4, 6]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = run_indexed(Vec::<i32>::new(), 4, |_, x| x);
+        let out: Vec<i32> = Pool::new(4)
+            .run_batch(Vec::<i32>::new(), |_, x| x)
+            .expect("empty");
         assert!(out.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        run_indexed(vec![0usize; 16], 4, |i, _| {
+        // Callers that want the item's panic re-raise the caught payload.
+        let result = Pool::new(4).run_batch(vec![0usize; 16], |i, _| {
             if i == 7 {
                 panic!("boom");
             }
             i
         });
+        if let Err(err) = result {
+            std::panic::resume_unwind(err.payload);
+        }
     }
 
     #[test]
     fn persistent_pool_matches_serial_across_batches() {
-        let pool = Pool::new(4);
-        assert!(pool.threads() >= 1);
+        let work = |i: usize, x: u64| (i as u64) * 1000 + x * x;
         let items: Vec<u64> = (0..257).collect();
-        let serial = run_indexed(items.clone(), 1, |i, x| (i as u64) * 1000 + x * x);
+        let serial = Pool::new(1).run_batch(items.clone(), work).expect("serial");
+        let pool = Pool::new(4);
+        assert_eq!(pool.threads(), 4);
         // The same pool serves several batches (the warm-session shape).
         for _ in 0..3 {
-            let batch = pool
-                .run_batch(items.clone(), |i, x| (i as u64) * 1000 + x * x)
-                .expect("no panics");
+            let batch = pool.run_batch(items.clone(), work).expect("no panics");
             assert_eq!(serial, batch);
         }
     }
@@ -629,6 +478,35 @@ mod tests {
     }
 
     #[test]
+    fn caught_panic_names_the_item_and_poisons_nothing() {
+        let items: Vec<usize> = (0..64).collect();
+        let boom = |i: usize, x: usize| {
+            if i >= 13 {
+                panic!("boom at {i}");
+            }
+            x * 2
+        };
+        let pool = Pool::new(4);
+        let err = pool
+            .run_batch(items.clone(), boom)
+            .expect_err("items 13.. panic");
+        assert!(err.message().contains("boom"));
+        assert!(err.index >= 13);
+        // A serial pool reports the smallest panicking index exactly (the
+        // stress sweep's panic net names its case by it).
+        let serial = Pool::new(1)
+            .run_batch(items.clone(), boom)
+            .expect_err("item 13 panics");
+        assert_eq!(
+            (serial.index, serial.message()),
+            (13, "boom at 13".to_string())
+        );
+        // The pool is reusable afterwards: nothing was poisoned.
+        let ok = pool.run_batch(items, |_, x| x + 1).expect("no panics");
+        assert_eq!(ok.len(), 64);
+    }
+
+    #[test]
     fn serial_pool_runs_inline() {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
@@ -647,31 +525,6 @@ mod tests {
         assert_eq!(stats.len(), pool.threads());
         let total: u64 = stats.iter().map(|w| w.items).sum();
         assert_eq!(total, 64);
-    }
-
-    #[test]
-    fn caught_panic_names_the_item_and_poisons_nothing() {
-        let items: Vec<usize> = (0..64).collect();
-        let err = try_run_indexed(items.clone(), 4, |i, x| {
-            if i == 13 {
-                panic!("boom at {i}");
-            }
-            x * 2
-        })
-        .expect_err("item 13 panics");
-        assert!(err.message().contains("boom"));
-        // Serial schedule reports the smallest panicking index exactly.
-        let serial = try_run_indexed(items.clone(), 1, |i, x| {
-            if i >= 13 {
-                panic!("boom at {i}");
-            }
-            x * 2
-        })
-        .expect_err("item 13 panics");
-        assert_eq!(serial.index, 13);
-        // The pool is reusable afterwards: nothing was poisoned.
-        let ok = try_run_indexed(items, 4, |_, x| x + 1).expect("no panics");
-        assert_eq!(ok.len(), 64);
     }
 }
 
@@ -779,18 +632,6 @@ mod model_tests {
             "model_join_sees_every_worker_item: {} schedules",
             report.executions
         );
-        assert!(report.executions > 1);
-    }
-
-    /// The scoped (non-persistent) path: `try_run_indexed` with its
-    /// work-stealing deques, model-checked end to end.
-    #[test]
-    fn model_scoped_run_indexed() {
-        let report = check(opts(), || {
-            let out = try_run_indexed(vec![1u64, 2, 3], 2, |_, x| x * 10).expect("no panics");
-            assert_eq!(out, vec![10, 20, 30]);
-        });
-        eprintln!("model_scoped_run_indexed: {} schedules", report.executions);
         assert!(report.executions > 1);
     }
 }

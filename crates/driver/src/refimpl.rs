@@ -65,7 +65,7 @@ pub fn optimize_module_reference(
     };
 
     let items: Vec<(FuncId, Option<EdgeProfile>)> = module.func_ids().zip(profiles).collect();
-    let outcomes = crate::pool::try_run_indexed(items, 1, |index, (fid, measured)| {
+    let outcomes = crate::pool::serial_run(items, &|index, (fid, measured)| {
         let mut func = module.func(fid).clone();
         let profile = measured.unwrap_or_else(|| {
             let ProfileSource::Synthetic {

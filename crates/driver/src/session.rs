@@ -35,14 +35,14 @@ use crate::cache::AnalysisCache;
 use crate::driver::{
     DriverError, FaultAction, FaultKind, FunctionFault, ModuleRun, ProfileSource, Strategy,
 };
-use crate::pool::{payload_message, try_run_indexed, ItemPanic, Pool, PoolWorkerStats};
+use crate::pool::{serial_run, ItemPanic, Pool, PoolWorkerStats};
 use crate::report::{CrossTargetReport, FunctionReport, ModuleReport, StrategyReport};
 use spillopt_core::{
     run_suite_incremental, run_suite_memoized, run_technique, PlacementMemo, PlacementSuite,
     RefoldStats, SpillCostModel, SuiteError, SuiteInputs, SuiteOptions, Technique,
 };
 use spillopt_ir::{FuncId, Function, Module, Target};
-use spillopt_obs::fault::{BudgetScope, BudgetSpec};
+use spillopt_obs::fault::{panic_message, BudgetScope, BudgetSpec};
 use spillopt_profile::{random_walk_profile, EdgeProfile, Machine, ProfileDelta};
 use spillopt_regalloc::{allocate, AllocCertificate, RegAllocResult};
 use spillopt_sync::atomic::{AtomicU64, Ordering};
@@ -1264,7 +1264,7 @@ impl Engine<'_> {
     {
         match self.pool {
             Some(pool) => pool.run_batch(items, work),
-            None => try_run_indexed(items, 1, work),
+            None => serial_run(items, &work),
         }
     }
 }
@@ -1486,8 +1486,10 @@ fn run_function(
     profile: Option<&EdgeProfile>,
     engine: &Engine<'_>,
 ) -> Result<FunctionOutcome, DriverError> {
-    // Outermost per-function span: inline this is the flush boundary
-    // (on the persistent pool, `pool_job` wraps it).
+    // Per-function span: the flush boundary when the batch runs inline
+    // on the calling thread; on a pool worker (this session's, or a
+    // stress sweep's running the case that built this session) the
+    // worker's `pool_job` span wraps it.
     let _fn_span = spillopt_obs::span("function");
     let source_func = module.func(fid);
     let synthesized;
@@ -1768,7 +1770,7 @@ fn classify_panic(function: &str, payload: Box<dyn std::any::Any + Send>) -> Dri
     }
     DriverError::Panicked {
         unit: function.to_string(),
-        message: payload_message(&*payload),
+        message: panic_message(&*payload),
     }
 }
 
@@ -1803,7 +1805,7 @@ fn notify_retired(
     .map_err(|payload| DriverError::ObserverPanicked {
         observer: obs.name().to_string(),
         callback: "function_retired",
-        message: payload_message(&*payload),
+        message: panic_message(&*payload),
     })
 }
 
@@ -1816,7 +1818,7 @@ fn notify_module_done(engine: &Engine<'_>, report: &ModuleReport) -> Result<(), 
         DriverError::ObserverPanicked {
             observer: obs.name().to_string(),
             callback: "module_done",
-            message: payload_message(&*payload),
+            message: panic_message(&*payload),
         }
     })
 }

@@ -5,7 +5,7 @@
 //! `spillopt-stress` owns the generator, the oracles, the minimizer and
 //! the [`ViolationClass`] a counterexample keeps while it shrinks; the
 //! drift and fault checks live in [`crate::drift`] and [`crate::faults`].
-//! This module fans the cases out on the work-stealing pool and
+//! This module fans the cases out on the driver's [`Pool`] and
 //! aggregates one [`StressSummary`] — the engine behind `spillopt
 //! stress` (with `--exact`, `--drift` or `--faults`), `spillopt gap`,
 //! the per-PR smoke slices and the nightly CI sweeps. It is a library
@@ -13,7 +13,7 @@
 //! uses.
 
 use crate::json::Json;
-use crate::pool::try_run_indexed;
+use crate::pool::{effective_threads, Pool};
 use crate::{drift, faults};
 use spillopt_ir::{FuncId, Module};
 use spillopt_stress::{
@@ -318,7 +318,7 @@ fn run_case(
 }
 
 /// Runs `config.invariant` over `config.seeds` seeds × `config.targets`
-/// targets on the work-stealing pool. Deterministic: the summary
+/// targets on a [`Pool`] sized for the sweep. Deterministic: the summary
 /// (including failure order) is a pure function of the configuration.
 pub fn run_stress(config: &StressConfig) -> StressSummary {
     let mut items: Vec<(TargetSpec, u64)> = Vec::new();
@@ -337,7 +337,8 @@ pub fn run_stress(config: &StressConfig) -> StressSummary {
     // itself, converting it into a failure that names its (target, seed)
     // instead of killing the sweep.
     let invariant = config.invariant;
-    let outcomes = match try_run_indexed(items, config.threads, move |_, (spec, seed)| {
+    let pool = Pool::new(effective_threads(config.threads, items.len()));
+    let outcomes = match pool.run_batch(items, move |_, (spec, seed)| {
         with_quiet_panics(|| run_case(&invariant, &spec, seed))
     }) {
         Ok(outcomes) => outcomes,

@@ -90,6 +90,25 @@ impl std::fmt::Display for InjectedFault {
     }
 }
 
+/// Renders a caught panic payload as a message: strings verbatim, and
+/// this module's typed payloads ([`BudgetExceeded`], [`InjectedFault`])
+/// by their `Display` forms. Every layer that reports a caught panic —
+/// the driver's pool and containment boundary, the stress oracles —
+/// renders it here, so they report it identically.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(b) = payload.downcast_ref::<BudgetExceeded>() {
+        b.to_string()
+    } else if let Some(i) = payload.downcast_ref::<InjectedFault>() {
+        i.to_string()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Count of threads with an armed injection scope. Zero means `probe` is
 /// never entered; `span` checks this with one relaxed load.
 static INJECTING: AtomicU64 = AtomicU64::new(0);
@@ -369,6 +388,32 @@ mod tests {
             .copied()
             .expect("typed payload");
         assert_eq!(trip.kind, BudgetKind::WallClock);
+    }
+
+    #[test]
+    fn panic_message_renders_every_payload_kind() {
+        let budget = BudgetExceeded {
+            phase: "color",
+            kind: BudgetKind::Iterations,
+        };
+        let fault = InjectedFault {
+            site: "pst",
+            nth: 2,
+            kind: InjectionKind::Panic,
+        };
+        let cases: [(Box<dyn std::any::Any + Send>, &str); 5] = [
+            (Box::new("static str"), "static str"),
+            (Box::new(String::from("owned")), "owned"),
+            (
+                Box::new(budget),
+                "budget exceeded in `color` (iteration cap)",
+            ),
+            (Box::new(fault), "injected panic at `pst` (occurrence 2)"),
+            (Box::new(7u32), "non-string panic payload"),
+        ];
+        for (payload, want) in cases {
+            assert_eq!(panic_message(&*payload), want);
+        }
     }
 
     #[test]

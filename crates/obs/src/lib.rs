@@ -589,14 +589,17 @@ mod tests {
     fn worker_threads_flush_on_outermost_span_close() {
         let _t = exclusive();
         let rec = Recording::start();
-        spillopt_sync::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                spillopt_sync::thread::spawn(|| {
                     let _job = span("job");
                     count("jobs", 1);
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker");
+        }
         let trace = rec.finish();
         assert_eq!(trace.spans.iter().filter(|s| s.name == "job").count(), 4);
         assert_eq!(trace.counters, vec![("jobs", 4)]);

@@ -46,6 +46,7 @@ pub use oracle::{
     ModelGapStats, OracleFailure, DEFAULT_GAP_PERCENT, STRATEGIES,
 };
 
+use spillopt_obs::fault::panic_message;
 use spillopt_sync::Once;
 use spillopt_targets::TargetSpec;
 use std::cell::Cell;
@@ -81,18 +82,6 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(QUIET.with(|q| q.replace(true)));
     f()
-}
-
-/// Renders a caught panic payload as a message (shared with the
-/// driver's pool so the two layers report panics identically).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// As [`check_case_with`], but converting pipeline panics (allocator

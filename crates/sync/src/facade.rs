@@ -9,10 +9,8 @@
 //! thread running at a time, never contends).
 
 use crate::model::{self, current, payload_message, AtomicDir, ModelAbort};
-use std::cell::RefCell;
 use std::fmt;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool as StdAtomicBool, AtomicU64 as StdAtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar as StdCondvar, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard,
@@ -729,53 +727,29 @@ pub mod atomic {
 pub mod thread {
     use super::*;
     use crate::model::set_current;
-    use std::sync::atomic::AtomicBool as FlagBool;
-    use std::time::Duration;
 
     /// `std::thread::available_parallelism`, unchanged: model
     /// scenarios pass explicit thread counts.
     pub use std::thread::available_parallelism;
 
-    /// Bookkeeping shared between a handle and (for scoped threads)
-    /// its scope.
+    /// How a [`JoinHandle`] finds its thread.
     struct Shared {
         /// `(scheduler, model tid)` when spawned inside a model.
         model: Option<(Arc<crate::model::Scheduler>, usize)>,
-        /// The real OS join handle; taken by whoever joins first.
-        real: StdMutex<Option<std::thread::JoinHandle<()>>>,
-        /// The closure panicked (with a non-abort payload).
-        panicked: FlagBool,
-        /// An explicit `join` consumed the outcome.
-        handled: FlagBool,
+        /// The real OS join handle.
+        real: std::thread::JoinHandle<()>,
     }
 
     type Slot<T> = Arc<StdMutex<Option<std::thread::Result<T>>>>;
 
-    fn join_shared(shared: &Shared) {
-        if let Some((sched, tid)) = &shared.model {
-            if let Some((_, me)) = current() {
-                sched.join_thread(me, *tid);
-            }
-        }
-        let real = shared.real.lock().unwrap_or_else(|p| p.into_inner()).take();
-        if let Some(real) = real {
-            let _ = real.join();
-        }
-    }
-
     /// Spawns the already-wrapped (panic-catching, slot-writing)
     /// closure as a model thread or a plain std thread.
-    fn spawn_erased(wrapper: Box<dyn FnOnce() + Send + 'static>) -> Arc<Shared> {
+    fn spawn_erased(wrapper: Box<dyn FnOnce() + Send + 'static>) -> Shared {
         match current() {
-            None => {
-                let real = std::thread::spawn(wrapper);
-                Arc::new(Shared {
-                    model: None,
-                    real: StdMutex::new(Some(real)),
-                    panicked: FlagBool::new(false),
-                    handled: FlagBool::new(false),
-                })
-            }
+            None => Shared {
+                model: None,
+                real: std::thread::spawn(wrapper),
+            },
             Some((sched, me)) => {
                 let tid = sched.spawn_thread(me);
                 let sched2 = Arc::clone(&sched);
@@ -787,74 +761,36 @@ pub mod thread {
                     sched2.thread_finished(tid);
                     set_current(None);
                 });
-                Arc::new(Shared {
+                Shared {
                     model: Some((sched, tid)),
-                    real: StdMutex::new(Some(real)),
-                    panicked: FlagBool::new(false),
-                    handled: FlagBool::new(false),
-                })
+                    real,
+                }
             }
         }
     }
 
     /// Builds the standard wrapper: run `f`, store the outcome in
-    /// `slot`, report non-abort panics to the model (when inside one)
-    /// and flag them on `shared`.
+    /// `slot`, and report non-abort panics to the model (when inside
+    /// one).
     fn wrap<T: Send>(f: impl FnOnce() -> T + Send, slot: Slot<T>) -> impl FnOnce() + Send {
         move || {
-            let outcome = catch_unwind(AssertUnwindSafe(f));
-            let mut store: Option<std::thread::Result<T>> = None;
-            let mut panicked = false;
-            match outcome {
-                Ok(v) => store = Some(Ok(v)),
+            let store = match catch_unwind(AssertUnwindSafe(f)) {
+                Ok(v) => Some(Ok(v)),
+                Err(p) if p.is::<ModelAbort>() => None,
                 Err(p) => {
-                    if !p.is::<ModelAbort>() {
-                        if let Some((sched, tid)) = current() {
-                            sched.report_panic(tid, payload_message(&*p));
-                        }
-                        panicked = true;
-                        store = Some(Err(p));
+                    if let Some((sched, tid)) = current() {
+                        sched.report_panic(tid, payload_message(&*p));
                     }
+                    Some(Err(p))
                 }
-            }
+            };
             *slot.lock().unwrap_or_else(|p| p.into_inner()) = store;
-            if panicked {
-                if let Some(shared) = SHARED_OF_SELF.with(|s| s.borrow().clone()) {
-                    shared.panicked.store(true, Ordering::Release);
-                }
-            }
         }
-    }
-
-    thread_local! {
-        /// Set for the duration of a wrapped closure so the wrapper can
-        /// flag panics on its own bookkeeping.
-        static SHARED_OF_SELF: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
-    }
-
-    fn spawn_with_shared<T: Send + 'static>(
-        f: impl FnOnce() -> T + Send + 'static,
-        slot: Slot<T>,
-    ) -> Arc<Shared> {
-        let inner = wrap(f, slot);
-        let cell: Arc<StdMutex<Option<Arc<Shared>>>> = Arc::new(StdMutex::new(None));
-        let cell2 = Arc::clone(&cell);
-        let outer = move || {
-            let shared = cell2.lock().unwrap_or_else(|p| p.into_inner()).clone();
-            SHARED_OF_SELF.with(|s| *s.borrow_mut() = shared);
-            inner();
-            SHARED_OF_SELF.with(|s| *s.borrow_mut() = None);
-        };
-        // SAFETY-free path for 'static closures: no transmute needed.
-        let boxed: Box<dyn FnOnce() + Send + 'static> = Box::new(outer);
-        let shared = spawn_erased(boxed);
-        *cell.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&shared));
-        shared
     }
 
     /// Dual-mode [`std::thread::JoinHandle`].
     pub struct JoinHandle<T> {
-        shared: Arc<Shared>,
+        shared: Shared,
         slot: Slot<T>,
     }
 
@@ -868,8 +804,12 @@ pub mod thread {
         /// Waits for the thread (a blocking model operation inside a
         /// model execution) and returns its result.
         pub fn join(self) -> std::thread::Result<T> {
-            self.shared.handled.store(true, Ordering::Release);
-            join_shared(&self.shared);
+            if let Some((sched, tid)) = &self.shared.model {
+                if let Some((_, me)) = current() {
+                    sched.join_thread(me, *tid);
+                }
+            }
+            let _ = self.shared.real.join();
             self.slot
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -885,19 +825,8 @@ pub mod thread {
         T: Send + 'static,
     {
         let slot: Slot<T> = Arc::new(StdMutex::new(None));
-        let shared = spawn_with_shared(f, Arc::clone(&slot));
+        let shared = spawn_erased(Box::new(wrap(f, Arc::clone(&slot))));
         JoinHandle { shared, slot }
-    }
-
-    /// Dual-mode [`std::thread::sleep`]: inside a model, logical time
-    /// — a forced, preemption-free yield to the other runnable
-    /// threads.
-    pub fn sleep(dur: Duration) {
-        if let Some((sched, tid)) = current() {
-            sched.forced_yield(tid);
-        } else {
-            std::thread::sleep(dur);
-        }
     }
 
     /// Dual-mode [`std::thread::yield_now`].
@@ -906,117 +835,6 @@ pub mod thread {
             sched.forced_yield(tid);
         } else {
             std::thread::yield_now();
-        }
-    }
-
-    /// Dual-mode [`std::thread::Scope`].
-    pub struct Scope<'scope, 'env: 'scope> {
-        handles: RefCell<Vec<Arc<Shared>>>,
-        _scope: PhantomData<&'scope mut &'scope ()>,
-        _env: PhantomData<&'env mut &'env ()>,
-    }
-
-    impl fmt::Debug for Scope<'_, '_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("Scope").finish_non_exhaustive()
-        }
-    }
-
-    /// Dual-mode [`std::thread::ScopedJoinHandle`].
-    pub struct ScopedJoinHandle<'scope, T> {
-        shared: Arc<Shared>,
-        slot: Slot<T>,
-        _marker: PhantomData<&'scope ()>,
-    }
-
-    impl<T> fmt::Debug for ScopedJoinHandle<'_, T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("ScopedJoinHandle").finish_non_exhaustive()
-        }
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the scoped thread and returns its result.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.shared.handled.store(true, Ordering::Release);
-            join_shared(&self.shared);
-            self.slot
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-                .unwrap_or_else(|| Err(Box::new("model thread aborted")))
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread; joined (if not explicitly) when the
-        /// scope ends.
-        pub fn spawn<F, T>(&'scope self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce() -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let slot: Slot<T> = Arc::new(StdMutex::new(None));
-            let inner = wrap(f, Arc::clone(&slot));
-            let cell: Arc<StdMutex<Option<Arc<Shared>>>> = Arc::new(StdMutex::new(None));
-            let cell2 = Arc::clone(&cell);
-            let outer = move || {
-                let shared = cell2.lock().unwrap_or_else(|p| p.into_inner()).clone();
-                SHARED_OF_SELF.with(|s| *s.borrow_mut() = shared);
-                inner();
-                SHARED_OF_SELF.with(|s| *s.borrow_mut() = None);
-            };
-            let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(outer);
-            // SAFETY: the closure (and the result slot it captures) only
-            // borrows data outliving 'scope, and `scope` joins every
-            // spawned thread — on the normal path *and* on the panic
-            // path — before 'scope ends, so the erased borrows never
-            // outlive their referents. This is the same erasure the std
-            // scoped-thread implementation performs internally.
-            let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe {
-                std::mem::transmute::<
-                    Box<dyn FnOnce() + Send + 'scope>,
-                    Box<dyn FnOnce() + Send + 'static>,
-                >(boxed)
-            };
-            let shared = spawn_erased(boxed);
-            *cell.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&shared));
-            self.handles.borrow_mut().push(Arc::clone(&shared));
-            ScopedJoinHandle {
-                shared,
-                slot,
-                _marker: PhantomData,
-            }
-        }
-    }
-
-    /// Dual-mode [`std::thread::scope`]: every spawned thread is
-    /// joined before this returns, on the normal and the panic path.
-    pub fn scope<'env, F, T>(f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        let sc = Scope {
-            handles: RefCell::new(Vec::new()),
-            _scope: PhantomData,
-            _env: PhantomData,
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(&sc)));
-        let mut unhandled_panic = false;
-        for shared in sc.handles.borrow_mut().drain(..) {
-            join_shared(&shared);
-            if shared.panicked.load(Ordering::Acquire) && !shared.handled.load(Ordering::Acquire) {
-                unhandled_panic = true;
-            }
-        }
-        match outcome {
-            Ok(v) => {
-                if unhandled_panic {
-                    panic!("a scoped thread panicked");
-                }
-                v
-            }
-            Err(p) => resume_unwind(p),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every crate in the workspace imports its synchronization primitives
 //! (`Mutex`, `Condvar`, `RwLock`, `Once`, `OnceLock`, the atomics) and
-//! thread entry points (`thread::spawn`, `thread::scope`) from here
+//! thread entry points (`thread::spawn`, `thread::available_parallelism`) from here
 //! instead of `std::sync` / `std::thread` — a repo lint
 //! (`tests/facade_lint.rs` in the root package) keeps it that way.
 //!
@@ -71,9 +71,7 @@ pub mod atomic {
 /// Thread entry points (dual-mode wrappers in model builds).
 #[cfg(feature = "model")]
 pub mod thread {
-    pub use super::facade::thread::{
-        available_parallelism, scope, sleep, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle,
-    };
+    pub use super::facade::thread::{available_parallelism, spawn, yield_now, JoinHandle};
     pub use std::thread::{panicking, Result};
 }
 

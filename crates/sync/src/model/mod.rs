@@ -45,7 +45,7 @@ pub(crate) struct ModelAbort;
 pub struct ModelOptions {
     /// Maximum *preemptive* context switches per execution (switches at
     /// a point where the running thread could have continued). Forced
-    /// switches — blocking, exit, `sleep`/`yield_now` — are free.
+    /// switches — blocking, exit, `yield_now` — are free.
     /// CHESS-style result: most concurrency bugs surface with 2.
     pub preemption_bound: usize,
     /// Hard cap on explored executions; exceeding it is a violation

@@ -373,8 +373,8 @@ impl Scheduler {
     }
 
     /// A point where the current thread *must* let others run if any
-    /// are runnable (`thread::sleep` / `thread::yield_now`): modeled as
-    /// a forced, preemption-free switch.
+    /// are runnable (`thread::yield_now`): modeled as a forced,
+    /// preemption-free switch.
     pub(crate) fn forced_yield(&self, tid: usize) {
         let mut st = self.lock();
         if st.aborting {

@@ -187,23 +187,6 @@ fn detects_interleaving_dependent_panic() {
     assert!(v.message.contains("store beat the load"), "got: {v}");
 }
 
-/// `thread::scope` works inside scenarios and joins implicitly.
-#[test]
-fn scoped_threads_model_checked() {
-    let report = check(ModelOptions::new(), || {
-        let counter = Mutex::new(0u32);
-        thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    *counter.lock().unwrap() += 1;
-                });
-            }
-        });
-        assert_eq!(*counter.lock().unwrap(), 2);
-    });
-    assert!(report.executions > 1);
-}
-
 /// `OnceLock::get_or_init` runs the initializer exactly once under
 /// every schedule.
 #[test]
