@@ -1,15 +1,7 @@
 //! The `spillopt` command-line interface.
 //!
-//! ```text
-//! spillopt optimize (--bench NAME | --input FILE) [--target T] [--threads N] [--strategy S] [--techniques LIST] [--on-fault P] [--budget-ms N] [--budget-iters N] [--progress] [--trace FILE] [--out FILE]
-//! spillopt compare  (--bench NAME | --input FILE) [--target T|all] [--threads N] [--techniques LIST] [--on-fault P] [--budget-ms N] [--budget-iters N] [--progress] [--trace FILE] [--json]
-//! spillopt report   (--bench NAME | --input FILE) [--target T|all] [--threads N] [--techniques LIST] [--on-fault P] [--budget-ms N] [--budget-iters N] [--progress] [--trace FILE] [--compact] [--out FILE]
-//! spillopt stats    (--bench NAME | --input FILE) [--target T] [--threads N] [--techniques LIST] [--trace FILE] [--json] [--out FILE]
-//! spillopt stress   --seeds N [--start S] [--target T|all] [--threads N] [--exact] [--gap PCT] [--drift] [--faults] [--trace FILE]
-//! spillopt gap      --seeds N [--start S] [--target T|all] [--threads N] [--gap PCT] [--json] [--out FILE]
-//! spillopt list-benches
-//! spillopt list-targets
-//! ```
+//! The synopsis of every subcommand is `USAGE`, printed by
+//! `spillopt --help`.
 //!
 //! Exit codes are distinct by failure class: `0` success, `1` internal
 //! or pipeline failure, `2` usage / configuration error, `3` degraded
@@ -55,14 +47,13 @@
 //!
 //! Inputs are either a generated SPEC stand-in (`--bench`, profiled on
 //! its training workload) or an IR text file (`--input`, profiled
-//! synthetically). Argument parsing is hand-rolled: the surface is a
-//! handful of subcommands and flags, not worth a dependency the offline
-//! build would have to shim.
+//! synthetically). Every subcommand parses its flags through one table,
+//! `FLAGS`, into one `Opts`.
 
 use crate::driver::{DriverError, ModuleRun, ProfileSource, Strategy};
 use crate::json::Json;
 use crate::report::{CrossTargetReport, FunctionReport};
-use crate::session::{Budget, FailurePolicy, OptimizerBuilder, Provenance, TechniqueSet};
+use crate::session::{Budget, FailurePolicy, OptimizerBuilder, Provenance, Session, TechniqueSet};
 use crate::stress::{run_stress, Invariant, StressConfig, StressSummary};
 use spillopt_ir::{display, parse_module_traced, Module};
 use spillopt_targets::{registry, spec_by_name, TargetSpec};
@@ -110,7 +101,8 @@ hits, elapsed wall-clock) once the module is done.
 a Chrome Trace Event JSON file (open in Perfetto or chrome://tracing).
 --target names a registered backend (see list-targets; default pa-risc-like);
 `--target all` fans compare/report out across every registered target.
---threads 0 uses all cores (default); --threads 1 is the serial reference.
+--threads 0 uses all cores (default); --threads 1 is the serial reference;
+at most 1024 workers.
 `stats` runs the pipeline three times (cold, warm through the analysis
 arena, then under a weights-preserving profile drift that takes the
 incremental re-fold path) under the recorder and prints the per-phase
@@ -192,12 +184,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let sub = args.next().ok_or_else(|| usage("missing subcommand"))?;
     let rest: Vec<&str> = args.collect();
     match sub {
-        "optimize" => optimize(&parse_opts("optimize", &rest)?, out),
-        "compare" => compare(&parse_opts("compare", &rest)?, out),
-        "report" => report(&parse_opts("report", &rest)?, out),
-        "stats" => stats(&parse_opts("stats", &rest)?, out),
-        "stress" => stress(&rest, out),
-        "gap" => gap(&rest, out),
+        "optimize" => optimize(&parse_opts(sub, &rest)?, out),
+        "compare" => compare(&parse_opts(sub, &rest)?, out),
+        "report" => report(&parse_opts(sub, &rest)?, out),
+        "stats" => stats(&parse_opts(sub, &rest)?, out),
+        "stress" => stress(&parse_opts(sub, &rest)?, out),
+        "gap" => gap(&parse_opts(sub, &rest)?, out),
         "list-benches" => {
             for spec in spillopt_benchgen::all_benchmarks() {
                 writeln!(out, "{}", spec.name).map_err(io_err)?;
@@ -232,8 +224,7 @@ fn usage(msg: &str) -> CliError {
     CliError::Usage(msg.to_string())
 }
 
-/// Resolves a concrete `--target` value, listing the registry on error
-/// (shared by the module subcommands and `stress`).
+/// Resolves a concrete `--target` value, listing the registry on error.
 fn parse_target(name: &str) -> Result<TargetSpec, CliError> {
     spec_by_name(name).ok_or_else(|| {
         usage(&format!(
@@ -251,7 +242,41 @@ fn io_err(e: std::io::Error) -> CliError {
     CliError::Run(format!("write failed: {e}"))
 }
 
-/// Parsed flags shared by the three module subcommands.
+/// The most workers `--threads` may ask for: the session's pool spawns
+/// one OS thread per worker, and the count comes from the command line.
+const MAX_THREADS: u64 = 1024;
+
+/// Every flag: its name, whether it takes a value, and the subcommands
+/// that accept it. Anything else is rejected rather than silently
+/// ignored, and the "accepted:" list in that error is this table
+/// filtered by subcommand, in row order.
+#[rustfmt::skip]
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    ("--seeds",        true,  &["stress", "gap"]),
+    ("--start",        true,  &["stress", "gap"]),
+    ("--bench",        true,  &["optimize", "compare", "report", "stats"]),
+    ("--input",        true,  &["optimize", "compare", "report", "stats"]),
+    ("--target",       true,  &["optimize", "compare", "report", "stats", "stress", "gap"]),
+    ("--threads",      true,  &["optimize", "compare", "report", "stats", "stress", "gap"]),
+    ("--strategy",     true,  &["optimize"]),
+    ("--techniques",   true,  &["optimize", "compare", "report", "stats"]),
+    ("--on-fault",     true,  &["optimize", "compare", "report"]),
+    ("--budget-ms",    true,  &["optimize", "compare", "report"]),
+    ("--budget-iters", true,  &["optimize", "compare", "report"]),
+    ("--progress",     false, &["optimize", "compare", "report"]),
+    ("--exact",        false, &["stress"]),
+    ("--gap",          true,  &["stress", "gap"]),
+    ("--drift",        false, &["stress"]),
+    ("--drift-steps",  true,  &["stress"]),
+    ("--faults",       false, &["stress"]),
+    ("--trace",        true,  &["optimize", "compare", "report", "stats", "stress"]),
+    ("--compact",      false, &["report"]),
+    ("--json",         false, &["compare", "stats", "gap"]),
+    ("--out",          true,  &["optimize", "report", "stats", "gap"]),
+];
+
+/// Every subcommand's parsed flags. A flag the subcommand does not
+/// accept keeps its default.
 struct Opts {
     bench: Option<String>,
     input: Option<String>,
@@ -266,6 +291,13 @@ struct Opts {
     out: Option<String>,
     json: bool,
     compact: bool,
+    seeds: Option<u64>,
+    start: u64,
+    exact: bool,
+    drift: bool,
+    faults: bool,
+    gap: Option<u64>,
+    drift_steps: Option<u64>,
 }
 
 /// The `--target` flag: one registered target or all of them.
@@ -274,70 +306,18 @@ enum TargetChoice {
     All,
 }
 
-/// The flags each subcommand accepts; anything else is rejected rather
-/// than silently ignored.
-fn allowed_flags(sub: &str) -> &'static [&'static str] {
-    match sub {
-        "optimize" => &[
-            "--bench",
-            "--input",
-            "--target",
-            "--threads",
-            "--strategy",
-            "--techniques",
-            "--on-fault",
-            "--budget-ms",
-            "--budget-iters",
-            "--progress",
-            "--trace",
-            "--out",
-        ],
-        "compare" => &[
-            "--bench",
-            "--input",
-            "--target",
-            "--threads",
-            "--techniques",
-            "--on-fault",
-            "--budget-ms",
-            "--budget-iters",
-            "--progress",
-            "--trace",
-            "--json",
-        ],
-        "report" => &[
-            "--bench",
-            "--input",
-            "--target",
-            "--threads",
-            "--techniques",
-            "--on-fault",
-            "--budget-ms",
-            "--budget-iters",
-            "--progress",
-            "--trace",
-            "--compact",
-            "--out",
-        ],
-        "stats" => &[
-            "--bench",
-            "--input",
-            "--target",
-            "--threads",
-            "--techniques",
-            "--trace",
-            "--json",
-            "--out",
-        ],
-        _ => &[],
-    }
-}
-
 fn parse_opts(sub: &str, rest: &[&str]) -> Result<Opts, CliError> {
+    let sweep = sub == "stress" || sub == "gap";
     let mut opts = Opts {
         bench: None,
         input: None,
-        target: TargetChoice::One(spillopt_targets::pa_risc_like()),
+        // The sweeps default to every target, the module subcommands to
+        // the paper's.
+        target: if sweep {
+            TargetChoice::All
+        } else {
+            TargetChoice::One(spillopt_targets::pa_risc_like())
+        },
         threads: 0,
         strategy: None,
         techniques: TechniqueSet::ALL,
@@ -348,26 +328,44 @@ fn parse_opts(sub: &str, rest: &[&str]) -> Result<Opts, CliError> {
         out: None,
         json: false,
         compact: false,
+        seeds: None,
+        start: 0,
+        exact: sub == "gap",
+        drift: false,
+        faults: false,
+        gap: None,
+        drift_steps: None,
     };
+    let accepts = |row: &&(&str, bool, &[&str])| row.2.contains(&sub);
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
-        if !allowed_flags(sub).contains(&flag) {
+        let Some(&(_, takes_value, _)) = FLAGS.iter().filter(accepts).find(|row| row.0 == flag)
+        else {
+            let accepted: Vec<&str> = FLAGS.iter().filter(accepts).map(|row| row.0).collect();
             return Err(usage(&format!(
                 "`{sub}` does not accept `{flag}` (accepted: {})",
-                allowed_flags(sub).join(", ")
+                accepted.join(", ")
             )));
-        }
-        let mut value = || {
+        };
+        let value = if takes_value {
             it.next()
                 .copied()
-                .ok_or_else(|| usage(&format!("{flag} needs a value")))
+                .ok_or_else(|| usage(&format!("{flag} needs a value")))?
+        } else {
+            ""
+        };
+        let number = |what: &str| -> Result<u64, CliError> {
+            value
+                .parse()
+                .map_err(|_| usage(&format!("{flag} needs {what}")))
         };
         match flag {
-            "--bench" => opts.bench = Some(value()?.to_string()),
-            "--input" => opts.input = Some(value()?.to_string()),
+            "--seeds" => opts.seeds = Some(number("a number")?),
+            "--start" => opts.start = number("a number")?,
+            "--bench" => opts.bench = Some(value.to_string()),
+            "--input" => opts.input = Some(value.to_string()),
             "--target" => {
-                let v = value()?;
-                opts.target = match v {
+                opts.target = match value {
                     "all" if sub == "optimize" || sub == "stats" => {
                         return Err(usage(&format!(
                             "`{sub}` needs one concrete target (`--target all` only \
@@ -379,13 +377,16 @@ fn parse_opts(sub: &str, rest: &[&str]) -> Result<Opts, CliError> {
                 }
             }
             "--threads" => {
-                opts.threads = value()?
-                    .parse()
-                    .map_err(|_| usage("--threads needs a number"))?
+                let threads = number("a number")?;
+                if threads > MAX_THREADS {
+                    return Err(usage(&format!(
+                        "--threads {threads} is above the limit of {MAX_THREADS}"
+                    )));
+                }
+                opts.threads = threads as usize;
             }
             "--strategy" => {
-                let v = value()?;
-                opts.strategy = match v {
+                opts.strategy = match value {
                     "best" => None,
                     s => Some(Strategy::parse(s).ok_or_else(|| {
                         usage(&format!("unknown strategy `{s}` (accepted: {STRATEGIES})"))
@@ -393,38 +394,48 @@ fn parse_opts(sub: &str, rest: &[&str]) -> Result<Opts, CliError> {
                 }
             }
             "--techniques" => {
-                opts.techniques = TechniqueSet::parse(value()?).map_err(|e| usage(&e))?;
+                opts.techniques = TechniqueSet::parse(value).map_err(|e| usage(&e))?;
             }
             "--on-fault" => {
-                let v = value()?;
-                opts.on_fault = FailurePolicy::parse(v).ok_or_else(|| {
+                opts.on_fault = FailurePolicy::parse(value).ok_or_else(|| {
                     usage(&format!(
-                        "unknown failure policy `{v}` (accepted: fail, degrade, skip)"
+                        "unknown failure policy `{value}` (accepted: fail, degrade, skip)"
                     ))
                 })?;
             }
             "--budget-ms" => {
-                let ms = value()?
-                    .parse()
-                    .map_err(|_| usage("--budget-ms needs a number of milliseconds"))?;
-                opts.budget = opts.budget.wall_ms(ms);
+                opts.budget = opts.budget.wall_ms(number("a number of milliseconds")?);
             }
-            "--budget-iters" => {
-                let iters = value()?
-                    .parse()
-                    .map_err(|_| usage("--budget-iters needs a number"))?;
-                opts.budget = opts.budget.solver_iters(iters);
-            }
+            "--budget-iters" => opts.budget = opts.budget.solver_iters(number("a number")?),
             "--progress" => opts.progress = true,
-            "--trace" => opts.trace = Some(value()?.to_string()),
-            "--out" => opts.out = Some(value()?.to_string()),
-            "--json" => opts.json = true,
+            "--exact" => opts.exact = true,
+            "--gap" => opts.gap = Some(number("a percentage")?),
+            "--drift" => opts.drift = true,
+            "--drift-steps" => opts.drift_steps = Some(number("a number")?),
+            "--faults" => opts.faults = true,
+            "--trace" => opts.trace = Some(value.to_string()),
             "--compact" => opts.compact = true,
-            other => return Err(usage(&format!("unknown flag `{other}`"))),
+            "--json" => opts.json = true,
+            "--out" => opts.out = Some(value.to_string()),
+            other => unreachable!("FLAGS row `{other}` has no arm"),
         }
     }
-    if opts.bench.is_some() == opts.input.is_some() {
+    if sweep && opts.seeds.is_none() {
+        return Err(usage(&format!("`{sub}` requires --seeds N")));
+    }
+    if !sweep && opts.bench.is_some() == opts.input.is_some() {
         return Err(usage("exactly one of --bench or --input is required"));
+    }
+    if opts.gap.is_some() && !opts.exact {
+        return Err(usage("--gap only applies with --exact"));
+    }
+    if (opts.drift as u8) + (opts.exact as u8) + (opts.faults as u8) > 1 {
+        return Err(usage(
+            "--drift, --exact, and --faults are separate oracles; pick one per run",
+        ));
+    }
+    if opts.drift_steps.is_some() && !opts.drift {
+        return Err(usage("--drift-steps only applies with --drift"));
     }
     if let Some(strategy) = opts.strategy {
         if !opts.techniques.contains(strategy) {
@@ -562,19 +573,31 @@ fn with_trace<T>(
     result
 }
 
-fn drive(opts: &Opts, spec: &TargetSpec) -> Result<crate::driver::ModuleRun, CliError> {
-    let (module, profile) = load(opts, spec)?;
-    let session = OptimizerBuilder::new()
-        .target_spec(spec.clone())
-        .profile(profile)
+/// The session a module subcommand runs on: `target` (with the module's
+/// profile) or, for `None`, every registered target.
+fn build_session(
+    opts: &Opts,
+    target: Option<(&TargetSpec, ProfileSource)>,
+    reuse_analyses: bool,
+) -> Result<Session, CliError> {
+    let builder = OptimizerBuilder::new()
         .threads(opts.threads)
         .techniques(opts.techniques)
         .on_fault(opts.on_fault)
         .budget(opts.budget)
-        // One-shot process: an arena would cache results nothing reads.
-        .reuse_analyses(false)
-        .build()
-        .map_err(|e| CliError::Run(e.to_string()))?;
+        .reuse_analyses(reuse_analyses);
+    match target {
+        Some((spec, profile)) => builder.target_spec(spec.clone()).profile(profile),
+        None => builder.all_targets(),
+    }
+    .build()
+    .map_err(|e| CliError::Run(e.to_string()))
+}
+
+fn drive(opts: &Opts, spec: &TargetSpec) -> Result<crate::driver::ModuleRun, CliError> {
+    let (module, profile) = load(opts, spec)?;
+    // One-shot process: an arena would cache results nothing reads.
+    let session = build_session(opts, Some((spec, profile)), false)?;
     let started = Instant::now();
     let run = if opts.progress {
         session.optimize_observed(&module, &progress_observer())
@@ -604,14 +627,7 @@ fn drive_all(opts: &Opts) -> Result<CrossTargetReport, CliError> {
         Some(path) => Some(load_input(path)?),
         None => None,
     };
-    let session = OptimizerBuilder::new()
-        .all_targets()
-        .threads(opts.threads)
-        .techniques(opts.techniques)
-        // One-shot process: an arena would cache results nothing reads.
-        .reuse_analyses(false)
-        .build()
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    let session = build_session(opts, None, false)?;
     let load_for = |spec: &TargetSpec| match &shared {
         Some(pair) => Ok(pair.clone()),
         None => load(opts, spec).map_err(|e| match e {
@@ -701,124 +717,34 @@ fn compare(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// Flags shared by `stress` and `gap`: the sweep and the output knobs.
-struct StressFlags {
-    config: StressConfig,
-    json: bool,
-    trace: Option<String>,
-    out: Option<String>,
-}
-
-/// Parses the `stress` / `gap` flag surface. `sub` selects which extras
-/// are accepted (`--exact`/`--drift`/`--faults` only on stress,
-/// `--json`/`--out` only on gap).
-fn parse_stress_flags(sub: &str, rest: &[&str]) -> Result<StressFlags, CliError> {
-    let (mut start, mut threads, mut targets) = (0, 0, registry());
-    let (mut json, mut trace, mut out) = (false, None, None);
-    let (mut exact, mut drift, mut faults) = (sub == "gap", false, false);
-    let mut gap_percent = spillopt_stress::DEFAULT_GAP_PERCENT;
-    let mut drift_steps = crate::drift::DEFAULT_DRIFT_STEPS;
-    let mut seeds: Option<u64> = None;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .copied()
-                .ok_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match flag {
-            "--seeds" => {
-                seeds = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--seeds needs a number"))?,
-                )
-            }
-            "--start" => {
-                start = value()?
-                    .parse()
-                    .map_err(|_| usage("--start needs a number"))?
-            }
-            "--threads" => {
-                threads = value()?
-                    .parse()
-                    .map_err(|_| usage("--threads needs a number"))?
-            }
-            "--target" => {
-                let v = value()?;
-                // Last flag wins in both directions: `all` restores the
-                // full registry after an earlier narrowing.
-                targets = if v == "all" {
-                    registry()
-                } else {
-                    vec![parse_target(v)?]
-                };
-            }
-            "--exact" if sub == "stress" => exact = true,
-            "--drift" if sub == "stress" => drift = true,
-            "--faults" if sub == "stress" => faults = true,
-            "--drift-steps" if sub == "stress" => {
-                drift_steps = value()?
-                    .parse()
-                    .map_err(|_| usage("--drift-steps needs a number"))?
-            }
-            "--gap" => {
-                gap_percent = value()?
-                    .parse()
-                    .map_err(|_| usage("--gap needs a percentage"))?
-            }
-            "--json" if sub == "gap" => json = true,
-            "--trace" if sub == "stress" => trace = Some(value()?.to_string()),
-            "--out" if sub == "gap" => out = Some(value()?.to_string()),
-            other => {
-                let accepted = if sub == "stress" {
-                    "--seeds, --start, --target, --threads, --exact, --gap, --drift, \
-                     --drift-steps, --faults, --trace"
-                } else {
-                    "--seeds, --start, --target, --threads, --gap, --json, --out"
-                };
-                return Err(usage(&format!(
-                    "`{sub}` does not accept `{other}` (accepted: {accepted})"
-                )));
-            }
+/// The sweep `stress` / `gap` runs, from its parsed flags.
+fn sweep_config(opts: &Opts) -> StressConfig {
+    let invariant = if opts.drift {
+        Invariant::Drift {
+            steps: opts
+                .drift_steps
+                .unwrap_or(crate::drift::DEFAULT_DRIFT_STEPS),
         }
-    }
-    let seeds = seeds.ok_or_else(|| usage(&format!("`{sub}` requires --seeds N")))?;
-    if !exact && gap_percent != spillopt_stress::DEFAULT_GAP_PERCENT {
-        return Err(usage("--gap only applies with --exact"));
-    }
-    if (drift as u8) + (exact as u8) + (faults as u8) > 1 {
-        return Err(usage(
-            "--drift, --exact, and --faults are separate oracles; pick one per run",
-        ));
-    }
-    if !drift && drift_steps != crate::drift::DEFAULT_DRIFT_STEPS {
-        return Err(usage("--drift-steps only applies with --drift"));
-    }
-    let invariant = if drift {
-        Invariant::Drift { steps: drift_steps }
-    } else if faults {
+    } else if opts.faults {
         Invariant::Faults
     } else {
         Invariant::Oracles {
-            exact: exact.then(|| spillopt_stress::ExactOptions {
-                gap_percent,
+            exact: opts.exact.then(|| spillopt_stress::ExactOptions {
+                gap_percent: opts.gap.unwrap_or(spillopt_stress::DEFAULT_GAP_PERCENT),
                 ..spillopt_stress::ExactOptions::default()
             }),
         }
     };
-    Ok(StressFlags {
-        config: StressConfig {
-            start,
-            seeds,
-            targets,
-            threads,
-            invariant,
+    StressConfig {
+        start: opts.start,
+        seeds: opts.seeds.expect("validated by parse_opts"),
+        targets: match &opts.target {
+            TargetChoice::One(spec) => vec![spec.clone()],
+            TargetChoice::All => registry(),
         },
-        json,
-        trace,
-        out,
-    })
+        threads: opts.threads,
+        invariant,
+    }
 }
 
 /// Writes the counterexamples and converts a failed sweep into the
@@ -851,10 +777,9 @@ fn stress_failures(
 /// model fidelity, never-worse — and, with `--exact`, the optimality
 /// gap), the profile-drift differential (`--drift`), or the
 /// fault-injection fuzzer (`--faults`). See [`crate::stress`].
-fn stress(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = parse_stress_flags("stress", rest)?;
-    let config = &flags.config;
-    let summary = with_trace(flags.trace.as_deref(), || Ok(run_stress(config)))?;
+fn stress(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
+    let config = &sweep_config(opts);
+    let summary = with_trace(opts.trace.as_deref(), || Ok(run_stress(config)))?;
     let (c, failures) = (&summary.counters, summary.failures.len());
     let sweep = format!(
         "{} cases (seeds {}..{} x {} target(s)",
@@ -903,9 +828,8 @@ fn stress(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// The `gap` subcommand: the stress corpus under the exact oracle,
 /// reported as a per-target optimality-gap histogram.
-fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = parse_stress_flags("gap", rest)?;
-    let config = &flags.config;
+fn gap(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
+    let config = &sweep_config(opts);
     let Invariant::Oracles { exact: Some(exact) } = config.invariant else {
         unreachable!("`gap` always runs the exact oracle");
     };
@@ -920,7 +844,7 @@ fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         .with("functions", Json::UInt(summary.counters.functions))
         .with("failures", Json::UInt(summary.failures.len() as u64))
         .with("targets", summary.gap_report_json());
-    let text = if flags.json {
+    let text = if opts.json {
         json.to_pretty() + "\n"
     } else {
         let mut t = format!(
@@ -941,11 +865,7 @@ fn gap(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         }
         t
     };
-    match &flags.out {
-        Some(path) => std::fs::write(path, &text)
-            .map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}")))?,
-        None => out.write_all(text.as_bytes()).map_err(io_err)?,
-    }
+    emit(opts, out, &text)?;
     stress_failures(config, &summary, out)
 }
 
@@ -981,14 +901,7 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), CliError> {
         unreachable!("rejected in parse_opts");
     };
     let (module, profile) = load(opts, spec)?;
-    let session = OptimizerBuilder::new()
-        .target_spec(spec.clone())
-        .profile(profile)
-        .threads(opts.threads)
-        .techniques(opts.techniques)
-        .reuse_analyses(true)
-        .build()
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    let session = build_session(opts, Some((spec, profile)), true)?;
     let recording = spillopt_obs::Recording::start();
     let started = Instant::now();
     let mut functions = 0;
@@ -1150,37 +1063,168 @@ mod tests {
         Ok(String::from_utf8(buf).expect("utf8 output"))
     }
 
+    /// The flags `sub` accepts, as its rejected-flag message lists them.
+    fn accepted(sub: &str) -> &'static str {
+        match sub {
+            "optimize" => {
+                "--bench, --input, --target, --threads, --strategy, --techniques, --on-fault, \
+                 --budget-ms, --budget-iters, --progress, --trace, --out"
+            }
+            "compare" => {
+                "--bench, --input, --target, --threads, --techniques, --on-fault, --budget-ms, \
+                 --budget-iters, --progress, --trace, --json"
+            }
+            "report" => {
+                "--bench, --input, --target, --threads, --techniques, --on-fault, --budget-ms, \
+                 --budget-iters, --progress, --trace, --compact, --out"
+            }
+            "stats" => {
+                "--bench, --input, --target, --threads, --techniques, --trace, --json, --out"
+            }
+            "stress" => {
+                "--seeds, --start, --target, --threads, --exact, --gap, --drift, --drift-steps, \
+                 --faults, --trace"
+            }
+            "gap" => "--seeds, --start, --target, --threads, --gap, --json, --out",
+            other => panic!("no accepted list for `{other}`"),
+        }
+    }
+
+    fn rejects(sub: &str, flag: &str) -> String {
+        format!(
+            "`{sub}` does not accept `{flag}` (accepted: {})",
+            accepted(sub)
+        )
+    }
+
+    const REGISTERED: &str = "unknown target `pdp11` (registered: pa-risc-like, x86-64-sysv, \
+                              aarch64-aapcs64, riscv64-lp64)";
+    const ONE_ORACLE: &str =
+        "--drift, --exact, and --faults are separate oracles; pick one per run";
+
+    /// Asserts that each `(argv, message)` row is a usage error with
+    /// exactly that message. Arguments split on spaces.
+    fn assert_usage_errors(rows: &[(&str, String)]) {
+        for (argv, want) in rows {
+            let argv: Vec<&str> = argv.split_whitespace().collect();
+            match run_capture(&argv) {
+                Err(CliError::Usage(msg)) => assert_eq!(&msg, want, "spillopt {argv:?}"),
+                other => panic!("spillopt {argv:?}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The usage errors of the module subcommands, pinned byte for byte:
+    /// each one's rejected-flag list, every missing or malformed value,
+    /// and every cross-flag rule. `stats` and the sweep subcommands have
+    /// tests of their own below.
     #[test]
     fn usage_errors() {
-        assert!(matches!(run_capture(&[]), Err(CliError::Usage(_))));
-        assert!(matches!(run_capture(&["compare"]), Err(CliError::Usage(_))));
-        assert!(matches!(
-            run_capture(&["bench", "--json"]),
-            Err(CliError::Usage(msg)) if msg.contains("unknown subcommand `bench`")
-        ));
-        assert!(matches!(
-            run_capture(&["compare", "--bench", "mcf", "--input", "x"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["optimize", "--bench", "mcf", "--strategy", "bogus"]),
-            Err(CliError::Usage(_))
-        ));
-        // Flags that don't apply to the subcommand are rejected, not
-        // silently ignored.
-        assert!(matches!(
-            run_capture(&["report", "--bench", "mcf", "--strategy", "baseline"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["optimize", "--bench", "mcf", "--json"]),
-            Err(CliError::Usage(_))
-        ));
-        // `optimize` needs one concrete target.
-        assert!(matches!(
-            run_capture(&["optimize", "--bench", "mcf", "--target", "all"]),
-            Err(CliError::Usage(_))
-        ));
+        let one_source = "exactly one of --bench or --input is required";
+        let no_all = "--on-fault / --budget-* need one concrete target (not `--target all`)";
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            ("", "missing subcommand".into()),
+            ("bench --json", "unknown subcommand `bench`".into()),
+            ("compare", one_source.into()),
+            ("compare --bench mcf --input x", one_source.into()),
+            ("compare --bench", "--bench needs a value".into()),
+            ("optimize --input", "--input needs a value".into()),
+            ("compare --bench mcf --threads", "--threads needs a value".into()),
+            ("compare --bench mcf --techniques", "--techniques needs a value".into()),
+            ("report --bench mcf --out", "--out needs a value".into()),
+            ("compare --bench mcf --threads x", "--threads needs a number".into()),
+            // Each worker is an OS thread: the count is bounded before any
+            // session exists.
+            ("compare --bench mcf --threads 1025",
+             "--threads 1025 is above the limit of 1024".into()),
+            ("compare --bench mcf --budget-ms soon",
+             "--budget-ms needs a number of milliseconds".into()),
+            ("compare --bench mcf --budget-iters x", "--budget-iters needs a number".into()),
+            ("compare --bench mcf --target pdp11", REGISTERED.into()),
+            ("optimize --bench mcf --strategy bogus",
+             "unknown strategy `bogus` (accepted: baseline, shrinkwrap, hier-exec, hier-jump, best)"
+                 .into()),
+            ("compare --bench mcf --techniques bogus",
+             "unknown technique `bogus` (accepted: all, or a comma-separated list of baseline, \
+              shrinkwrap, hier-exec, hier-jump)".into()),
+            ("compare --bench mcf --on-fault retry",
+             "unknown failure policy `retry` (accepted: fail, degrade, skip)".into()),
+            ("optimize --bench mcf --techniques baseline --strategy hier-jump",
+             "--strategy hier-jump is not in --techniques baseline".into()),
+            ("optimize --bench mcf --target all",
+             "`optimize` needs one concrete target (`--target all` only applies to compare/report)"
+                 .into()),
+            ("compare --bench mcf --target all --on-fault degrade", no_all.into()),
+            ("report --bench mcf --target all --budget-ms 5", no_all.into()),
+            ("compare --bench mcf --target all --budget-iters 5", no_all.into()),
+            // Flags that don't apply to the subcommand are rejected, not
+            // silently ignored.
+            ("optimize --bench mcf --json", rejects("optimize", "--json")),
+            ("optimize --bench mcf --gap 5", rejects("optimize", "--gap")),
+            ("compare --bench mcf --strategy baseline", rejects("compare", "--strategy")),
+            ("compare --bench mcf --compact", rejects("compare", "--compact")),
+            ("compare --bench mcf --seeds 1", rejects("compare", "--seeds")),
+            ("report --bench mcf --strategy baseline", rejects("report", "--strategy")),
+            ("report --bench mcf --json", rejects("report", "--json")),
+        ]);
+        // The limit itself is accepted (parsed only: no pool is spawned).
+        let opts = parse_opts("compare", &["--bench", "mcf", "--threads", "1024"]).expect("parse");
+        assert_eq!(opts.threads, 1024);
+    }
+
+    #[test]
+    fn stats_usage_errors() {
+        // One concrete target only, and no report-only or fault flags:
+        // `stats` keeps its three-run protocol.
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            ("stats --json", "exactly one of --bench or --input is required".into()),
+            ("stats --bench mcf --target all",
+             "`stats` needs one concrete target (`--target all` only applies to compare/report)"
+                 .into()),
+            ("stats --bench mcf --strategy baseline", rejects("stats", "--strategy")),
+            ("stats --bench mcf --progress", rejects("stats", "--progress")),
+            ("stats --bench mcf --on-fault degrade", rejects("stats", "--on-fault")),
+            ("stats --bench mcf --budget-ms 5", rejects("stats", "--budget-ms")),
+            ("stats --bench mcf --compact", rejects("stats", "--compact")),
+        ]);
+    }
+
+    #[test]
+    fn stress_usage_errors() {
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            ("stress", "`stress` requires --seeds N".into()),
+            ("stress --start 3", "`stress` requires --seeds N".into()),
+            ("stress --seeds", "--seeds needs a value".into()),
+            ("stress --seeds abc", "--seeds needs a number".into()),
+            ("stress --seeds 1 --start x", "--start needs a number".into()),
+            ("stress --seeds 1 --threads x", "--threads needs a number".into()),
+            ("stress --seeds 1 --threads 100000",
+             "--threads 100000 is above the limit of 1024".into()),
+            ("stress --seeds 1 --target pdp11", REGISTERED.into()),
+            ("stress --seeds 1 --bench mcf", rejects("stress", "--bench")),
+            ("stress --seeds 1 --json", rejects("stress", "--json")),
+            ("stress --seeds 1 --out x", rejects("stress", "--out")),
+        ]);
+    }
+
+    #[test]
+    fn drift_usage_errors() {
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            // --drift and --exact are mutually exclusive oracles.
+            ("stress --seeds 1 --drift --exact", ONE_ORACLE.into()),
+            // --drift-steps needs --drift, even at its default value.
+            ("stress --seeds 1 --drift-steps 4", "--drift-steps only applies with --drift".into()),
+            ("stress --seeds 1 --drift-steps 8", "--drift-steps only applies with --drift".into()),
+            ("stress --seeds 1 --drift --drift-steps", "--drift-steps needs a value".into()),
+            ("stress --seeds 1 --drift-steps x", "--drift-steps needs a number".into()),
+            // gap never accepts the drift flags.
+            ("gap --seeds 1 --drift", rejects("gap", "--drift")),
+            ("gap --seeds 1 --drift-steps 4", rejects("gap", "--drift-steps")),
+        ]);
     }
 
     #[test]
@@ -1334,25 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn stress_usage_errors() {
-        assert!(matches!(run_capture(&["stress"]), Err(CliError::Usage(_))));
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "abc"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--bench", "mcf"]),
-            Err(CliError::Usage(_))
-        ));
-        let Err(CliError::Usage(msg)) =
-            run_capture(&["stress", "--seeds", "1", "--target", "pdp11"])
-        else {
-            panic!("expected usage error");
-        };
-        assert!(msg.contains("unknown target `pdp11`"));
-    }
-
-    #[test]
     fn stress_smoke_runs_and_summarizes() {
         let out =
             run_capture(&["stress", "--seeds", "2", "--target", "pa-risc-like"]).expect("stress");
@@ -1396,25 +1421,6 @@ mod tests {
         // base + 4 steps per case
         assert!(out.contains("10 checks"), "{out}");
         assert!(out.contains("0 failure(s)"), "{out}");
-    }
-
-    #[test]
-    fn drift_usage_errors() {
-        // --drift and --exact are mutually exclusive oracles.
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--drift", "--exact"]),
-            Err(CliError::Usage(_))
-        ));
-        // --drift-steps needs --drift.
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--drift-steps", "4"]),
-            Err(CliError::Usage(_))
-        ));
-        // gap never accepts the drift flags.
-        assert!(matches!(
-            run_capture(&["gap", "--seeds", "1", "--drift"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
@@ -1523,37 +1529,46 @@ mod tests {
 
     #[test]
     fn faults_usage_errors() {
-        // --faults is its own oracle, exclusive with --drift and --exact.
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--faults", "--drift"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--faults", "--exact"]),
-            Err(CliError::Usage(_))
-        ));
-        // gap never accepts it.
-        assert!(matches!(
-            run_capture(&["gap", "--seeds", "1", "--faults"]),
-            Err(CliError::Usage(_))
-        ));
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            // --faults is its own oracle, exclusive with --drift and --exact.
+            ("stress --seeds 1 --faults --drift", ONE_ORACLE.into()),
+            ("stress --seeds 1 --faults --exact", ONE_ORACLE.into()),
+            ("stress --seeds 1 --exact --drift --faults", ONE_ORACLE.into()),
+            // gap never accepts it.
+            ("gap --seeds 1 --faults", rejects("gap", "--faults")),
+        ]);
     }
 
     #[test]
     fn gap_flag_requires_exact_mode() {
-        assert!(matches!(
-            run_capture(&["stress", "--seeds", "1", "--gap", "10"]),
-            Err(CliError::Usage(_))
-        ));
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            ("stress --seeds 1 --gap 10", "--gap only applies with --exact".into()),
+            // Given at its default value, the flag is still out of mode.
+            ("stress --seeds 1 --gap 50", "--gap only applies with --exact".into()),
+            ("stress --seeds 1 --gap x", "--gap needs a percentage".into()),
+        ]);
     }
 
     #[test]
     fn gap_subcommand_usage_errors() {
-        assert!(matches!(run_capture(&["gap"]), Err(CliError::Usage(_))));
-        assert!(matches!(
-            run_capture(&["gap", "--seeds", "1", "--exact"]),
-            Err(CliError::Usage(_))
-        ));
+        #[rustfmt::skip]
+        assert_usage_errors(&[
+            ("gap", "`gap` requires --seeds N".into()),
+            ("gap --seeds x", "--seeds needs a number".into()),
+            ("gap --seeds 1 --out", "--out needs a value".into()),
+            ("gap --seeds 1 --gap x", "--gap needs a percentage".into()),
+            ("gap --seeds 1 --target pdp11", REGISTERED.into()),
+            ("gap --seeds 1 --exact", rejects("gap", "--exact")),
+            ("gap --seeds 1 --progress", rejects("gap", "--progress")),
+        ]);
+    }
+
+    #[test]
+    fn trace_flag_is_rejected_where_it_cannot_apply() {
+        // `gap` emits its own JSON record; it has no --trace.
+        assert_usage_errors(&[("gap --seeds 1 --trace t.json", rejects("gap", "--trace"))]);
     }
 
     #[test]
@@ -1645,32 +1660,6 @@ mod tests {
             out.contains("pool: serial (no persistent workers)"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn stats_usage_errors() {
-        // One concrete target only, and no report-only flags.
-        assert!(matches!(
-            run_capture(&["stats", "--bench", "mcf", "--target", "all"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["stats", "--bench", "mcf", "--strategy", "baseline"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run_capture(&["stats", "--bench", "mcf", "--progress"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn trace_flag_is_rejected_where_it_cannot_apply() {
-        // `gap` emits its own JSON record; it has no --trace.
-        assert!(matches!(
-            run_capture(&["gap", "--seeds", "1", "--trace", "t.json"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

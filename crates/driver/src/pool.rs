@@ -418,7 +418,9 @@ mod tests {
         let pool = Pool::new(0);
         let hw = thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(pool.threads(), hw);
-        let out = pool.run_batch(vec![1, 2, 3], |_, x| x * 2).expect("no panics");
+        let out = pool
+            .run_batch(vec![1, 2, 3], |_, x| x * 2)
+            .expect("no panics");
         assert_eq!(out, vec![2, 4, 6]);
     }
 
