@@ -20,7 +20,7 @@
 //! topological-order guarantee. The final comparison at the PST root pits
 //! the surviving sets against the procedure entry/exit placement.
 
-use crate::cost::{Cost, CostModel, SpillCostModel};
+use crate::cost::{spill_point_cost, Cost, CostModel, SpillCostModel};
 use crate::entry_exit::entry_exit_placement;
 use crate::location::{Placement, SpillKind, SpillLoc, SpillPoint};
 use crate::modified::{modified_shrink_wrap, InitialSets};
@@ -51,12 +51,21 @@ pub struct TraceEvent {
     pub replaced: bool,
 }
 
-/// The result of the hierarchical placement.
+/// The result of the hierarchical placement, as
+/// [`hierarchical_placement_seeded`] returns it.
+///
+/// Only this entry point builds the traversal's `final_sets` and
+/// `trace`. The placement suite ([`crate::run_suite`] and the session's
+/// memoized and incremental folds) carries each hierarchical variant as
+/// its bare [`Placement`], and its folds record no decisions.
 #[derive(Clone, Debug)]
 pub struct HierarchicalResult {
     /// The final placement (union of the surviving sets).
     pub placement: Placement,
-    /// The surviving save/restore sets.
+    /// The surviving save/restore sets. A set the traversal hoisted to a
+    /// region boundary wraps its register's busy blocks inside that
+    /// region; when the final comparison returns a baseline instead, one
+    /// set per register of the baseline, wrapping all its busy blocks.
     pub final_sets: Vec<SaveRestoreSet>,
     /// Every region/register decision, in traversal order.
     ///
@@ -103,36 +112,52 @@ pub fn hierarchical_placement(
     )
 }
 
-/// A set in flight through the traversal, paired with its cost under the
-/// active model. The cost of a set never changes once created (shares
-/// are fixed by the initial solution), so it is computed exactly once
-/// instead of at every ancestor region the set bubbles through.
+/// A save/restore set in flight through the traversal: a `Copy` handle
+/// naming the set, paired with its cost under the active model.
 ///
-/// `Clone` because [`ModelFold`] keeps every region's folded output
-/// alive between folds and feeds copies to the parent, so a later
-/// re-fold of the parent alone can reuse them.
-#[derive(Clone, Debug)]
+/// The handle holds no points and no cluster. An initial set's points
+/// live once in its [`ModelFold`]; a boundary set's points are the
+/// region's boundary locations ([`boundary_set`]). The hoistability test
+/// needs only the number of busy blocks a set wraps, so a replace
+/// decision sums its contained sets' counts instead of uniting their
+/// clusters. The cost of a set never changes once created (shares are
+/// fixed by the initial solution), so it is computed exactly once
+/// instead of at every ancestor region the set bubbles through.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct LiveSet {
-    pub(crate) set: SaveRestoreSet,
+    pub(crate) reg: PReg,
     pub(crate) cost: Cost,
+    /// Busy blocks of `reg` the set wraps (its cluster's size).
+    pub(crate) blocks: usize,
+    pub(crate) origin: Origin,
 }
 
-/// One register's candidacy at a region: its contained sets and the cost
-/// of replacing them at the region boundary.
+/// Where a [`LiveSet`]'s points come from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Origin {
+    /// The initial set at this index of [`ModelFold`]'s initial sets.
+    Initial(u32),
+    /// The boundary set of this region (line 8).
+    Boundary(RegionId),
+}
+
+/// One register's candidacy at a region: its contained sets (a range of
+/// the region's register-sorted live sets) and what replacing them at
+/// the region boundary would free.
 struct Candidate {
     reg: PReg,
-    sets: Vec<LiveSet>,
+    sets: std::ops::Range<usize>,
+    contained_blocks: usize,
     contained_cost: Cost,
     hoistable: bool,
-    boundary: SaveRestoreSet,
-    boundary_cost: Cost,
 }
 
 /// As [`hierarchical_placement`], priced with a target's
 /// [`SpillCostModel`], with Chow's shrink-wrapping placement and the
 /// initial sets (lines 2-3) supplied by the caller. The suite runs the
-/// traversal once per cost model against the *same* initial solution
-/// and already has Chow's placement.
+/// same traversal once per cost model against the *same* initial
+/// solution and already has Chow's placement; this entry point is the
+/// one that also records the traversal's `trace` and `final_sets`.
 ///
 /// With [`SpillCostModel::UNIT`] (the paper's PA-RISC accounting) the
 /// traversal is the paper's. Other cost models change two things:
@@ -194,7 +219,20 @@ pub fn hierarchical_placement_seeded(
     };
     let entry_exit = entry_exit_placement(cfg, usage);
     let baselines = Baselines::priced(&ctx, model, &entry_exit, shrink_wrap);
-    ModelFold::new(cfg, pst, model, initial).fold(&ctx, &vec![true; pst.num_regions()], &baselines)
+    let mut fold = ModelFold::new(cfg, pst, model, initial);
+    let mut trace = Vec::new();
+    let placement = fold.fold(
+        &ctx,
+        &vec![true; pst.num_regions()],
+        &baselines,
+        Some(&mut trace),
+    );
+    let final_sets = fold.final_sets(&ctx, &placement);
+    HierarchicalResult {
+        placement,
+        final_sets,
+        trace,
+    }
 }
 
 /// Everything one region fold (and the root finalize) reads besides the
@@ -241,18 +279,21 @@ impl<'a> Baselines<'a> {
     }
 }
 
-/// One cost model's traversal state (line 4): the initial sets filed at
-/// their home regions and every region's folded output, both dense and
-/// indexed by the PST's preorder region numbering.
+/// One cost model's traversal state (line 4): the initial sets, owned
+/// once, plus [`LiveSet`] handles for each region's home sets and
+/// folded output, both dense and indexed by the PST's preorder region
+/// numbering.
 ///
 /// A cold run folds a fresh `ModelFold` with every region dirty. The
 /// delta-driven memo ([`crate::incremental`]) keeps it and, after a
 /// profile drift, folds it again over [`Pst::dirty_regions`]: a clean
-/// region's home and folded sets keep their costs, which the dirty
-/// mapping guarantees the drift left unchanged.
+/// region's home and folded handles keep their costs, which the dirty
+/// mapping guarantees the drift left unchanged. Folding copies handles
+/// only; points are gathered once, at the root.
 #[derive(Debug)]
 pub(crate) struct ModelFold {
     model: CostModel,
+    initial: Vec<SaveRestoreSet>,
     home_sets: Vec<Vec<LiveSet>>,
     folded: Vec<Vec<LiveSet>>,
 }
@@ -263,15 +304,18 @@ impl ModelFold {
     /// profile, so the sets stay unpriced until their region is folded.
     pub(crate) fn new(cfg: &Cfg, pst: &Pst, model: CostModel, initial: InitialSets) -> Self {
         let mut home_sets: Vec<Vec<LiveSet>> = (0..pst.num_regions()).map(|_| Vec::new()).collect();
-        for set in initial.sets {
-            let home = home_region(cfg, pst, &set);
+        for (i, set) in initial.sets.iter().enumerate() {
+            let home = home_region(cfg, pst, set);
             home_sets[home.index()].push(LiveSet {
-                set,
+                reg: set.reg,
                 cost: Cost::ZERO,
+                blocks: set.cluster.count(),
+                origin: Origin::Initial(i as u32),
             });
         }
         ModelFold {
             model,
+            initial: initial.sets,
             home_sets,
             folded: (0..pst.num_regions()).map(|_| Vec::new()).collect(),
         }
@@ -279,66 +323,148 @@ impl ModelFold {
 
     /// Lines 4-9: folds the regions `dirty` marks children first, then
     /// runs the root finalize against both baselines, which must be
-    /// priced under this fold's model on `ctx`'s profile.
+    /// priced under this fold's model on `ctx`'s profile, and returns
+    /// the placement.
     ///
     /// `dirty` is indexed by region and must be ancestor-closed (as
     /// [`Pst::dirty_regions`] returns it); the first fold of a fresh
-    /// `ModelFold` must mark every region. The returned `trace` covers
-    /// exactly the folded regions.
+    /// `ModelFold` must mark every region. With a `trace` sink, one
+    /// [`TraceEvent`] per folded region and register is appended to it,
+    /// covering exactly the folded regions; without one, nothing is
+    /// recorded.
     pub(crate) fn fold(
         &mut self,
         ctx: &FoldCtx<'_>,
         dirty: &[bool],
         baselines: &Baselines<'_>,
-    ) -> HierarchicalResult {
-        let mut trace = Vec::new();
+        mut trace: Option<&mut Vec<TraceEvent>>,
+    ) -> Placement {
+        let mut live: Vec<LiveSet> = Vec::new();
+        let mut boundary: Vec<SpillPoint> = Vec::new();
         for &r in ctx.pst.postorder() {
             if !dirty[r.index()] {
                 continue;
             }
             for hs in &mut self.home_sets[r.index()] {
-                hs.cost = hs
-                    .set
-                    .cost_with(self.model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
+                if let Origin::Initial(i) = hs.origin {
+                    hs.cost = self.initial[i as usize].cost_with(
+                        self.model,
+                        ctx.costs,
+                        ctx.cfg,
+                        ctx.profile,
+                        ctx.shares,
+                    );
+                }
             }
-            let mut live: Vec<LiveSet> = Vec::new();
+            live.clear();
             for &c in &ctx.pst.region(r).children {
-                live.extend(self.folded[c.index()].iter().cloned());
+                live.extend_from_slice(&self.folded[c.index()]);
             }
-            live.extend(self.home_sets[r.index()].iter().cloned());
-            self.folded[r.index()] = fold_region(ctx, self.model, r, live, &mut trace);
+            live.extend_from_slice(&self.home_sets[r.index()]);
+            // The region's previous output is overwritten; its buffer is
+            // reused.
+            let mut out = std::mem::take(&mut self.folded[r.index()]);
+            out.clear();
+            fold_region(
+                ctx,
+                self.model,
+                r,
+                &mut live,
+                &mut boundary,
+                &mut out,
+                trace.as_deref_mut(),
+            );
+            self.folded[r.index()] = out;
         }
-        let root_sets = &self.folded[ctx.pst.root().index()];
-        let (placement, final_sets) = finalize_root(ctx, self.model, baselines, root_sets);
-        HierarchicalResult {
-            placement,
-            final_sets,
-            trace,
+        finalize_root(ctx, self.model, baselines, self.root_placement(ctx))
+    }
+
+    /// The union of the root's surviving sets: the traversal's own
+    /// placement, before the final comparison.
+    fn root_placement(&self, ctx: &FoldCtx<'_>) -> Placement {
+        let mut points = Vec::new();
+        for set in &self.folded[ctx.pst.root().index()] {
+            match set.origin {
+                Origin::Initial(i) => points.extend_from_slice(&self.initial[i as usize].points),
+                Origin::Boundary(r) => {
+                    push_boundary_points(ctx.cfg, ctx.pst, r, set.reg, &mut points)
+                }
+            }
         }
+        Placement::from_points(points)
+    }
+
+    /// The surviving sets of the last fold, whose root finalize
+    /// returned `placement`.
+    ///
+    /// When the final comparison kept the traversal's result, these are
+    /// the root's sets in fold order: an initial set as filed, a
+    /// boundary set of region `r` with its register's busy blocks inside
+    /// `r` as its cluster (a hoist requires its contained sets to wrap
+    /// exactly those). When a baseline won, `placement` differs from the
+    /// traversal's (a strictly cheaper placement cannot equal it), and
+    /// each of its registers gets one set wrapping all its busy blocks.
+    fn final_sets(&self, ctx: &FoldCtx<'_>, placement: &Placement) -> Vec<SaveRestoreSet> {
+        let (cfg, pst) = (ctx.cfg, ctx.pst);
+        let busy = |reg| {
+            let mut cluster = DenseBitSet::new(cfg.num_blocks());
+            if let Some(busy) = ctx.usage.busy(reg) {
+                cluster.union_with(busy);
+            }
+            cluster
+        };
+        if *placement != self.root_placement(ctx) {
+            return placement
+                .regs()
+                .into_iter()
+                .map(|reg| SaveRestoreSet {
+                    reg,
+                    points: placement.points_for(reg).copied().collect(),
+                    cluster: busy(reg),
+                    initial: false,
+                })
+                .collect();
+        }
+        self.folded[pst.root().index()]
+            .iter()
+            .map(|set| match set.origin {
+                Origin::Initial(i) => self.initial[i as usize].clone(),
+                Origin::Boundary(r) => {
+                    let mut cluster = busy(set.reg);
+                    cluster.intersect_with(&pst.region(r).blocks);
+                    SaveRestoreSet {
+                        cluster,
+                        ..boundary_set(cfg, pst, r, set.reg)
+                    }
+                }
+            })
+            .collect()
     }
 }
 
-/// Lines 5-8 for one region: partitions the live sets per register,
-/// prices each register's boundary hoist, and folds the surviving sets.
-/// `live` must hold the children's folded outputs (in child order)
-/// followed by the region's own home sets; the returned vector is what
-/// the parent region sees.
+/// Lines 5-8 for one region: groups the live sets per register, prices
+/// the region's boundary hoist, and appends the surviving sets to `out`
+/// (what the parent region sees). `live` must hold the children's
+/// folded outputs (in child order) followed by the region's own home
+/// sets; `boundary` is scratch space for the boundary locations.
 fn fold_region(
     ctx: &FoldCtx<'_>,
     model: CostModel,
     r: RegionId,
-    mut live: Vec<LiveSet>,
-    trace: &mut Vec<TraceEvent>,
-) -> Vec<LiveSet> {
-    // Line 5: per callee-saved register.
-    let mut regs: Vec<PReg> = live.iter().map(|s| s.set.reg).collect();
-    regs.sort();
-    regs.dedup();
-
+    live: &mut [LiveSet],
+    boundary: &mut Vec<SpillPoint>,
+    out: &mut Vec<LiveSet>,
+    mut trace: Option<&mut Vec<TraceEvent>>,
+) {
+    // Line 5: per callee-saved register. The sort is stable, so each
+    // register's sets keep their order.
+    live.sort_by_key(|s| s.reg);
     let mut candidates: Vec<Candidate> = Vec::new();
-    for reg in regs {
-        let (mine, rest): (Vec<_>, Vec<_>) = live.drain(..).partition(|s| s.set.reg == reg);
-        live = rest;
+    let mut start = 0;
+    while start < live.len() {
+        let reg = live[start].reg;
+        let end = start + live[start..].iter().take_while(|s| s.reg == reg).count();
+        let mine = &live[start..end];
 
         // Hoisting to this region's boundary is only valid if every
         // busy block of `reg` inside the region belongs to the
@@ -348,68 +474,91 @@ fn fold_region(
             .busy_counts
             .count(r, reg)
             .expect("set exists for used register");
-        let contained_blocks: usize = mine.iter().map(|s| s.set.cluster.count()).sum();
-        let hoistable = contained_blocks == busy_in_region;
-
-        let contained_cost: Cost = mine.iter().map(|s| s.cost).sum();
-        let boundary = boundary_set(ctx.cfg, ctx.pst, r, reg);
-        let boundary_cost = boundary.cost_with(model, ctx.costs, ctx.cfg, ctx.profile, ctx.shares);
-
+        let contained_blocks: usize = mine.iter().map(|s| s.blocks).sum();
         candidates.push(Candidate {
             reg,
-            sets: mine,
-            contained_cost,
-            hoistable,
-            boundary,
-            boundary_cost,
+            sets: start..end,
+            contained_blocks,
+            contained_cost: mine.iter().map(|s| s.cost).sum(),
+            hoistable: contained_blocks == busy_in_region,
         });
+        start = end;
     }
+    let Some(first) = candidates.first() else {
+        return;
+    };
+
+    // Line 8's locations are the region's boundary for every register,
+    // and a boundary set bears full instruction and jump cost, so one
+    // price serves every candidate.
+    boundary.clear();
+    push_boundary_points(ctx.cfg, ctx.pst, r, first.reg, boundary);
+    let boundary_cost = unshared_cost(model, ctx.costs, ctx.cfg, ctx.profile, boundary);
 
     let decisions = if ctx.costs.pair_size > 1 {
-        decide_paired(model, ctx.costs, ctx.cfg, ctx.profile, &candidates)
+        decide_paired(
+            model,
+            ctx.costs,
+            ctx.cfg,
+            ctx.profile,
+            boundary,
+            boundary_cost,
+            &candidates,
+        )
     } else {
         // Line 6: the paper's per-register "less than or equal" rule.
         candidates
             .iter()
             .map(|c| {
                 (
-                    c.hoistable && c.boundary_cost <= c.contained_cost,
-                    c.boundary_cost,
+                    c.hoistable && boundary_cost <= c.contained_cost,
+                    boundary_cost,
                 )
             })
             .collect()
     };
 
-    let mut surviving: Vec<LiveSet> = Vec::new();
     for (c, (replaced, charged)) in candidates.into_iter().zip(decisions) {
-        trace.push(TraceEvent {
-            region: r,
-            reg: c.reg,
-            num_contained: c.sets.len(),
-            contained_cost: c.contained_cost,
-            boundary_cost: charged,
-            replaced,
-        });
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(TraceEvent {
+                region: r,
+                reg: c.reg,
+                num_contained: c.sets.len(),
+                contained_cost: c.contained_cost,
+                boundary_cost: charged,
+                replaced,
+            });
+        }
         if replaced {
             // Lines 7-8. The new set's cost is the full boundary
             // cost (ancestors see the set, not the marginal the
             // group decision charged it).
-            let mut cluster = DenseBitSet::new(ctx.cfg.num_blocks());
-            for s in &c.sets {
-                cluster.union_with(&s.set.cluster);
-            }
-            surviving.push(LiveSet {
-                set: SaveRestoreSet {
-                    cluster,
-                    ..c.boundary
-                },
-                cost: c.boundary_cost,
+            out.push(LiveSet {
+                reg: c.reg,
+                cost: boundary_cost,
+                blocks: c.contained_blocks,
+                origin: Origin::Boundary(r),
             });
         } else {
-            surviving.extend(c.sets);
+            out.extend_from_slice(&live[c.sets]);
         }
     }
-    surviving
+}
+
+/// The cost of a non-initial set's points: each bears full instruction
+/// and jump cost (as [`SaveRestoreSet::cost_with`] prices a set that is
+/// not initial).
+fn unshared_cost(
+    model: CostModel,
+    costs: &SpillCostModel,
+    cfg: &Cfg,
+    profile: &EdgeProfile,
+    points: &[SpillPoint],
+) -> Cost {
+    points
+        .iter()
+        .map(|p| spill_point_cost(model, costs, cfg, profile, p.kind, p.loc, 1, 1))
+        .sum()
 }
 
 /// The final group-wise comparison against both baselines (see the doc
@@ -418,25 +567,18 @@ fn fold_region(
 /// can end costlier than entry/exit or shrink-wrapping; return the
 /// cheapest of the three under the physically accurate accounting.
 /// Ties keep the traversal's (the paper's) result, so the worked
-/// examples are untouched. When the override fires, the caller's `trace`
-/// keeps describing the overridden traversal (documented on
-/// [`HierarchicalResult::trace`]). Only the returned sets are copied.
+/// examples are untouched. `placement` is the traversal's, built from
+/// the root's set handles; only a winning baseline is copied. When the
+/// override fires, a recorded trace keeps describing the overridden
+/// traversal (documented on [`HierarchicalResult::trace`]).
 fn finalize_root(
     ctx: &FoldCtx<'_>,
     model: CostModel,
     baselines: &Baselines<'_>,
-    root_sets: &[LiveSet],
-) -> (Placement, Vec<SaveRestoreSet>) {
-    let (cfg, usage, profile) = (ctx.cfg, ctx.usage, ctx.profile);
-    let placement = Placement::from_points(
-        root_sets
-            .iter()
-            .flat_map(|l| l.set.points.iter().copied())
-            .collect(),
-    );
-
+    placement: Placement,
+) -> Placement {
     if !placement.points().is_empty() {
-        let ours = placement_cost_with(model, ctx.costs, cfg, profile, &placement);
+        let ours = placement_cost_with(model, ctx.costs, ctx.cfg, ctx.profile, &placement);
         let [ee_cost, sw_cost] = baselines.costs;
         if ee_cost.min(sw_cost) < ours {
             let winner = if ee_cost <= sw_cost {
@@ -444,28 +586,10 @@ fn finalize_root(
             } else {
                 baselines.shrink_wrap
             };
-            let final_sets = winner
-                .regs()
-                .into_iter()
-                .map(|reg| {
-                    let mut cluster = DenseBitSet::new(cfg.num_blocks());
-                    if let Some(busy) = usage.busy(reg) {
-                        cluster.union_with(busy);
-                    }
-                    SaveRestoreSet {
-                        reg,
-                        points: winner.points_for(reg).copied().collect(),
-                        cluster,
-                        initial: false,
-                    }
-                })
-                .collect();
-            return (winner.clone(), final_sets);
+            return winner.clone();
         }
     }
-
-    let final_sets = root_sets.iter().map(|l| l.set.clone()).collect();
-    (placement, final_sets)
+    placement
 }
 
 /// The pairing-aware group decision at one region boundary.
@@ -486,38 +610,32 @@ fn decide_paired(
     costs: &SpillCostModel,
     cfg: &Cfg,
     profile: &EdgeProfile,
+    boundary: &[SpillPoint],
+    boundary_cost: Cost,
     candidates: &[Candidate],
 ) -> Vec<(bool, Cost)> {
     let pair = costs.pair_size.max(1) as usize;
 
     // All candidates share the same boundary locations, so the
     // instruction-only and jump-only components are common.
-    let (insn_only, jump_extra) = match candidates.iter().find(|c| c.hoistable) {
-        Some(c) => {
-            let insn_only = c.boundary.cost_with(
-                CostModel::ExecutionCount,
-                costs,
-                cfg,
-                profile,
-                &EdgeShares::none(),
-            );
-            let jump_extra: Cost = if model == CostModel::JumpEdge {
-                c.boundary
-                    .points
-                    .iter()
-                    .filter_map(|p| match p.loc {
-                        SpillLoc::OnEdge(e) if cfg.needs_jump_block(e) => {
-                            Some(costs.jump.of(profile.edge_count(e), 1))
-                        }
-                        _ => None,
-                    })
-                    .sum()
-            } else {
-                Cost::ZERO
-            };
-            (insn_only, jump_extra)
-        }
-        None => (Cost::ZERO, Cost::ZERO),
+    let (insn_only, jump_extra) = if candidates.iter().any(|c| c.hoistable) {
+        let insn_only = unshared_cost(CostModel::ExecutionCount, costs, cfg, profile, boundary);
+        let jump_extra: Cost = if model == CostModel::JumpEdge {
+            boundary
+                .iter()
+                .filter_map(|p| match p.loc {
+                    SpillLoc::OnEdge(e) if cfg.needs_jump_block(e) => {
+                        Some(costs.jump.of(profile.edge_count(e), 1))
+                    }
+                    _ => None,
+                })
+                .sum()
+        } else {
+            Cost::ZERO
+        };
+        (insn_only, jump_extra)
+    } else {
+        (Cost::ZERO, Cost::ZERO)
     };
 
     // Order of consideration: hoistable, most expensive contained first;
@@ -532,10 +650,7 @@ fn decide_paired(
             .then(candidates[a].reg.cmp(&candidates[b].reg))
     });
 
-    let mut decisions: Vec<(bool, Cost)> = candidates
-        .iter()
-        .map(|c| (false, c.boundary_cost))
-        .collect();
+    let mut decisions: Vec<(bool, Cost)> = vec![(false, boundary_cost); candidates.len()];
     let mut placed = 0usize;
     let mut i = 0;
     while i < order.len() {
@@ -594,53 +709,44 @@ pub(crate) fn home_region(cfg: &Cfg, pst: &Pst, set: &SaveRestoreSet) -> RegionI
 }
 
 /// Builds the save/restore set at a region's boundaries for one register
-/// (line 8). For the root region this is the procedure entry/exit
-/// placement.
+/// (line 8), with an empty cluster. For the root region this is the
+/// procedure entry/exit placement.
 pub(crate) fn boundary_set(cfg: &Cfg, pst: &Pst, r: RegionId, reg: PReg) -> SaveRestoreSet {
-    let region = pst.region(r);
     let mut points = Vec::new();
-    match region.entry {
-        RegionBoundary::ProcEntry => points.push(SpillPoint {
-            reg,
-            kind: SpillKind::Save,
-            loc: SpillLoc::BlockTop(cfg.entry()),
-        }),
-        RegionBoundary::CfgEdge(e) => points.push(SpillPoint {
-            reg,
-            kind: SpillKind::Save,
-            loc: SpillLoc::OnEdge(e),
-        }),
-        RegionBoundary::ReturnEdge(_) | RegionBoundary::ProcExits => {
-            unreachable!("region entry cannot be an exit boundary")
-        }
-    }
-    match region.exit {
-        RegionBoundary::ProcExits => {
-            for &x in cfg.exit_blocks() {
-                points.push(SpillPoint {
-                    reg,
-                    kind: SpillKind::Restore,
-                    loc: SpillLoc::BlockBottom(x),
-                });
-            }
-        }
-        RegionBoundary::CfgEdge(e) => points.push(SpillPoint {
-            reg,
-            kind: SpillKind::Restore,
-            loc: SpillLoc::OnEdge(e),
-        }),
-        RegionBoundary::ReturnEdge(b) => points.push(SpillPoint {
-            reg,
-            kind: SpillKind::Restore,
-            loc: SpillLoc::BlockBottom(b),
-        }),
-        RegionBoundary::ProcEntry => unreachable!("region exit cannot be the entry boundary"),
-    }
+    push_boundary_points(cfg, pst, r, reg, &mut points);
     SaveRestoreSet {
         reg,
         points,
         cluster: DenseBitSet::new(cfg.num_blocks()),
         initial: false,
+    }
+}
+
+/// Appends the points of [`boundary_set`]`(cfg, pst, r, reg)` to `out`:
+/// the save at the region's entry, then its restores.
+fn push_boundary_points(cfg: &Cfg, pst: &Pst, r: RegionId, reg: PReg, out: &mut Vec<SpillPoint>) {
+    let region = pst.region(r);
+    let point = |kind, loc| SpillPoint { reg, kind, loc };
+    match region.entry {
+        RegionBoundary::ProcEntry => {
+            out.push(point(SpillKind::Save, SpillLoc::BlockTop(cfg.entry())))
+        }
+        RegionBoundary::CfgEdge(e) => out.push(point(SpillKind::Save, SpillLoc::OnEdge(e))),
+        RegionBoundary::ReturnEdge(_) | RegionBoundary::ProcExits => {
+            unreachable!("region entry cannot be an exit boundary")
+        }
+    }
+    match region.exit {
+        RegionBoundary::ProcExits => out.extend(
+            cfg.exit_blocks()
+                .iter()
+                .map(|&x| point(SpillKind::Restore, SpillLoc::BlockBottom(x))),
+        ),
+        RegionBoundary::CfgEdge(e) => out.push(point(SpillKind::Restore, SpillLoc::OnEdge(e))),
+        RegionBoundary::ReturnEdge(b) => {
+            out.push(point(SpillKind::Restore, SpillLoc::BlockBottom(b)))
+        }
+        RegionBoundary::ProcEntry => unreachable!("region exit cannot be the entry boundary"),
     }
 }
 

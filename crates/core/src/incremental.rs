@@ -33,7 +33,9 @@
 //! drift fuzzer (`spillopt stress --drift`) compares them on every step
 //! of every seeded drift sequence, and `core::reference` holds an
 //! independent traversal that `tests/differential_solver.rs` compares
-//! against cold suites, traces included.
+//! against cold suites, and against the traced
+//! [`crate::hierarchical_placement_seeded`] with its final sets and
+//! trace.
 
 use crate::cost::{Cost, CostModel, SpillCostModel};
 use crate::hierarchical::{Baselines, FoldCtx, ModelFold};
@@ -150,8 +152,8 @@ pub fn run_suite_memoized(
         let _s = spillopt_obs::span(span);
         let baselines = Baselines::priced(&ctx, model, &entry_exit, &chow);
         let mut fold = ModelFold::new(cfg, pst, model, initial);
-        let result = fold.fold(&ctx, &all, &baselines);
-        (fold, result, baselines.costs)
+        let placement = fold.fold(&ctx, &all, &baselines, None);
+        (fold, placement, baselines.costs)
     };
     let (exec, hierarchical_exec, _) = fold_cold(
         "place_hier_exec",
@@ -172,8 +174,8 @@ pub fn run_suite_memoized(
             [
                 ("entry_exit", &entry_exit),
                 ("chow", &chow),
-                ("hierarchical_exec", &hierarchical_exec.placement),
-                ("hierarchical_jump", &hierarchical_jump.placement),
+                ("hierarchical_exec", &hierarchical_exec),
+                ("hierarchical_jump", &hierarchical_jump),
             ],
         )?;
         checker
@@ -186,7 +188,7 @@ pub fn run_suite_memoized(
             cfg,
             profile,
             baseline_costs,
-            [&hierarchical_exec.placement, &hierarchical_jump.placement],
+            [&hierarchical_exec, &hierarchical_jump],
         )
     };
 
@@ -198,10 +200,7 @@ pub fn run_suite_memoized(
         entry_exit: entry_exit.clone(),
         chow: chow.clone(),
         checker,
-        accepted: [
-            hierarchical_exec.placement.clone(),
-            hierarchical_jump.placement.clone(),
-        ],
+        accepted: [hierarchical_exec.clone(), hierarchical_jump.clone()],
     };
     let suite = PlacementSuite {
         entry_exit,
@@ -233,11 +232,8 @@ pub fn run_suite_memoized(
 /// nothing and rebuilds the memoized result.
 ///
 /// The returned suite is byte-identical to what [`crate::run_suite`]
-/// would compute cold on the new profile, except for the `trace` of the
-/// hierarchical results: it is the cold trace restricted to the
-/// re-folded regions (empty on an empty delta). The driver's drift
-/// fuzzer enforces the equivalence differentially on every registered
-/// target.
+/// would compute cold on the new profile. The driver's drift fuzzer
+/// enforces the equivalence differentially on every registered target.
 ///
 /// # Errors
 ///
@@ -283,14 +279,14 @@ pub fn run_suite_incremental(
     };
     let exec_baselines = Baselines::priced(&ctx, CostModel::ExecutionCount, entry_exit, chow);
     let jump_baselines = Baselines::priced(&ctx, CostModel::JumpEdge, entry_exit, chow);
-    let hierarchical_exec = exec.fold(&ctx, &dirty, &exec_baselines);
-    let hierarchical_jump = jump.fold(&ctx, &dirty, &jump_baselines);
+    let hierarchical_exec = exec.fold(&ctx, &dirty, &exec_baselines, None);
+    let hierarchical_jump = jump.fold(&ctx, &dirty, &jump_baselines, None);
 
     {
         let _s = spillopt_obs::span("validate");
         let refolded = [
-            ("hierarchical_exec", &hierarchical_exec.placement),
-            ("hierarchical_jump", &hierarchical_jump.placement),
+            ("hierarchical_exec", &hierarchical_exec),
+            ("hierarchical_jump", &hierarchical_jump),
         ];
         for ((technique, placement), last) in refolded.into_iter().zip(accepted.iter_mut()) {
             if placement == last {
@@ -309,7 +305,7 @@ pub fn run_suite_incremental(
             cfg,
             profile,
             jump_baselines.costs,
-            [&hierarchical_exec.placement, &hierarchical_jump.placement],
+            [&hierarchical_exec, &hierarchical_jump],
         )
     };
 
@@ -417,22 +413,66 @@ mod tests {
         assert_eq!(a.entry_exit, b.entry_exit, "{what}: entry_exit");
         assert_eq!(a.chow, b.chow, "{what}: chow");
         assert_eq!(
-            a.hierarchical_exec.placement, b.hierarchical_exec.placement,
+            a.hierarchical_exec, b.hierarchical_exec,
             "{what}: exec placement"
         );
         assert_eq!(
-            a.hierarchical_jump.placement, b.hierarchical_jump.placement,
+            a.hierarchical_jump, b.hierarchical_jump,
             "{what}: jump placement"
         );
-        assert_eq!(
-            a.hierarchical_exec.final_sets, b.hierarchical_exec.final_sets,
-            "{what}: exec sets"
-        );
-        assert_eq!(
-            a.hierarchical_jump.final_sets, b.hierarchical_jump.final_sets,
-            "{what}: jump sets"
-        );
         assert_eq!(a.predicted, b.predicted, "{what}: predicted");
+    }
+
+    /// Both cost models' fold tables for the fixture, driven directly
+    /// with a trace sink: the suite's folds record no decisions.
+    struct TracedFolds {
+        shares: EdgeShares,
+        busy_counts: RegionBusyCounts,
+        entry_exit: Placement,
+        chow: Placement,
+        folds: [ModelFold; 2],
+    }
+
+    impl TracedFolds {
+        fn new(fx: &Fixture) -> Self {
+            let initial = crate::modified::modified_shrink_wrap(&fx.cfg, &fx.usage);
+            let fold = |model| ModelFold::new(&fx.cfg, &fx.pst, model, initial.clone());
+            TracedFolds {
+                shares: EdgeShares::from_sets(&initial.sets),
+                busy_counts: RegionBusyCounts::compute(&fx.pst, fx.cfg.num_blocks(), &fx.usage),
+                entry_exit: crate::entry_exit::entry_exit_placement(&fx.cfg, &fx.usage),
+                chow: crate::chow::chow_shrink_wrap_with(&fx.cfg, &fx.cyclic, &fx.usage),
+                folds: [fold(CostModel::ExecutionCount), fold(CostModel::JumpEdge)],
+            }
+        }
+
+        /// Folds the `dirty` regions of both models on `profile`,
+        /// returning each model's placement and trace.
+        fn fold(
+            &mut self,
+            fx: &Fixture,
+            profile: &EdgeProfile,
+            dirty: &[bool],
+        ) -> [(Placement, Vec<crate::TraceEvent>); 2] {
+            let ctx = FoldCtx {
+                cfg: &fx.cfg,
+                pst: &fx.pst,
+                usage: &fx.usage,
+                profile,
+                costs: &SpillCostModel::UNIT,
+                shares: &self.shares,
+                busy_counts: &self.busy_counts,
+            };
+            let models = [CostModel::ExecutionCount, CostModel::JumpEdge];
+            let mut out: [(Placement, Vec<crate::TraceEvent>); 2] = Default::default();
+            for ((fold, model), (placement, trace)) in
+                self.folds.iter_mut().zip(models).zip(&mut out)
+            {
+                let baselines = Baselines::priced(&ctx, model, &self.entry_exit, &self.chow);
+                *placement = fold.fold(&ctx, dirty, &baselines, Some(trace));
+            }
+            out
+        }
     }
 
     #[test]
@@ -446,6 +486,9 @@ mod tests {
             let base = random_walk_profile(&fx.cfg, 150, 48, seed);
             let inputs = SuiteInputs::analyzed(&fx.usage, &base, &fx.cyclic, &fx.pst, &fx.derived);
             let (_, mut memo) = run_suite_memoized(&fx.cfg, &inputs, &opts).expect("valid");
+            let all = vec![true; fx.pst.num_regions()];
+            let mut traced = TracedFolds::new(&fx);
+            traced.fold(&fx, &base, &all);
             let mut prev = base.clone();
             for step in 0..12 {
                 let mut counts = prev.edge_counts().to_vec();
@@ -482,17 +525,22 @@ mod tests {
                 let dirty =
                     fx.pst
                         .dirty_regions(&fx.cfg, delta.changed_edges(), delta.entry_changed());
-                for (cold, warm) in [
-                    (&cold.hierarchical_exec, &warm.hierarchical_exec),
-                    (&cold.hierarchical_jump, &warm.hierarchical_jump),
-                ] {
-                    let expected: Vec<_> = cold
-                        .trace
+                let refolded = traced.fold(&fx, &next, &dirty);
+                let cold_traced = TracedFolds::new(&fx).fold(&fx, &next, &all);
+                let suite = [&warm.hierarchical_exec, &warm.hierarchical_jump];
+                for (((placement, trace), (_, cold_trace)), suite) in
+                    refolded.iter().zip(&cold_traced).zip(suite)
+                {
+                    assert_eq!(placement, suite, "{what}: traced fold placement");
+                    let expected: Vec<_> = cold_trace
                         .iter()
                         .filter(|t| dirty[t.region.index()])
                         .cloned()
                         .collect();
-                    assert_eq!(warm.trace, expected, "{what}: trace");
+                    assert_eq!(trace, &expected, "{what}: trace");
+                    if delta.is_empty() {
+                        assert!(trace.is_empty(), "{what}: zero delta records nothing");
+                    }
                 }
                 if delta.is_empty() {
                     assert_eq!(stats.regions_refolded, 0, "zero delta must re-fold nothing");

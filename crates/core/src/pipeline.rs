@@ -13,7 +13,7 @@
 
 use crate::cost::{Cost, CostModel, SpillCostModel};
 use crate::entry_exit::entry_exit_placement;
-use crate::hierarchical::{hierarchical_placement_seeded, HierarchicalResult};
+use crate::hierarchical::hierarchical_placement_seeded;
 use crate::location::Placement;
 use crate::overhead::placement_cost_with;
 use crate::usage::CalleeSavedUsage;
@@ -26,6 +26,10 @@ use std::fmt;
 
 /// All placements of one procedure, with their predicted costs under the
 /// jump-edge model (the physically accurate accounting).
+///
+/// The suite carries placements only. The hierarchical traversal's
+/// decision trace and surviving sets come from
+/// [`hierarchical_placement_seeded`], which runs the same fold.
 #[derive(Clone, Debug)]
 pub struct PlacementSuite {
     /// Entry/exit baseline.
@@ -33,9 +37,9 @@ pub struct PlacementSuite {
     /// Chow's original shrink-wrapping.
     pub chow: Placement,
     /// Hierarchical, execution count model.
-    pub hierarchical_exec: HierarchicalResult,
+    pub hierarchical_exec: Placement,
     /// Hierarchical, jump edge model (the paper's evaluated variant).
-    pub hierarchical_jump: HierarchicalResult,
+    pub hierarchical_jump: Placement,
     /// Predicted cost (jump-edge accounting) of each, in the same order:
     /// (entry_exit, chow, hierarchical_exec, hierarchical_jump).
     pub predicted: [Cost; 4],
@@ -417,7 +421,7 @@ mod tests {
         let b = run_suite(&cfg, &borrowed, &opts).expect("valid");
         assert_eq!(a.entry_exit, b.entry_exit);
         assert_eq!(a.chow, b.chow);
-        assert_eq!(a.hierarchical_jump.placement, b.hierarchical_jump.placement);
+        assert_eq!(a.hierarchical_jump, b.hierarchical_jump);
         assert_eq!(a.predicted, b.predicted);
     }
 
@@ -432,12 +436,12 @@ mod tests {
             (Technique::Chow, &suite.chow, suite.predicted[1]),
             (
                 Technique::HierExec,
-                &suite.hierarchical_exec.placement,
+                &suite.hierarchical_exec,
                 suite.predicted[2],
             ),
             (
                 Technique::HierJump,
-                &suite.hierarchical_jump.placement,
+                &suite.hierarchical_jump,
                 suite.predicted[3],
             ),
         ] {

@@ -708,7 +708,8 @@ pub fn run_suite_priced_reference(
         CostModel::ExecutionCount,
         costs,
         &chow,
-    );
+    )
+    .placement;
     let hierarchical_jump = hierarchical_placement_vs_reference(
         cfg,
         pst,
@@ -717,13 +718,14 @@ pub fn run_suite_priced_reference(
         CostModel::JumpEdge,
         costs,
         &chow,
-    );
+    )
+    .placement;
 
     for (name, p) in [
         ("entry_exit", &entry_exit),
         ("chow", &chow),
-        ("hierarchical_exec", &hierarchical_exec.placement),
-        ("hierarchical_jump", &hierarchical_jump.placement),
+        ("hierarchical_exec", &hierarchical_exec),
+        ("hierarchical_jump", &hierarchical_jump),
     ] {
         let errs = check_placement_reference(cfg, usage, p);
         assert!(errs.is_empty(), "{name} placement invalid: {errs:?}\n{p}");
@@ -732,20 +734,8 @@ pub fn run_suite_priced_reference(
     let predicted = [
         placement_cost_with_reference(CostModel::JumpEdge, costs, cfg, profile, &entry_exit),
         placement_cost_with_reference(CostModel::JumpEdge, costs, cfg, profile, &chow),
-        placement_cost_with_reference(
-            CostModel::JumpEdge,
-            costs,
-            cfg,
-            profile,
-            &hierarchical_exec.placement,
-        ),
-        placement_cost_with_reference(
-            CostModel::JumpEdge,
-            costs,
-            cfg,
-            profile,
-            &hierarchical_jump.placement,
-        ),
+        placement_cost_with_reference(CostModel::JumpEdge, costs, cfg, profile, &hierarchical_exec),
+        placement_cost_with_reference(CostModel::JumpEdge, costs, cfg, profile, &hierarchical_jump),
     ];
 
     PlacementSuite {

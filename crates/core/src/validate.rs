@@ -728,8 +728,8 @@ mod tests {
         for p in [
             &suite.entry_exit,
             &suite.chow,
-            &suite.hierarchical_exec.placement,
-            &suite.hierarchical_jump.placement,
+            &suite.hierarchical_exec,
+            &suite.hierarchical_jump,
         ] {
             assert_eq!(agrees(&checker, &cfg, &usage, p), vec![]);
         }

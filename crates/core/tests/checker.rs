@@ -68,8 +68,8 @@ fn a_reused_checker_matches_fresh_checks_and_the_reference_on_the_stress_corpus(
                 for p in [
                     &suite.entry_exit,
                     &suite.chow,
-                    &suite.hierarchical_exec.placement,
-                    &suite.hierarchical_jump.placement,
+                    &suite.hierarchical_exec,
+                    &suite.hierarchical_jump,
                 ] {
                     assert_eq!(
                         checker.check(&cfg, &usage, p),

@@ -304,11 +304,11 @@ fn entry_loop_incremental_refold_matches_cold_under_drift() {
         assert_eq!(incremental.entry_exit, cold.entry_exit, "step {step}");
         assert_eq!(incremental.chow, cold.chow, "step {step}");
         assert_eq!(
-            incremental.hierarchical_exec.placement, cold.hierarchical_exec.placement,
+            incremental.hierarchical_exec, cold.hierarchical_exec,
             "step {step}: exec placement"
         );
         assert_eq!(
-            incremental.hierarchical_jump.placement, cold.hierarchical_jump.placement,
+            incremental.hierarchical_jump, cold.hierarchical_jump,
             "step {step}: jump placement"
         );
         assert_eq!(incremental.predicted, cold.predicted, "step {step}");
@@ -488,8 +488,8 @@ fn seed_92_hier_jump_vs_optimum() -> (u64, u64) {
     let seeds: [&Placement; 4] = [
         &suite.entry_exit,
         &suite.chow,
-        &suite.hierarchical_exec.placement,
-        &suite.hierarchical_jump.placement,
+        &suite.hierarchical_exec,
+        &suite.hierarchical_jump,
     ];
     let outcome = solve_exact(
         &cfg,

@@ -70,10 +70,8 @@ fn reused_verdicts_are_exactly_the_accepted_placements() {
                 let inputs = SuiteInputs::analyzed(&usage, &base, &cyclic, &pst, &derived);
                 let (suite, mut memo): (_, PlacementMemo) =
                     run_suite_memoized(&cfg, &inputs, &options).expect("valid cold suite");
-                let mut accepted: [Placement; 2] = [
-                    suite.hierarchical_exec.placement,
-                    suite.hierarchical_jump.placement,
-                ];
+                let mut accepted: [Placement; 2] =
+                    [suite.hierarchical_exec, suite.hierarchical_jump];
 
                 let mut prev = base;
                 for step in 0..STEPS {
@@ -92,10 +90,7 @@ fn reused_verdicts_are_exactly_the_accepted_placements() {
                         .find(|(name, _)| *name == "validate_reused")
                         .map_or(0, |&(_, n)| n);
 
-                    let refolded = [
-                        suite.hierarchical_exec.placement,
-                        suite.hierarchical_jump.placement,
-                    ];
+                    let refolded = [suite.hierarchical_exec, suite.hierarchical_jump];
                     let expected = refolded
                         .iter()
                         .zip(&accepted)

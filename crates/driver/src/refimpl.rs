@@ -140,8 +140,8 @@ fn per_function_reference(
     let placements = [
         (Strategy::Baseline, suite.entry_exit),
         (Strategy::Shrinkwrap, suite.chow),
-        (Strategy::HierExec, suite.hierarchical_exec.placement),
-        (Strategy::HierJump, suite.hierarchical_jump.placement),
+        (Strategy::HierExec, suite.hierarchical_exec),
+        (Strategy::HierJump, suite.hierarchical_jump),
     ];
     for ((strategy, placement), cost) in placements.into_iter().zip(suite.predicted) {
         report.strategies.push(StrategyReport {

@@ -439,7 +439,9 @@ pub(crate) struct Arena<S> {
     /// share a backoff window, so one could sit out the other's window
     /// as a quarantined passthrough (recorded in the fault ledger). The
     /// negative cache is a containment heuristic; every positive hit is
-    /// exact.
+    /// exact. A key leaves it when its function later succeeds, and,
+    /// under a `capacity`, when more than `capacity` keys hold records
+    /// (see [`Arena::record_failure`]).
     quarantine: Mutex<HashMap<u64, Quarantine>>,
     quarantined: AtomicU64,
 }
@@ -477,10 +479,10 @@ pub(crate) struct Arena<S> {
 /// allocation, and one that fails re-allocates once and compares — and
 /// then re-folds only the PST regions the [`ProfileDelta`] dirties
 /// ([`Provenance::Incremental`]). Only a drift that changes the
-/// allocation itself re-runs the full cold pipeline. A re-fold replaces
-/// the structure's report, so a structure's memory does not grow with
-/// the number of profiles it has seen, and returning to an earlier
-/// profile re-folds to the same bytes rather than hitting.
+/// allocation itself re-runs the full cold pipeline. A re-fold rewrites
+/// the structure's report in place, so a structure's memory does not
+/// grow with the number of profiles it has seen, and returning to an
+/// earlier profile re-folds to the same bytes rather than hitting.
 ///
 /// The structure key is exact, never coarser than the function: every
 /// field of [`Function`] takes part, including block ids (which the IR
@@ -508,6 +510,8 @@ struct Quarantine {
     /// Calls left to skip before the next retry (exponential backoff
     /// from the second failure on).
     skip_remaining: u32,
+    /// The arena's LRU clock at the last recorded failure.
+    stamp: u64,
 }
 
 /// Everything the source function determines for the session's fixed
@@ -535,7 +539,8 @@ pub(crate) struct StructState {
     memo: Option<PlacementMemo>,
     /// The report retired for `cache.profile`, produced against the
     /// current `func` (a cold replace rebuilds both, a re-fold
-    /// overwrites it), so a hit shares `func` next to it.
+    /// rewrites its costs and hierarchical placements in place), so a
+    /// hit shares `func` next to it.
     outcome: FunctionReport,
 }
 
@@ -640,16 +645,40 @@ impl<S> Arena<S> {
     /// Records a failed attempt for `key`: purges its cached structure
     /// and, from the second failure on, opens an exponential-backoff
     /// skip window so a flapping input can't monopolize warm throughput.
+    ///
+    /// Under a `capacity` the negative cache holds at most that many
+    /// keys, so functions that fail once and never return cannot grow it
+    /// without bound. Overflow evicts another key's record: one with no
+    /// active skip window first, then the least recently failed (stamps
+    /// are unique, so the choice is deterministic). An evicted function
+    /// that fails again starts its backoff afresh.
     fn record_failure(&self, key: u64) {
         self.purge(key);
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut quarantine = self.quarantine.lock().unwrap();
         let entry = quarantine.entry(key).or_insert(Quarantine {
             failures: 0,
             skip_remaining: 0,
+            stamp,
         });
         entry.failures += 1;
+        entry.stamp = stamp;
         if entry.failures >= 2 {
             entry.skip_remaining = 1u32 << (entry.failures - 1).min(6);
+        }
+        while self.capacity > 0 && quarantine.len() > self.capacity {
+            let victim = quarantine
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, q)| (q.skip_remaining > 0, q.stamp))
+                .map(|(k, _)| *k);
+            match victim {
+                Some(k) => {
+                    quarantine.remove(&k);
+                }
+                // Capacity 1: the record is the one just written.
+                None => break,
+            }
         }
     }
 
@@ -857,7 +886,10 @@ impl OptimizerBuilder {
     /// evicting least-recently-used entries beyond it (default `0` =
     /// unbounded). Evictions are counted in
     /// [`ArenaStats::evictions`]; an evicted function's next
-    /// optimization runs cold again.
+    /// optimization runs cold again. The same capacity bounds the
+    /// failure records of [`FailurePolicy::Degrade`]/[`FailurePolicy::Skip`]
+    /// quarantine, evicting records with no active backoff window
+    /// first.
     #[must_use]
     pub fn arena_capacity(mut self, capacity: usize) -> Self {
         self.arena_capacity = capacity;
@@ -1921,7 +1953,9 @@ fn cold_structure(
 /// Re-establishes one function's placement after a profile drift that
 /// left its allocation unchanged: computes the [`ProfileDelta`] from
 /// the structure's base profile, re-folds only the dirtied PST regions,
-/// and rebases the structure, and its outcome, on the new profile.
+/// rewrites the structure's outcome in place ([`refill_report`]), and
+/// rebases the structure on the new profile. Returns one copy of the
+/// outcome, indexed for this call.
 fn refold_incremental(
     fid: FuncId,
     st: &mut StructState,
@@ -1930,7 +1964,6 @@ fn refold_incremental(
     arena: &AnalysisArena,
 ) -> Result<FunctionReport, DriverError> {
     let delta = ProfileDelta::between(&st.cache.profile, &profile);
-    let mut report = report_shell(fid, &st.func, &st.cache, st.spilled_vregs);
     match st.memo.as_mut() {
         Some(memo) => {
             let inputs = SuiteInputs::analyzed(
@@ -1949,14 +1982,15 @@ fn refold_incremental(
             )
             .map_err(|e| suite_error(&st.func, e))?;
             arena.record_incremental(refolds);
-            fill_report(&mut report, suite, engine.techniques);
+            refill_report(&mut st.outcome, suite);
         }
         // No callee-saved use: the report is profile-independent and
         // there is nothing to re-fold.
         None => arena.record_incremental(RefoldStats::default()),
     }
     st.cache.profile = profile;
-    st.outcome.clone_from(&report);
+    let mut report = st.outcome.clone();
+    report.index = fid.index();
     Ok(report)
 }
 
@@ -2013,8 +2047,8 @@ fn fill_report(report: &mut FunctionReport, suite: PlacementSuite, techniques: T
     let entries = [
         (Strategy::Baseline, suite.entry_exit),
         (Strategy::Shrinkwrap, suite.chow),
-        (Strategy::HierExec, suite.hierarchical_exec.placement),
-        (Strategy::HierJump, suite.hierarchical_jump.placement),
+        (Strategy::HierExec, suite.hierarchical_exec),
+        (Strategy::HierJump, suite.hierarchical_jump),
     ];
     for ((strategy, placement), cost) in entries.into_iter().zip(suite.predicted) {
         if !techniques.contains(strategy) {
@@ -2027,11 +2061,38 @@ fn fill_report(report: &mut FunctionReport, suite: PlacementSuite, techniques: T
             placement,
         });
     }
-    report.best = report
-        .strategies
-        .iter()
-        .min_by_key(|s| s.cost)
-        .map(|s| s.strategy);
+    report.best = best_strategy(&report.strategies);
+}
+
+/// Rewrites a report [`fill_report`] built for the same function with a
+/// re-folded suite of its new profile: every selected strategy's cost,
+/// both hierarchical placements with their static counts, and the best
+/// strategy. The entry/exit and Chow placements read no profile, so
+/// they stay. The suite's order is [`Strategy::all`]'s, so a strategy's
+/// discriminant indexes `predicted`.
+fn refill_report(report: &mut FunctionReport, suite: PlacementSuite) {
+    let PlacementSuite {
+        mut hierarchical_exec,
+        mut hierarchical_jump,
+        predicted,
+        ..
+    } = suite;
+    for s in &mut report.strategies {
+        s.cost = predicted[s.strategy as usize];
+        let placement = match s.strategy {
+            Strategy::HierExec => &mut hierarchical_exec,
+            Strategy::HierJump => &mut hierarchical_jump,
+            Strategy::Baseline | Strategy::Shrinkwrap => continue,
+        };
+        s.static_count = placement.static_count();
+        s.placement = std::mem::take(placement);
+    }
+    report.best = best_strategy(&report.strategies);
+}
+
+/// The cheapest strategy by predicted cost (the first of equals).
+fn best_strategy(strategies: &[StrategyReport]) -> Option<Strategy> {
+    strategies.iter().min_by_key(|s| s.cost).map(|s| s.strategy)
 }
 
 /// Converts a placement-validity failure into the driver's structured
@@ -2287,6 +2348,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Under a capacity, functions that fail once and never come back
+    /// cannot grow the quarantine map past it, and an active backoff
+    /// window outlives window-less records.
+    #[test]
+    fn quarantine_records_are_bounded_by_the_arena_capacity() {
+        const FLAPPING: u64 = 0xf1a9;
+        let arena: Arena<u32> = Arena::new(3);
+        arena.record_failure(FLAPPING);
+        arena.record_failure(FLAPPING);
+        for key in 0..50u64 {
+            arena.record_failure(key);
+            assert!(arena.quarantine.lock().unwrap().len() <= 3, "key {key}");
+        }
+        let quarantine = arena.quarantine.lock().unwrap();
+        let mut kept: Vec<u64> = quarantine.keys().copied().collect();
+        kept.sort_unstable();
+        assert_eq!(
+            kept,
+            [48, 49, FLAPPING],
+            "newest window-less records and the window"
+        );
+        drop(quarantine);
+        assert!(
+            arena.quarantine_skip(FLAPPING),
+            "the backoff window survived"
+        );
+
+        // Unbounded arenas keep every record.
+        let unbounded: Arena<u32> = Arena::new(0);
+        for key in 0..50u64 {
+            unbounded.record_failure(key);
+        }
+        assert_eq!(unbounded.quarantine.lock().unwrap().len(), 50);
     }
 
     #[test]

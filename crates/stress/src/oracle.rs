@@ -455,8 +455,8 @@ pub fn check_case_with(
         placements.push(Some([
             suite.entry_exit,
             suite.chow,
-            suite.hierarchical_exec.placement,
-            suite.hierarchical_jump.placement,
+            suite.hierarchical_exec,
+            suite.hierarchical_jump,
         ]));
     }
 
@@ -563,8 +563,8 @@ fn check_exact(
     let seeds: [&Placement; 4] = [
         &suite.entry_exit,
         &suite.chow,
-        &suite.hierarchical_exec.placement,
-        &suite.hierarchical_jump.placement,
+        &suite.hierarchical_exec,
+        &suite.hierarchical_jump,
     ];
 
     // Jump-edge model: the oracle that can fail the case.
@@ -640,7 +640,7 @@ fn check_exact(
                 &spec.costs,
                 cfg,
                 profile,
-                &suite.hierarchical_exec.placement,
+                &suite.hierarchical_exec,
             );
             if sol.optimum.raw() > actual.raw() {
                 return Err(fail(

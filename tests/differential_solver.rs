@@ -8,8 +8,11 @@
 //!    growth of `spillopt_core::dataflow` (the retired solver, kept as
 //!    the oracle);
 //! 2. the whole placement suite (Chow, both hierarchical variants,
-//!    predicted costs, traces) against
-//!    `spillopt_core::reference::run_suite_priced_reference`;
+//!    predicted costs) against
+//!    `spillopt_core::reference::run_suite_priced_reference`, and the
+//!    traced hierarchical traversal (placement, final sets with their
+//!    clusters, the whole trace) against
+//!    `spillopt_core::reference::hierarchical_placement_vs_reference`;
 //! 3. the word-parallel validator against the per-register one (as
 //!    violation sets);
 //! 4. the end-to-end module pipeline — profile, allocation, analyses,
@@ -24,7 +27,10 @@
 //! runs in release: `cargo test --release --test differential_solver --
 //! --ignored`. Layers 1–3 keep the per-layer diagnosis sharp.
 
-use spillopt_core::{run_suite, CalleeSavedUsage, RegWords, SuiteInputs, SuiteOptions};
+use spillopt_core::{
+    chow_shrink_wrap_with, hierarchical_placement_seeded, modified_shrink_wrap, run_suite,
+    CalleeSavedUsage, CostModel, RegWords, SuiteInputs, SuiteOptions,
+};
 use spillopt_driver::driver::ProfileSource;
 use spillopt_driver::refimpl::optimize_module_reference;
 use spillopt_driver::OptimizerBuilder;
@@ -114,39 +120,21 @@ fn suite_and_validator_match_reference_on_stress_modules() {
             assert_eq!(fast.entry_exit, slow.entry_exit);
             assert_eq!(fast.chow, slow.chow, "`{}` chow diverged", func.name());
             assert_eq!(
-                fast.hierarchical_exec.placement,
-                slow.hierarchical_exec.placement,
+                fast.hierarchical_exec,
+                slow.hierarchical_exec,
                 "`{}` hier-exec diverged",
                 func.name()
             );
             assert_eq!(
-                fast.hierarchical_jump.placement,
-                slow.hierarchical_jump.placement,
+                fast.hierarchical_jump,
+                slow.hierarchical_jump,
                 "`{}` hier-jump diverged",
                 func.name()
             );
             assert_eq!(fast.predicted, slow.predicted);
-            assert_eq!(
-                fast.hierarchical_jump.trace.len(),
-                slow.hierarchical_jump.trace.len()
-            );
-            for (a, b) in fast
-                .hierarchical_jump
-                .trace
-                .iter()
-                .zip(&slow.hierarchical_jump.trace)
-            {
-                assert_eq!((a.region, a.reg, a.replaced), (b.region, b.reg, b.replaced));
-                assert_eq!(a.contained_cost, b.contained_cost);
-                assert_eq!(a.boundary_cost, b.boundary_cost);
-            }
             // Validator agreement, as sets (list order interleaves
             // registers differently).
-            for placement in [
-                &fast.entry_exit,
-                &fast.chow,
-                &fast.hierarchical_jump.placement,
-            ] {
+            for placement in [&fast.entry_exit, &fast.chow, &fast.hierarchical_jump] {
                 let fe = spillopt_core::check_placement(&cfg, &usage, placement);
                 let se =
                     spillopt_core::reference::check_placement_reference(&cfg, &usage, placement);
@@ -157,6 +145,63 @@ fn suite_and_validator_match_reference_on_stress_modules() {
             }
         }
     }
+}
+
+/// Runs `hierarchical_placement_seeded` (the one path that records a
+/// trace and the surviving sets) and the frozen traversal
+/// `reference::hierarchical_placement_vs_reference` on every allocated
+/// function of `seeds` at `scale`, for every registered target and both
+/// cost models, and asserts they agree on the placement, every final
+/// set (cluster included) and the whole trace. Returns how many final
+/// sets were not initial sets (hoisted boundary sets, or a baseline
+/// that won the final comparison).
+fn assert_traced_hierarchical_matches_reference(seeds: std::ops::Range<u64>, scale: u32) -> usize {
+    let mut non_initial = 0;
+    for spec in registry() {
+        let target = spec.to_target();
+        for (func, profile) in allocated_functions(&spec, seeds.clone(), scale) {
+            let cfg = Cfg::compute(&func);
+            let usage = CalleeSavedUsage::from_function(&func, &cfg, &target);
+            if usage.is_empty() {
+                continue;
+            }
+            let pst = Pst::compute(&cfg);
+            let chow = chow_shrink_wrap_with(&cfg, &sccs(&cfg), &usage);
+            for model in [CostModel::ExecutionCount, CostModel::JumpEdge] {
+                let fast = hierarchical_placement_seeded(
+                    &cfg,
+                    &pst,
+                    &usage,
+                    &profile,
+                    model,
+                    &spec.costs,
+                    &chow,
+                    modified_shrink_wrap(&cfg, &usage),
+                );
+                let slow = spillopt_core::reference::hierarchical_placement_vs_reference(
+                    &cfg,
+                    &pst,
+                    &usage,
+                    &profile,
+                    model,
+                    &spec.costs,
+                    &chow,
+                );
+                let what = format!("target {} `{}` {model:?}", spec.name, func.name());
+                assert_eq!(fast.placement, slow.placement, "{what}: placement");
+                assert_eq!(fast.final_sets, slow.final_sets, "{what}: final sets");
+                assert_eq!(fast.trace, slow.trace, "{what}: trace");
+                non_initial += fast.final_sets.iter().filter(|s| !s.initial).count();
+            }
+        }
+    }
+    non_initial
+}
+
+#[test]
+fn traced_hierarchical_matches_reference_on_stress_corpus() {
+    let non_initial = assert_traced_hierarchical_matches_reference(0..60, 2);
+    assert!(non_initial > 0, "no hoisted or overridden set exercised");
 }
 
 /// Whole stress cases `(seed, scale, module)` for `target`, from seed 0

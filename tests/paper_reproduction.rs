@@ -97,9 +97,8 @@ fn figure1_crossover_depends_on_profile() {
 
 #[test]
 fn walkthrough_experiment_renders() {
-    // The harness's textual walkthrough contains the paper's numbers.
+    // The harness's textual walkthrough (`repro fig2`), byte for byte:
+    // the paper's numbers and every traced region decision.
     let out = spillopt_harness::experiments::fig2_walkthrough();
-    for needle in ["200", "250", "190", "replace", "keep"] {
-        assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
-    }
+    assert_eq!(out, include_str!("golden/fig2_walkthrough.txt"));
 }
