@@ -206,32 +206,73 @@ pub fn hierarchical_placement_seeded(
     shrink_wrap: &Placement,
     initial: InitialSets,
 ) -> HierarchicalResult {
-    let shares = EdgeShares::from_sets(&initial.sets);
-    let busy_counts = RegionBusyCounts::compute(pst, cfg.num_blocks(), usage);
-    let ctx = FoldCtx {
+    let seed = Seeded {
         cfg,
         pst,
         usage,
         profile,
+        model,
         costs,
-        shares: &shares,
-        busy_counts: &busy_counts,
+        shrink_wrap,
     };
-    let entry_exit = entry_exit_placement(cfg, usage);
-    let baselines = Baselines::priced(&ctx, model, &entry_exit, shrink_wrap);
-    let mut fold = ModelFold::new(cfg, pst, model, initial);
-    let mut trace = Vec::new();
-    let placement = fold.fold(
-        &ctx,
-        &vec![true; pst.num_regions()],
-        &baselines,
-        Some(&mut trace),
-    );
-    let final_sets = fold.final_sets(&ctx, &placement);
-    HierarchicalResult {
-        placement,
-        final_sets,
-        trace,
+    seed.fold(initial, |ctx, baselines, mut fold| {
+        let mut trace = Vec::new();
+        let all = vec![true; pst.num_regions()];
+        let (placement, _) = fold.fold(ctx, &all, baselines, Some(&mut trace));
+        let final_sets = fold.final_sets(ctx, &placement);
+        HierarchicalResult {
+            placement,
+            final_sets,
+            trace,
+        }
+    })
+}
+
+/// The inputs of one seeded traversal: [`hierarchical_placement_seeded`]'s
+/// parameters but the initial sets.
+pub(crate) struct Seeded<'a> {
+    pub(crate) cfg: &'a Cfg,
+    pub(crate) pst: &'a Pst,
+    pub(crate) usage: &'a CalleeSavedUsage,
+    pub(crate) profile: &'a EdgeProfile,
+    pub(crate) model: CostModel,
+    pub(crate) costs: &'a SpillCostModel,
+    pub(crate) shrink_wrap: &'a Placement,
+}
+
+impl Seeded<'_> {
+    /// The traversal's placement alone, folded with no trace sink and
+    /// no final sets: the degrade ladder's hierarchical rungs.
+    pub(crate) fn placement(&self, initial: InitialSets) -> Placement {
+        self.fold(initial, |ctx, baselines, mut fold| {
+            let all = vec![true; ctx.pst.num_regions()];
+            fold.fold(ctx, &all, baselines, None).0
+        })
+    }
+
+    /// Builds the fold context, prices both baselines and files
+    /// `initial` into a fresh [`ModelFold`], then hands all three to
+    /// `finish`, which runs the fold.
+    fn fold<R>(
+        &self,
+        initial: InitialSets,
+        finish: impl FnOnce(&FoldCtx<'_>, &Baselines<'_>, ModelFold) -> R,
+    ) -> R {
+        let shares = EdgeShares::from_sets(&initial.sets);
+        let busy_counts = RegionBusyCounts::compute(self.pst, self.cfg.num_blocks(), self.usage);
+        let ctx = FoldCtx {
+            cfg: self.cfg,
+            pst: self.pst,
+            usage: self.usage,
+            profile: self.profile,
+            costs: self.costs,
+            shares: &shares,
+            busy_counts: &busy_counts,
+        };
+        let entry_exit = entry_exit_placement(self.cfg, self.usage);
+        let baselines = Baselines::priced(&ctx, self.model, &entry_exit, self.shrink_wrap);
+        let fold = ModelFold::new(self.cfg, self.pst, self.model, initial);
+        finish(&ctx, &baselines, fold)
     }
 }
 
@@ -324,7 +365,10 @@ impl ModelFold {
     /// Lines 4-9: folds the regions `dirty` marks children first, then
     /// runs the root finalize against both baselines, which must be
     /// priced under this fold's model on `ctx`'s profile, and returns
-    /// the placement.
+    /// the placement with its price under this fold's model
+    /// ([`placement_cost_with`] on `ctx`'s profile): the root finalize
+    /// has priced it already, or it is a baseline and priced in
+    /// `baselines`.
     ///
     /// `dirty` is indexed by region and must be ancestor-closed (as
     /// [`Pst::dirty_regions`] returns it); the first fold of a fresh
@@ -338,7 +382,7 @@ impl ModelFold {
         dirty: &[bool],
         baselines: &Baselines<'_>,
         mut trace: Option<&mut Vec<TraceEvent>>,
-    ) -> Placement {
+    ) -> (Placement, Cost) {
         let mut live: Vec<LiveSet> = Vec::new();
         let mut boundary: Vec<SpillPoint> = Vec::new();
         for &r in ctx.pst.postorder() {
@@ -568,28 +612,31 @@ fn unshared_cost(
 /// cheapest of the three under the physically accurate accounting.
 /// Ties keep the traversal's (the paper's) result, so the worked
 /// examples are untouched. `placement` is the traversal's, built from
-/// the root's set handles; only a winning baseline is copied. When the
-/// override fires, a recorded trace keeps describing the overridden
-/// traversal (documented on [`HierarchicalResult::trace`]).
+/// the root's set handles; only a winning baseline is copied. Returns
+/// the placement with its price under `model`: the traversal's own, or
+/// the winning baseline's from `baselines` (an empty traversal costs
+/// nothing and is never overridden). When the override fires, a
+/// recorded trace keeps describing the overridden traversal (documented
+/// on [`HierarchicalResult::trace`]).
 fn finalize_root(
     ctx: &FoldCtx<'_>,
     model: CostModel,
     baselines: &Baselines<'_>,
     placement: Placement,
-) -> Placement {
-    if !placement.points().is_empty() {
-        let ours = placement_cost_with(model, ctx.costs, ctx.cfg, ctx.profile, &placement);
-        let [ee_cost, sw_cost] = baselines.costs;
-        if ee_cost.min(sw_cost) < ours {
-            let winner = if ee_cost <= sw_cost {
-                baselines.entry_exit
-            } else {
-                baselines.shrink_wrap
-            };
-            return winner.clone();
-        }
+) -> (Placement, Cost) {
+    if placement.points().is_empty() {
+        return (placement, Cost::ZERO);
     }
-    placement
+    let ours = placement_cost_with(model, ctx.costs, ctx.cfg, ctx.profile, &placement);
+    let [ee_cost, sw_cost] = baselines.costs;
+    if ee_cost.min(sw_cost) < ours {
+        return if ee_cost <= sw_cost {
+            (baselines.entry_exit.clone(), ee_cost)
+        } else {
+            (baselines.shrink_wrap.clone(), sw_cost)
+        };
+    }
+    (placement, ours)
 }
 
 /// The pairing-aware group decision at one region boundary.

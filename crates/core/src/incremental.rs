@@ -152,16 +152,17 @@ pub fn run_suite_memoized(
         let _s = spillopt_obs::span(span);
         let baselines = Baselines::priced(&ctx, model, &entry_exit, &chow);
         let mut fold = ModelFold::new(cfg, pst, model, initial);
-        let placement = fold.fold(&ctx, &all, &baselines, None);
-        (fold, placement, baselines.costs)
+        let (placement, price) = fold.fold(&ctx, &all, &baselines, None);
+        (fold, placement, price, baselines.costs)
     };
-    let (exec, hierarchical_exec, _) = fold_cold(
+    let (exec, hierarchical_exec, _, _) = fold_cold(
         "place_hier_exec",
         CostModel::ExecutionCount,
         initial.clone(),
     );
-    // The jump model prices the baselines exactly as the suite does.
-    let (jump, hierarchical_jump, baseline_costs) =
+    // The jump model prices the baselines and its own placement exactly
+    // as the suite does.
+    let (jump, hierarchical_jump, jump_price, baseline_costs) =
         fold_cold("place_hier_jump", CostModel::JumpEdge, initial);
 
     let checker = {
@@ -188,7 +189,8 @@ pub fn run_suite_memoized(
             cfg,
             profile,
             baseline_costs,
-            [&hierarchical_exec, &hierarchical_jump],
+            &hierarchical_exec,
+            jump_price,
         )
     };
 
@@ -279,8 +281,8 @@ pub fn run_suite_incremental(
     };
     let exec_baselines = Baselines::priced(&ctx, CostModel::ExecutionCount, entry_exit, chow);
     let jump_baselines = Baselines::priced(&ctx, CostModel::JumpEdge, entry_exit, chow);
-    let hierarchical_exec = exec.fold(&ctx, &dirty, &exec_baselines, None);
-    let hierarchical_jump = jump.fold(&ctx, &dirty, &jump_baselines, None);
+    let (hierarchical_exec, _) = exec.fold(&ctx, &dirty, &exec_baselines, None);
+    let (hierarchical_jump, jump_price) = jump.fold(&ctx, &dirty, &jump_baselines, None);
 
     {
         let _s = spillopt_obs::span("validate");
@@ -305,7 +307,8 @@ pub fn run_suite_incremental(
             cfg,
             profile,
             jump_baselines.costs,
-            [&hierarchical_exec, &hierarchical_jump],
+            &hierarchical_exec,
+            jump_price,
         )
     };
 
@@ -326,17 +329,19 @@ pub fn run_suite_incremental(
 
 /// The suite's predicted costs, in suite order (entry/exit, Chow,
 /// hierarchical exec, hierarchical jump), all under jump-edge
-/// accounting: the baselines' costs as the jump fold priced them, then
-/// both hierarchical placements priced the same way.
+/// accounting: the baselines' costs and the jump placement's as the
+/// jump fold priced them, and the exec placement priced the same way
+/// here (its fold priced it under the execution count model).
 fn predicted_costs(
     costs: &SpillCostModel,
     cfg: &Cfg,
     profile: &EdgeProfile,
     [entry_exit, chow]: [Cost; 2],
-    [exec, jump]: [&Placement; 2],
+    exec: &Placement,
+    jump: Cost,
 ) -> [Cost; 4] {
-    let price = |p| placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, p);
-    [entry_exit, chow, price(exec), price(jump)]
+    let exec = placement_cost_with(CostModel::JumpEdge, costs, cfg, profile, exec);
+    [entry_exit, chow, exec, jump]
 }
 
 #[cfg(test)]
@@ -469,7 +474,14 @@ mod tests {
                 self.folds.iter_mut().zip(models).zip(&mut out)
             {
                 let baselines = Baselines::priced(&ctx, model, &self.entry_exit, &self.chow);
-                *placement = fold.fold(&ctx, dirty, &baselines, Some(trace));
+                let price;
+                (*placement, price) = fold.fold(&ctx, dirty, &baselines, Some(trace));
+                // The fold's price is the placement's fresh price.
+                assert_eq!(
+                    price,
+                    placement_cost_with(model, ctx.costs, ctx.cfg, profile, placement),
+                    "{model:?} fold price"
+                );
             }
             out
         }

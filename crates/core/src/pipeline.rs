@@ -13,7 +13,7 @@
 
 use crate::cost::{Cost, CostModel, SpillCostModel};
 use crate::entry_exit::entry_exit_placement;
-use crate::hierarchical::hierarchical_placement_seeded;
+use crate::hierarchical::Seeded;
 use crate::location::Placement;
 use crate::overhead::placement_cost_with;
 use crate::usage::CalleeSavedUsage;
@@ -29,7 +29,7 @@ use std::fmt;
 ///
 /// The suite carries placements only. The hierarchical traversal's
 /// decision trace and surviving sets come from
-/// [`hierarchical_placement_seeded`], which runs the same fold.
+/// [`crate::hierarchical_placement_seeded`], which runs the same fold.
 #[derive(Clone, Debug)]
 pub struct PlacementSuite {
     /// Entry/exit baseline.
@@ -335,17 +335,16 @@ pub fn run_technique(
                 _ => "place_hier_jump",
             };
             let _s = spillopt_obs::span(span);
-            hierarchical_placement_seeded(
+            Seeded {
                 cfg,
-                inputs.pst(),
+                pst: inputs.pst(),
                 usage,
                 profile,
                 model,
                 costs,
-                &chow,
-                initial,
-            )
-            .placement
+                shrink_wrap: &chow,
+            }
+            .placement(initial)
         }
     };
 

@@ -1,6 +1,6 @@
 //! Live-register analysis over both virtual and physical registers.
 
-use crate::bitset::DenseBitSet;
+use crate::bitset::{BitMatrix, BitRow, DenseBitSet};
 use crate::cfg::Cfg;
 use crate::function::Function;
 use crate::ids::{BlockId, PReg, Reg, VReg};
@@ -63,11 +63,19 @@ impl RegUniverse {
 }
 
 /// Per-block liveness sets.
+///
+/// Storage is flat: live-in and live-out are one [`BitMatrix`] each,
+/// one row per block over the [`RegUniverse`], so a function's liveness
+/// is a fixed handful of allocations whatever its block count.
+/// [`Liveness::live_in`] and [`Liveness::live_out`] return a borrowed
+/// row view ([`BitRow`]), and [`Liveness::for_each_inst_backwards`]
+/// walks a block with a live set the caller owns, so a pass that walks
+/// every block allocates that set once.
 #[derive(Clone, Debug)]
 pub struct Liveness {
     universe: RegUniverse,
-    live_in: Vec<DenseBitSet>,
-    live_out: Vec<DenseBitSet>,
+    live_in: BitMatrix,
+    live_out: BitMatrix,
 }
 
 impl Liveness {
@@ -80,50 +88,40 @@ impl Liveness {
     /// so each visit unions `live_in` of the successors into `live_out`
     /// and applies the transfer function `in |= out \ kill` as fused
     /// word loops in place — no per-visit allocation or set comparison.
-    /// The fixpoint is unique, so the result is identical to the
-    /// reference implementation ([`Liveness::compute_reference`]).
+    /// Live-in is seeded with each reachable block's upward-exposed uses
+    /// (gen) in place, and kill lives in a third matrix that is dropped
+    /// on return: three matrices and the traversal order are the whole
+    /// allocation. The fixpoint is unique, so the result is identical
+    /// to the reference implementation ([`Liveness::compute_reference`]).
     pub fn compute(func: &Function, cfg: &Cfg, target: &Target) -> Self {
         let universe = RegUniverse::new(func, target);
         let n = func.num_blocks();
-        let mut gen = vec![DenseBitSet::new(universe.len()); n]; // upward-exposed uses
-        let mut kill = vec![DenseBitSet::new(universe.len()); n]; // defs
-
-        for b in func.block_ids() {
-            let (g, k) = (&mut gen[b.index()], &mut kill[b.index()]);
-            for inst in &func.block(b).insts {
-                inst.for_each_use(|r| {
-                    let i = universe.index(r);
-                    if !k.contains(i) {
-                        g.insert(i);
-                    }
-                });
-                inst.for_each_def(|r| {
-                    k.insert(universe.index(r));
-                });
-                inst.for_each_clobber(target, |p| {
-                    k.insert(universe.index(Reg::Phys(p)));
-                });
-            }
-        }
+        let mut live_in = BitMatrix::new(n, universe.len());
+        let mut kill = BitMatrix::new(n, universe.len()); // defs
 
         // Seed live_in of every reachable block with gen (gen is always
-        // in the fixpoint; unreachable blocks keep empty sets, matching
+        // in the fixpoint; unreachable blocks keep empty rows, matching
         // the reference), then iterate in postorder (successors first)
         // until stable.
         let order = cfg.reachable_postorder();
-        let mut live_in = gen;
-        {
-            let mut reachable = vec![false; n];
-            for &bi in &order {
-                reachable[bi] = true;
-            }
-            for (bi, set) in live_in.iter_mut().enumerate() {
-                if !reachable[bi] {
-                    set.clear();
-                }
+        for &bi in &order {
+            for inst in &func.block(BlockId::from_index(bi)).insts {
+                inst.for_each_use(|r| {
+                    let i = universe.index(r);
+                    if !kill.contains(bi, i) {
+                        live_in.set(bi, i);
+                    }
+                });
+                inst.for_each_def(|r| {
+                    kill.set(bi, universe.index(r));
+                });
+                inst.for_each_clobber(target, |p| {
+                    kill.set(bi, universe.index(Reg::Phys(p)));
+                });
             }
         }
-        let mut live_out = vec![DenseBitSet::new(universe.len()); n];
+
+        let mut live_out = BitMatrix::new(n, universe.len());
         let mut changed = true;
         while changed {
             changed = false;
@@ -131,12 +129,11 @@ impl Liveness {
                 let b = BlockId::from_index(bi);
                 let mut out_changed = false;
                 for s in cfg.succ_blocks(b) {
-                    out_changed |= live_out[bi].union_with(&live_in[s.index()]);
+                    out_changed |= live_out.row_union_row(bi, &live_in, s.index());
                 }
                 if out_changed {
                     changed = true;
-                    let inn = &mut live_in[bi];
-                    changed |= inn.union_with_subtracted(&live_out[bi], &kill[bi]);
+                    changed |= live_in.row_union_subtracted(bi, &live_out, &kill);
                 }
             }
         }
@@ -205,10 +202,17 @@ impl Liveness {
             }
         }
 
+        let flat = |sets: Vec<DenseBitSet>| {
+            let mut m = BitMatrix::new(n, universe.len());
+            for (bi, set) in sets.iter().enumerate() {
+                m.row_union_words(bi, set.words());
+            }
+            m
+        };
         Liveness {
+            live_in: flat(live_in),
+            live_out: flat(live_out),
             universe,
-            live_in,
-            live_out,
         }
     }
 
@@ -218,31 +222,38 @@ impl Liveness {
     }
 
     /// Registers live at entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &DenseBitSet {
-        &self.live_in[b.index()]
+    pub fn live_in(&self, b: BlockId) -> BitRow<'_> {
+        self.live_in.row(b.index())
     }
 
     /// Registers live at exit of `b`.
-    pub fn live_out(&self, b: BlockId) -> &DenseBitSet {
-        &self.live_out[b.index()]
+    pub fn live_out(&self, b: BlockId) -> BitRow<'_> {
+        self.live_out.row(b.index())
     }
 
     /// Walks block `b` backwards, invoking `visit(inst_index, live_after)`
-    /// for each instruction with the set of registers live *after* it, and
-    /// returning control with the set updated to live-before as the walk
-    /// proceeds. `live_after` passed to the callback is the liveness right
-    /// after the instruction executes.
+    /// for each instruction with the set of registers live *after* it.
+    ///
+    /// `live` is the caller's scratch set over the universe: the walk
+    /// overwrites it with `b`'s live-out and updates it to live-before
+    /// each instruction as it proceeds (on return it holds `b`'s
+    /// live-in), so a caller walking many blocks reuses one set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live`'s capacity is not the universe's size.
     pub fn for_each_inst_backwards(
         &self,
         func: &Function,
         target: &Target,
         b: BlockId,
+        live: &mut DenseBitSet,
         mut visit: impl FnMut(usize, &DenseBitSet),
     ) {
-        let mut live = self.live_out[b.index()].clone();
+        live.copy_from_words(self.live_out.row_words(b.index()));
         let insts = &func.block(b).insts;
         for (i, inst) in insts.iter().enumerate().rev() {
-            visit(i, &live);
+            visit(i, live);
             inst.for_each_def(|r| {
                 live.remove(self.universe.index(r));
             });
@@ -378,7 +389,8 @@ mod tests {
         let u = lv.universe();
         let vi = u.index(Reg::Virt(v));
         let mut live_across_call = false;
-        lv.for_each_inst_backwards(&f, &t, a, |idx, live| {
+        let mut scratch = DenseBitSet::new(u.len());
+        lv.for_each_inst_backwards(&f, &t, a, &mut scratch, |idx, live| {
             let inst = &f.block(a).insts[idx];
             if matches!(inst.kind, crate::inst::InstKind::Call { .. }) && live.contains(vi) {
                 live_across_call = true;

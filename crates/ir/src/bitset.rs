@@ -162,23 +162,15 @@ impl DenseBitSet {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// Unions `a \ b` into `self` in one fused pass, returning `true` if
-    /// `self` changed. This is the transfer function of backward liveness
-    /// (`in |= out \ kill`) as a single word loop.
+    /// Overwrites `self` with `words` (a row of a [`BitMatrix`] of the
+    /// same width, say) without reallocating.
     ///
     /// # Panics
     ///
-    /// Panics if any capacity differs.
-    pub fn union_with_subtracted(&mut self, a: &DenseBitSet, b: &DenseBitSet) -> bool {
-        assert_eq!(self.len, a.len, "bitset capacity mismatch");
-        assert_eq!(self.len, b.len, "bitset capacity mismatch");
-        let mut changed = false;
-        for ((dst, x), y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            let next = *dst | (x & !y);
-            changed |= next != *dst;
-            *dst = next;
-        }
-        changed
+    /// Panics if `words` has a different word count than `self`.
+    pub fn copy_from_words(&mut self, words: &[u64]) {
+        assert_eq!(self.words.len(), words.len(), "bitset width mismatch");
+        self.words.copy_from_slice(words);
     }
 
     /// Sets `self` to `a ∩ b` in one pass, without reallocating.
@@ -320,21 +312,54 @@ impl BitMatrix {
         }
     }
 
-    /// ORs row `src` of `other` into row `r` of `self`.
+    /// Row `r` as a borrowed, read-only bit set over the columns.
+    pub fn row(&self, r: usize) -> BitRow<'_> {
+        BitRow {
+            words: self.row_words(r),
+            len: self.cols,
+        }
+    }
+
+    /// ORs row `src` of `other` into row `r` of `self`, returning `true`
+    /// if row `r` changed.
     ///
     /// # Panics
     ///
     /// Panics if the row widths differ.
-    pub fn row_union_row(&mut self, r: usize, other: &BitMatrix, src: usize) {
+    pub fn row_union_row(&mut self, r: usize, other: &BitMatrix, src: usize) -> bool {
         assert_eq!(
             self.words_per_row, other.words_per_row,
             "row width mismatch"
         );
-        let s = &other.words[src * other.words_per_row..(src + 1) * other.words_per_row];
+        let s = other.row_words(src);
         let d = &mut self.words[r * self.words_per_row..(r + 1) * self.words_per_row];
+        let mut changed = false;
         for (a, b) in d.iter_mut().zip(s) {
-            *a |= b;
+            let next = *a | b;
+            changed |= next != *a;
+            *a = next;
         }
+        changed
+    }
+
+    /// ORs `a[r] \ b[r]` into row `r` of `self` in one fused pass,
+    /// returning `true` if it changed: the transfer function of backward
+    /// liveness (`in |= out \ kill`) on one block's rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row widths differ.
+    pub fn row_union_subtracted(&mut self, r: usize, a: &BitMatrix, b: &BitMatrix) -> bool {
+        assert_eq!(self.words_per_row, a.words_per_row, "row width mismatch");
+        assert_eq!(self.words_per_row, b.words_per_row, "row width mismatch");
+        let d = &mut self.words[r * self.words_per_row..(r + 1) * self.words_per_row];
+        let mut changed = false;
+        for ((dst, x), y) in d.iter_mut().zip(a.row_words(r)).zip(b.row_words(r)) {
+            let next = *dst | (x & !y);
+            changed |= next != *dst;
+            *dst = next;
+        }
+        changed
     }
 
     /// ORs row `src` into row `dst` of the same matrix (no-op when they
@@ -368,11 +393,7 @@ impl BitMatrix {
 
     /// Iterates the set columns of row `r` in ascending order.
     pub fn row_iter(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
-        RowIter {
-            words: self.row_words(r),
-            word_idx: 0,
-            word: self.row_words(r).first().copied().unwrap_or(0),
-        }
+        self.row(r).iter()
     }
 
     /// Clears row `r`.
@@ -388,6 +409,42 @@ impl fmt::Debug for BitMatrix {
             d.entry(&r, &self.row_iter(r).collect::<Vec<_>>());
         }
         d.finish()
+    }
+}
+
+/// One row of a [`BitMatrix`], borrowed: a read-only bit set over the
+/// matrix's columns. Two rows are equal when they hold the same columns.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitRow<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> BitRow<'a> {
+    /// Returns `true` if column `i` is set (`false` past the row's end).
+    pub fn contains(&self, i: usize) -> bool {
+        i < self.len && self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The row's words, least-significant bit first. Bits at and above
+    /// the column count are zero.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Iterates the set columns in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        RowIter {
+            words: self.words,
+            word_idx: 0,
+            word: self.words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl fmt::Debug for BitRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -591,8 +648,21 @@ mod tests {
         assert!(!m.contains(2, 0));
         assert_eq!(m.row_count(0), 2);
         assert_eq!(m.row_iter(0).collect::<Vec<_>>(), vec![0, 129]);
-        m.row_union_row(2, &m.clone(), 0);
+        assert!(m.row_union_row(2, &m.clone(), 0));
+        assert!(!m.row_union_row(2, &m.clone(), 0));
         assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![0, 129]);
+        assert_eq!(m.row(2), m.row(0));
+        assert!(m.row(0).contains(129) && !m.row(0).contains(130));
+        assert_eq!(m.row(0).iter().collect::<Vec<_>>(), vec![0, 129]);
+        let mut kill = BitMatrix::new(3, 130);
+        kill.set(1, 0);
+        let mut live = BitMatrix::new(3, 130);
+        assert!(live.row_union_subtracted(1, &m, &kill));
+        assert!(live.row(1).iter().eq([64]));
+        assert!(!live.row_union_subtracted(1, &m, &kill));
+        let mut set = DenseBitSet::new(130);
+        set.copy_from_words(m.row_words(0));
+        assert_eq!(set.words(), m.row(0).words());
         let words: Vec<u64> = m.row_words(1).to_vec();
         m.row_union_words(2, &words);
         assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![0, 64, 129]);

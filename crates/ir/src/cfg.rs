@@ -56,11 +56,22 @@ pub struct CfgEdge {
 /// them (recompute with [`Cfg::compute`]). Two snapshots are equal when
 /// they have the same edges (ends, kinds, successor slots, ids), the
 /// same entry and the same exit blocks.
+///
+/// Adjacency is stored in compressed sparse row (CSR) form: per
+/// direction, one offset array over the blocks and one flat edge-id
+/// array, so a snapshot is a fixed handful of allocations whatever its
+/// block count. Edges are numbered block by block in successor-slot
+/// order, so each block's successors are a contiguous edge-id range;
+/// each block's predecessors are listed in ascending edge id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cfg {
     edges: Vec<CfgEdge>,
-    succs: Vec<Vec<EdgeId>>,
-    preds: Vec<Vec<EdgeId>>,
+    /// Block `b`'s successor edges are `succs[succ_off[b]..succ_off[b + 1]]`.
+    succ_off: Vec<u32>,
+    succs: Vec<EdgeId>,
+    /// Block `b`'s predecessor edges are `preds[pred_off[b]..pred_off[b + 1]]`.
+    pred_off: Vec<u32>,
+    preds: Vec<EdgeId>,
     entry: BlockId,
     exit_blocks: Vec<BlockId>,
 }
@@ -75,24 +86,22 @@ impl Cfg {
     /// a malformed CFG; verify first.
     pub fn compute(func: &Function) -> Self {
         let n = func.num_blocks();
-        let mut edges = Vec::with_capacity(Cfg::count_edges(func));
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
+        let m = Cfg::count_edges(func);
+        let mut edges = Vec::with_capacity(m);
+        let mut succ_off = Vec::with_capacity(n + 1);
         let mut exit_blocks = Vec::new();
+        succ_off.push(0);
 
         for b in func.block_ids() {
             let block = func.block(b);
             let next = func.layout_next(b);
-            let mut push = |edges: &mut Vec<CfgEdge>, to: BlockId, kind: EdgeKind, pos: SuccPos| {
-                let id = EdgeId::from_index(edges.len());
+            let mut push = |to: BlockId, kind: EdgeKind, pos: SuccPos| {
                 edges.push(CfgEdge {
                     from: b,
                     to,
                     kind,
                     pos,
                 });
-                succs[b.index()].push(id);
-                preds[to.index()].push(id);
             };
             match block.terminator().map(|t| &t.kind) {
                 Some(InstKind::Jump { target }) => {
@@ -104,13 +113,13 @@ impl Cfg {
                     } else {
                         EdgeKind::Jump
                     };
-                    push(&mut edges, *target, kind, SuccPos::Only);
+                    push(*target, kind, SuccPos::Only);
                 }
                 Some(InstKind::Branch {
                     taken, fallthrough, ..
                 }) => {
-                    push(&mut edges, *taken, EdgeKind::Jump, SuccPos::Taken);
-                    push(&mut edges, *fallthrough, EdgeKind::Fall, SuccPos::NotTaken);
+                    push(*taken, EdgeKind::Jump, SuccPos::Taken);
+                    push(*fallthrough, EdgeKind::Fall, SuccPos::NotTaken);
                 }
                 Some(InstKind::Return { .. }) => {
                     exit_blocks.push(b);
@@ -118,14 +127,40 @@ impl Cfg {
                 Some(_) => unreachable!("non-terminator returned by terminator()"),
                 None => {
                     let target = next.expect("fall-through block must not be last in layout");
-                    push(&mut edges, target, EdgeKind::Fall, SuccPos::Only);
+                    push(target, EdgeKind::Fall, SuccPos::Only);
                 }
             }
+            succ_off.push(edges.len() as u32);
+        }
+
+        // Successor lists are the edge ids in order. Predecessors by one
+        // counting pass: `pred_off[b]` first counts `b`'s in-edges, then
+        // is made `b`'s end by a running sum, and each edge, taken in
+        // descending id, moves its target's end down one slot — leaving
+        // every block's list in ascending edge id and `pred_off[b]` at
+        // its start.
+        let succs: Vec<EdgeId> = (0..m).map(EdgeId::from_index).collect();
+        let mut pred_off = vec![0u32; n + 1];
+        for e in &edges {
+            pred_off[e.to.index()] += 1;
+        }
+        let mut end = 0;
+        for off in &mut pred_off {
+            end += *off;
+            *off = end;
+        }
+        let mut preds = vec![EdgeId::from_index(0); m];
+        for (i, e) in edges.iter().enumerate().rev() {
+            let slot = &mut pred_off[e.to.index()];
+            *slot -= 1;
+            preds[*slot as usize] = EdgeId::from_index(i);
         }
 
         Cfg {
             edges,
+            succ_off,
             succs,
+            pred_off,
             preds,
             entry: func.entry(),
             exit_blocks,
@@ -159,7 +194,7 @@ impl Cfg {
 
     /// Returns the number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succ_off.len() - 1
     }
 
     /// Returns the number of edges.
@@ -187,32 +222,34 @@ impl Cfg {
 
     /// Returns the outgoing edge ids of `b`.
     pub fn succ_edges(&self, b: BlockId) -> &[EdgeId] {
-        &self.succs[b.index()]
+        let b = b.index();
+        &self.succs[self.succ_off[b] as usize..self.succ_off[b + 1] as usize]
     }
 
     /// Returns the incoming edge ids of `b`.
     pub fn pred_edges(&self, b: BlockId) -> &[EdgeId] {
-        &self.preds[b.index()]
+        let b = b.index();
+        &self.preds[self.pred_off[b] as usize..self.pred_off[b + 1] as usize]
     }
 
     /// Iterates over the successor blocks of `b`.
     pub fn succ_blocks(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
-        self.succs[b.index()].iter().map(|&e| self.edge(e).to)
+        self.succ_edges(b).iter().map(|&e| self.edge(e).to)
     }
 
     /// Iterates over the predecessor blocks of `b`.
     pub fn pred_blocks(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
-        self.preds[b.index()].iter().map(|&e| self.edge(e).from)
+        self.pred_edges(b).iter().map(|&e| self.edge(e).from)
     }
 
     /// Returns the number of successors of `b`.
     pub fn num_succs(&self, b: BlockId) -> usize {
-        self.succs[b.index()].len()
+        self.succ_edges(b).len()
     }
 
     /// Returns the number of predecessors of `b`.
     pub fn num_preds(&self, b: BlockId) -> usize {
-        self.preds[b.index()].len()
+        self.pred_edges(b).len()
     }
 
     /// Postorder over the blocks reachable from the entry, as block
@@ -223,10 +260,11 @@ impl Cfg {
         let n = self.num_blocks();
         let mut seen = vec![false; n];
         let mut order = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, usize)> = vec![(self.entry.index(), 0)];
+        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
+        stack.push((self.entry.index(), 0));
         seen[self.entry.index()] = true;
         while let Some(&mut (b, ref mut ci)) = stack.last_mut() {
-            let succs = &self.succs[b];
+            let succs = self.succ_edges(BlockId::from_index(b));
             if *ci < succs.len() {
                 let t = self.edge(succs[*ci]).to.index();
                 *ci += 1;
@@ -247,7 +285,7 @@ impl Cfg {
     /// The IR forbids parallel edges (a branch with equal targets must be a
     /// jump), so the result is unique.
     pub fn edge_between(&self, from: BlockId, to: BlockId) -> Option<EdgeId> {
-        self.succs[from.index()]
+        self.succ_edges(from)
             .iter()
             .copied()
             .find(|&e| self.edge(e).to == to)

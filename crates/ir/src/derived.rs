@@ -1,11 +1,10 @@
 //! Derived CFG structures, computed once per function and reused by
 //! every analysis and placement technique.
 //!
-//! The [`Cfg`] snapshot stores adjacency as one `Vec<EdgeId>` per block —
-//! convenient to build, but a cache miss per block on traversal-heavy
-//! paths, and every pass that needs an order, an exit test, or an edge
-//! classification recomputed it locally. [`DerivedCfg`] flattens all of
-//! that into dense, index-addressed tables:
+//! The [`Cfg`] snapshot stores its adjacency as edge ids, and every pass
+//! that needs an order, an exit test, or an edge classification would
+//! recompute it locally. [`DerivedCfg`] flattens all of that into dense,
+//! index-addressed tables:
 //!
 //! * predecessor/successor adjacency in CSR form (one offsets array, one
 //!   contiguous edge-id array each);

@@ -67,7 +67,7 @@ pub mod target;
 pub mod verify;
 
 pub use analysis::{BlockDoms, Graph, Liveness, LoopInfo, RegUniverse};
-pub use bitset::{BitMatrix, DenseBitSet, UnionFind};
+pub use bitset::{BitMatrix, BitRow, DenseBitSet, UnionFind};
 pub use block::Block;
 pub use builder::FunctionBuilder;
 pub use cfg::{Cfg, CfgEdge, EdgeKind, SuccPos};

@@ -2,6 +2,7 @@
 
 use crate::interfere::InterferenceGraph;
 use spillopt_ir::{BitMatrix, DenseBitSet, PReg, Target, UnionFind, VReg};
+use std::borrow::Cow;
 
 /// Outcome of one coloring attempt.
 #[derive(Clone, Debug)]
@@ -104,12 +105,14 @@ fn candidate(i: usize, degree: usize, no_spill: &DenseBitSet) -> SpillCandidate 
 ///
 /// Decision-for-decision identical to [`color_reference`] (same
 /// coalesces, same simplify order, same spill choices, same colors). The
-/// adjacency is one flat [`BitMatrix`] copied from the graph's rows.
-/// After coalescing, the aliases are folded into that matrix, the spill
-/// weights and the call-crossing flags in place: only rows that name a
-/// merged-away node are rewritten, so a graph with no coalesced move is
-/// colored straight off its copied rows. Scratch buffers are reused
-/// instead of allocating in the select loop.
+/// adjacency is the graph's own [`BitMatrix`]
+/// ([`InterferenceGraph::matrix`]), borrowed copy-on-write: the first
+/// coalesce rewrites a row and so takes a private copy, and after
+/// coalescing the aliases are folded into that copy, the spill weights
+/// and the call-crossing flags in place (only rows that name a
+/// merged-away node are rewritten). A graph with no coalesced move is
+/// colored straight off its own rows and its adjacency is never copied.
+/// Scratch buffers are reused instead of allocating in the select loop.
 pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet) -> Coloring {
     let nv = graph.num_vregs();
     let nn = graph.num_nodes();
@@ -117,12 +120,9 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
 
     // --- Conservative (Briggs) coalescing on virtual pairs. ---
     let mut alias = UnionFind::new(nv);
-    // Effective adjacency after coalescing, one flat matrix over all
-    // nodes (rows only for vregs).
-    let mut adj = BitMatrix::new(nv, nn);
-    for i in 0..nv {
-        adj.row_union_words(i, graph.adjacency_words(i));
-    }
+    // Effective adjacency after coalescing: the graph's matrix until a
+    // coalesce rewrites a row (only vreg rows are ever read or written).
+    let mut adj: Cow<'_, BitMatrix> = Cow::Borrowed(graph.matrix());
     let mut coalesced = 0;
     let mut scratch_words: Vec<u64> = Vec::new();
     let mut scratch_items: Vec<usize> = Vec::new();
@@ -169,6 +169,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
             alias.union(ra, rb);
             let root = alias.find(ra);
             let other = if root == ra { rb } else { ra };
+            let adj = adj.to_mut();
             adj.row_union_row_within(root, other);
             // Canonicalize so later tests and degree estimates see merged
             // representatives.
@@ -186,7 +187,8 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     }
 
     // Representative nodes after coalescing.
-    let reps: Vec<usize> = (0..nv).filter(|&i| alias.find(i) == i).collect();
+    let mut reps: Vec<usize> = Vec::with_capacity(nv);
+    reps.extend((0..nv).filter(|&i| alias.find(i) == i));
     // Fold the aliases in place: a merged-away node's weight and
     // call-crossing flag move onto its representative, and a
     // representative's row that names a merged-away neighbor is
@@ -214,6 +216,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
                 .zip(merged_away.words())
                 .any(|(a, m)| a & m != 0);
             if stale {
+                let adj = adj.to_mut();
                 scratch_items.clear();
                 scratch_items.extend(adj.row_iter(r));
                 adj.row_clear(r);
@@ -230,7 +233,7 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     // --- Simplify. ---
     let mut removed = DenseBitSet::new(nv);
     let mut degree: Vec<usize> = (0..nv).map(|i| adj.row_count(i)).collect();
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(reps.len());
     let mut trace = None;
     let mut remaining: Vec<usize> = reps.clone();
     while !remaining.is_empty() {

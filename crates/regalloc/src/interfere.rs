@@ -8,6 +8,9 @@ use spillopt_ir::{BitMatrix, Cfg, DenseBitSet, Function, InstKind, Liveness, Reg
 /// The adjacency is one symmetric [`BitMatrix`] and nothing else: a
 /// node's neighbors are the set bits of its row, in ascending order, and
 /// its degree is the row's popcount. There are no per-node lists.
+/// [`InterferenceGraph::matrix`] lends the whole matrix, which
+/// [`color`](crate::color()) reads in place until a coalesce rewrites a
+/// row.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
     n: usize,
@@ -29,7 +32,9 @@ impl InterferenceGraph {
     /// filled one row mask at a time, a def's row ORs in the whole
     /// live-after set at once, and symmetry is restored in one pass at
     /// the end. The resulting matrix is identical to
-    /// [`InterferenceGraph::build_reference`]'s.
+    /// [`InterferenceGraph::build_reference`]'s. Every block's backward
+    /// walk ([`Liveness::for_each_inst_backwards`]) reuses one live set,
+    /// so the build allocates nothing per block.
     pub fn build(
         func: &Function,
         _cfg: &Cfg,
@@ -49,21 +54,24 @@ impl InterferenceGraph {
             weight: vec![0; n],
         };
 
+        // The one live set every block's walk reuses; before the walks
+        // it holds the physical mask.
+        let mut live = DenseBitSet::new(n);
+
         // All physical registers mutually interfere (they are distinct
         // resources): each physical row gets the mask of every physical
         // node but itself.
-        let mut phys = DenseBitSet::new(n);
         for p in num_vregs..n {
-            phys.insert(p);
+            live.insert(p);
         }
         for a in num_vregs..n {
-            g.matrix.row_union_words(a, phys.words());
+            g.matrix.row_union_words(a, live.words());
             g.matrix.unset(a, a);
         }
 
         for b in func.block_ids() {
             let w = block_weight[b.index()];
-            liveness.for_each_inst_backwards(func, target, b, |idx, live_after| {
+            liveness.for_each_inst_backwards(func, target, b, &mut live, |idx, live_after| {
                 let inst = &func.block(b).insts[idx];
                 // Spill-cost weights: every mention of a node costs.
                 inst.for_each_use(|r| {
@@ -124,13 +132,17 @@ impl InterferenceGraph {
             });
         }
 
-        // Symmetrize: rows accumulated def-side only.
-        let mut scratch: Vec<usize> = Vec::new();
+        // Symmetrize: rows accumulated def-side only. Each word of row
+        // `r` is read before its bits are mirrored into their columns'
+        // rows, so no scratch list is needed.
         for r in 0..n {
-            scratch.clear();
-            scratch.extend(g.matrix.row_iter(r));
-            for &c in &scratch {
-                g.matrix.set(c, r);
+            for wi in 0..g.matrix.row_words(r).len() {
+                let mut word = g.matrix.row_words(r)[wi];
+                while word != 0 {
+                    let c = wi * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    g.matrix.set(c, r);
+                }
             }
         }
         g
@@ -166,9 +178,10 @@ impl InterferenceGraph {
             }
         }
 
+        let mut live = DenseBitSet::new(n);
         for b in func.block_ids() {
             let w = block_weight[b.index()];
-            liveness.for_each_inst_backwards(func, target, b, |idx, live_after| {
+            liveness.for_each_inst_backwards(func, target, b, &mut live, |idx, live_after| {
                 let inst = &func.block(b).insts[idx];
                 // Spill-cost weights: every mention of a node costs.
                 inst.for_each_use(|r| {
@@ -253,14 +266,14 @@ impl InterferenceGraph {
         }
     }
 
+    /// The whole adjacency: row `i` is node `i`'s neighbor set.
+    pub fn matrix(&self) -> &BitMatrix {
+        &self.matrix
+    }
+
     /// Returns `true` if `a` and `b` interfere.
     pub fn interferes(&self, a: usize, b: usize) -> bool {
         self.matrix.contains(a, b)
-    }
-
-    /// The words of node `i`'s adjacency row (over all nodes).
-    pub fn adjacency_words(&self, i: usize) -> &[u64] {
-        self.matrix.row_words(i)
     }
 
     /// The neighbors of node `i`: the set bits of its adjacency row, in
