@@ -33,7 +33,7 @@ use crate::location::{SpillKind, SpillLoc, SpillPoint};
 use crate::sets::SaveRestoreSet;
 use crate::usage::CalleeSavedUsage;
 use spillopt_ir::analysis::loops::CyclicRegion;
-use spillopt_ir::{Cfg, DenseBitSet, DerivedCfg, PReg};
+use spillopt_ir::{BlockId, Cfg, DenseBitSet, DerivedCfg, PReg};
 
 /// One membership word per block: bit `r` of `words[b]` means block `b`
 /// is in register `r`'s set, with registers numbered by their
@@ -84,14 +84,10 @@ impl RegWords {
 /// * **jump-edge rule** — for each critical jump edge, registers with
 ///   exactly one endpoint inside (`w[from] ^ w[to]`) absorb the other
 ///   endpoint.
-pub fn chow_grow_all(
-    derived: &DerivedCfg,
-    entry: usize,
-    cyclic: &[CyclicRegion],
-    w: &mut RegWords,
-) {
+pub fn chow_grow_all(cfg: &Cfg, derived: &DerivedCfg, cyclic: &[CyclicRegion], w: &mut RegWords) {
     let _s = spillopt_obs::span("solver_fixpoint");
     let n = derived.num_blocks();
+    let entry = cfg.entry().index();
     // The critical jump edges, from the derived edge tables.
     let mut jump_edges: Vec<(u32, u32)> = Vec::new();
     for e in derived.needs_jump.iter_ones() {
@@ -127,13 +123,13 @@ pub fn chow_grow_all(
         while local {
             local = false;
             for bi in (0..n).rev() {
-                let succs = derived.succ.row(bi);
+                let succs = cfg.succ_edges(BlockId::from_index(bi));
                 if succs.is_empty() {
                     continue;
                 }
                 let mut all = !0u64;
                 for &e in succs {
-                    all &= w.words[derived.edge_to[e as usize] as usize];
+                    all &= w.words[derived.edge_to[e.index()] as usize];
                 }
                 let next = w.words[bi] | all;
                 if next != w.words[bi] {
@@ -150,13 +146,13 @@ pub fn chow_grow_all(
                 if bi == entry {
                     continue;
                 }
-                let preds = derived.pred.row(bi);
+                let preds = cfg.pred_edges(BlockId::from_index(bi));
                 if preds.is_empty() {
                     continue;
                 }
                 let mut all = !0u64;
                 for &e in preds {
-                    all &= w.words[derived.edge_from[e as usize] as usize];
+                    all &= w.words[derived.edge_from[e.index()] as usize];
                 }
                 let next = w.words[bi] | all;
                 if next != w.words[bi] {
@@ -195,7 +191,7 @@ pub fn chow_points_all(
     usage: &CalleeSavedUsage,
 ) -> Vec<SpillPoint> {
     let mut w = RegWords::from_busy(cfg.num_blocks(), usage);
-    chow_grow_all(derived, cfg.entry().index(), cyclic, &mut w);
+    chow_grow_all(cfg, derived, cyclic, &mut w);
     chow_boundaries(cfg, &w)
 }
 
@@ -296,16 +292,15 @@ pub fn initial_sets_all(
             comp.insert(start);
             stack.push(start);
             while let Some(b) = stack.pop() {
-                let succs = derived
-                    .succ
-                    .row(b)
+                let b_id = BlockId::from_index(b);
+                let succs = cfg
+                    .succ_edges(b_id)
                     .iter()
-                    .map(|&e| derived.edge_to[e as usize]);
-                let preds = derived
-                    .pred
-                    .row(b)
+                    .map(|&e| derived.edge_to[e.index()]);
+                let preds = cfg
+                    .pred_edges(b_id)
                     .iter()
-                    .map(|&e| derived.edge_from[e as usize]);
+                    .map(|&e| derived.edge_from[e.index()]);
                 for nb in succs.chain(preds) {
                     let i = nb as usize;
                     if busy.contains(i) && lab[i] == u32::MAX {
@@ -513,7 +508,7 @@ mod tests {
         }
         let mut w = RegWords::from_busy(n, &usage);
         let derived = DerivedCfg::compute(&cfg);
-        chow_grow_all(&derived, cfg.entry().index(), &cyclic, &mut w);
+        chow_grow_all(&cfg, &derived, &cyclic, &mut w);
         for (bit, (_, busy)) in usage.regs().enumerate() {
             let expect = chow_grow(&cfg, &cyclic, busy);
             assert_eq!(w.project(bit), expect, "register bit {bit}");

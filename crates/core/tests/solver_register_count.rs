@@ -30,9 +30,9 @@ use spillopt_profile::random_walk_profile;
 use spillopt_targets::registry;
 
 /// Runs [`chow_grow_all`] on `words` and returns its pass count.
-fn passes(derived: &DerivedCfg, entry: usize, cyclic: &[CyclicRegion], mut words: RegWords) -> u64 {
+fn passes(cfg: &Cfg, derived: &DerivedCfg, cyclic: &[CyclicRegion], mut words: RegWords) -> u64 {
     let recording = Recording::start();
-    chow_grow_all(derived, entry, cyclic, &mut words);
+    chow_grow_all(cfg, derived, cyclic, &mut words);
     let metrics = recording.finish().metrics();
     metrics
         .counters
@@ -73,19 +73,18 @@ fn fixpoint_passes_are_a_maximum_over_registers_not_a_sum() {
                 functions += 1;
                 let derived = DerivedCfg::compute(&cfg);
                 let cyclic = sccs(&cfg);
-                let entry = cfg.entry().index();
                 let name = format!("{} seed {seed} `{}`", spec.name, func.name());
 
                 let all = passes(
+                    &cfg,
                     &derived,
-                    entry,
                     &cyclic,
                     RegWords::from_busy(cfg.num_blocks(), &usage),
                 );
                 let mut max_alone = 0;
                 for (reg, busy) in usage.regs() {
-                    let alone = passes(&derived, entry, &cyclic, copied(busy, 1));
-                    let wide = passes(&derived, entry, &cyclic, copied(busy, MAX_CALLEE_SAVED));
+                    let alone = passes(&cfg, &derived, &cyclic, copied(busy, 1));
+                    let wide = passes(&cfg, &derived, &cyclic, copied(busy, MAX_CALLEE_SAVED));
                     assert_eq!(
                         wide, alone,
                         "{name}: {reg:?}'s busy set takes {alone} passes as 1 register \

@@ -14,13 +14,17 @@
 //! * the real checker, run alongside, accepts both placements, the
 //!   reused ones included.
 //!
+//! The cold call that builds the memo reuses a verdict within the call:
+//! of its four placements, each one equal to an earlier one is not
+//! checked again, and the counter rises by exactly their number.
+//!
 //! The recorder is process-global, so this test needs a binary of its
 //! own: a test running concurrently in the same process could add to
 //! the counter.
 
 use spillopt_core::{
     run_suite_incremental, run_suite_memoized, CalleeSavedUsage, Placement, PlacementChecker,
-    PlacementMemo, SuiteInputs, SuiteOptions,
+    PlacementMemo, PlacementSuite, SuiteInputs, SuiteOptions,
 };
 use spillopt_ir::analysis::loops::sccs;
 use spillopt_ir::{Cfg, DerivedCfg};
@@ -30,6 +34,31 @@ use spillopt_pst::Pst;
 use spillopt_targets::registry;
 
 const STEPS: u64 = 9;
+
+/// The `validate_reused` count of one recording.
+fn reused_count(recording: Recording) -> u64 {
+    recording
+        .finish()
+        .metrics()
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "validate_reused")
+        .map_or(0, |&(_, n)| n)
+}
+
+/// How many of the suite's placements, in suite order, equal an
+/// earlier one.
+fn repeated_placements(suite: &PlacementSuite) -> u64 {
+    let all = [
+        &suite.entry_exit,
+        &suite.chow,
+        &suite.hierarchical_exec,
+        &suite.hierarchical_jump,
+    ];
+    (0..all.len())
+        .filter(|&i| all[..i].contains(&all[i]))
+        .count() as u64
+}
 
 /// The profile of drift step `step` from `prev`: a single-edge bump, an
 /// empty delta, or a fresh random walk, in rotation.
@@ -49,6 +78,7 @@ fn drift(cfg: &Cfg, prev: &EdgeProfile, step: u64, seed: u64) -> EdgeProfile {
 #[test]
 fn reused_verdicts_are_exactly_the_accepted_placements() {
     let (mut steps, mut reused_total, mut checked_total) = (0usize, 0u64, 0u64);
+    let mut cold_reused = 0u64;
     for spec in registry() {
         let target = spec.to_target();
         let options = SuiteOptions::priced(spec.costs);
@@ -68,8 +98,17 @@ fn reused_verdicts_are_exactly_the_accepted_placements() {
                 let derived = DerivedCfg::compute(&cfg);
                 let checker = PlacementChecker::new(&cfg, &usage);
                 let inputs = SuiteInputs::analyzed(&usage, &base, &cyclic, &pst, &derived);
+                let recording = Recording::start();
                 let (suite, mut memo): (_, PlacementMemo) =
                     run_suite_memoized(&cfg, &inputs, &options).expect("valid cold suite");
+                let reused = reused_count(recording);
+                let what = format!("{} seed {seed} `{}` cold", spec.name, func.name());
+                assert_eq!(
+                    reused,
+                    repeated_placements(&suite),
+                    "{what}: reused verdicts"
+                );
+                cold_reused += reused;
                 let mut accepted: [Placement; 2] =
                     [suite.hierarchical_exec, suite.hierarchical_jump];
 
@@ -82,13 +121,7 @@ fn reused_verdicts_are_exactly_the_accepted_placements() {
                     let (suite, _) =
                         run_suite_incremental(&cfg, &inputs, &options, &mut memo, &delta)
                             .expect("valid re-fold");
-                    let reused = recording
-                        .finish()
-                        .metrics()
-                        .counters
-                        .iter()
-                        .find(|(name, _)| *name == "validate_reused")
-                        .map_or(0, |&(_, n)| n);
+                    let reused = reused_count(recording);
 
                     let refolded = [suite.hierarchical_exec, suite.hierarchical_jump];
                     let expected = refolded
@@ -115,5 +148,9 @@ fn reused_verdicts_are_exactly_the_accepted_placements() {
     assert!(steps > 1000, "only {steps} drift steps");
     assert!(reused_total > 0, "no step reused a verdict");
     assert!(checked_total > 0, "no step ran the real check");
-    eprintln!("{steps} steps: {reused_total} verdicts reused, {checked_total} checked");
+    assert!(cold_reused > 0, "no cold call reused a verdict");
+    eprintln!(
+        "{steps} steps: {reused_total} verdicts reused, {checked_total} checked; \
+         {cold_reused} reused within cold calls"
+    );
 }

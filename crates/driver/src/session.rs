@@ -1345,7 +1345,9 @@ fn module_profiles<'s>(
 
 /// Explicit profiles are positional over one specific module's
 /// functions; shape mismatches are certainly the wrong-module mistake —
-/// reject them up front, per module.
+/// reject them up front, per module. Each function's edge count is the
+/// module's cached [`Module::edge_count`], so a module checked before
+/// and unchanged since is checked again without reading a block.
 fn check_profiles(module: &Module, profiles: &[EdgeProfile]) -> Result<(), DriverError> {
     if profiles.len() != module.num_funcs() {
         return Err(DriverError::Config(format!(
@@ -1358,15 +1360,14 @@ fn check_profiles(module: &Module, profiles: &[EdgeProfile]) -> Result<(), Drive
         )));
     }
     for (fid, p) in module.func_ids().zip(profiles) {
-        let func = module.func(fid);
-        let edges = spillopt_ir::Cfg::count_edges(func);
+        let edges = module.edge_count(fid);
         if p.edge_counts().len() != edges {
             return Err(DriverError::Config(format!(
                 "profile for function #{} (`{}`) has {} edge count(s) but its CFG has \
                  {} edge(s); per-module profiles must be measured on the module being \
                  optimized",
                 fid.index(),
-                func.name(),
+                module.func(fid).name(),
                 p.edge_counts().len(),
                 edges
             )));
@@ -2321,9 +2322,10 @@ mod tests {
         assert_eq!(g_bytes, run(&engine, g, &pg, None).0);
     }
 
-    /// The profile-shape check counts edges without building a CFG;
-    /// the count must be exactly the CFG's on every benchmark module
-    /// and across the stress generator's shapes.
+    /// The profile-shape check counts edges without building a CFG and
+    /// reads the count the module caches; both must be exactly the
+    /// CFG's on every benchmark module and across the stress
+    /// generator's shapes.
     #[test]
     fn edge_count_matches_the_cfg_on_benchgen_and_stress_modules() {
         let specs = registry();
@@ -2338,14 +2340,11 @@ mod tests {
             modules.push(spillopt_stress::gen_case(&spec.to_target(), seed).module);
         }
         for module in &modules {
-            for (_, func) in module.funcs() {
-                assert_eq!(
-                    spillopt_ir::Cfg::count_edges(func),
-                    spillopt_ir::Cfg::compute(func).num_edges(),
-                    "`{}` in `{}`",
-                    func.name(),
-                    module.name()
-                );
+            for (fid, func) in module.funcs() {
+                let edges = spillopt_ir::Cfg::compute(func).num_edges();
+                let what = format!("`{}` in `{}`", func.name(), module.name());
+                assert_eq!(spillopt_ir::Cfg::count_edges(func), edges, "{what}");
+                assert_eq!(module.edge_count(fid), edges, "{what}");
             }
         }
     }
@@ -2685,6 +2684,38 @@ mod arena_model_tests {
         });
         eprintln!(
             "model_first_fingerprint_is_shared: {} schedules",
+            report.executions
+        );
+        assert!(report.executions > 1);
+    }
+
+    /// Two threads race on the first [`Module::edge_count`] of one
+    /// shared function, as two sessions checking profiles against the
+    /// same module do: under every schedule both read one value, the
+    /// function's own [`Cfg::count_edges`](spillopt_ir::Cfg::count_edges).
+    #[test]
+    fn model_first_edge_count_is_shared() {
+        let report = check(ModelOptions::new(), || {
+            let mut fb = FunctionBuilder::new("f", 0);
+            let entry = fb.create_block(None);
+            let exit = fb.create_block(None);
+            fb.switch_to(entry);
+            fb.jump(exit);
+            fb.switch_to(exit);
+            fb.ret(None);
+            let mut module = Module::new("m");
+            let fid = module.add_func(fb.finish());
+            let module = Arc::new(module);
+            let worker = {
+                let module = Arc::clone(&module);
+                thread::spawn(move || module.edge_count(fid))
+            };
+            let mine = module.edge_count(fid);
+            assert_eq!(worker.join().unwrap(), mine, "two counts for one function");
+            assert_eq!(mine, spillopt_ir::Cfg::count_edges(module.func(fid)));
+        });
+        eprintln!(
+            "model_first_edge_count_is_shared: {} schedules",
             report.executions
         );
         assert!(report.executions > 1);

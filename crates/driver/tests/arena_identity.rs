@@ -2,11 +2,15 @@
 //! module resubmitted as the same object hits without a structural
 //! compare, an equal module built from copies hits through the `==`
 //! fallback, and a module edited in place between calls is re-keyed and
-//! runs cold. Every run's report equals a session's without an arena.
+//! runs cold. An edit that changes a function's edge count is checked
+//! against the new count, not the one cached before the edit. Every
+//! run's report equals a session's without an arena.
 
 use spillopt_benchgen::{benchmark_by_name, build_bench};
-use spillopt_driver::{FunctionReport, ModuleRun, OptimizerBuilder, Provenance, Session};
-use spillopt_ir::{FuncId, Inst, InstKind, Module, Reg};
+use spillopt_driver::{
+    DriverError, FunctionReport, ModuleRun, OptimizerBuilder, Provenance, Session,
+};
+use spillopt_ir::{verify_function, Cfg, Cond, FuncId, Inst, InstKind, Module, Reg, RegDiscipline};
 use spillopt_profile::EdgeProfile;
 use spillopt_sync::Mutex;
 use spillopt_targets::{registry, TargetSpec};
@@ -143,5 +147,80 @@ fn same_module_edited_in_place_is_a_counted_miss() {
         first.report.functions[placed].to_json().to_compact(),
         "the edited function was served its old report"
     );
+    assert_matches_fresh(&fx, &fx.module, &run);
+}
+
+/// After a warm call, `func_mut` turns one function's first
+/// non-adjacent jump into a branch, one edge more. The shape check
+/// must follow the edit: the old profiles are rejected as a whole
+/// module, naming that function, before any function runs; profiles
+/// of the new shape run, byte-identical to a fresh session.
+#[test]
+fn edge_count_edit_is_checked_against_the_new_shape() {
+    let (mut fx, _) = warmed();
+    let (_, provenance) = observed(&fx, &fx.module);
+    assert!(provenance.iter().all(|&p| p == Provenance::Warm));
+
+    let (fid, block, target, next) = fx
+        .module
+        .funcs()
+        .find_map(|(fid, func)| {
+            func.block_ids().find_map(|b| {
+                let next = func.layout_next(b)?;
+                match func.block(b).terminator()?.kind {
+                    InstKind::Jump { target } if target != next => Some((fid, b, target, next)),
+                    _ => None,
+                }
+            })
+        })
+        .expect("mcf has a jump to a non-adjacent block");
+    let old_edges = fx.module.edge_count(fid);
+    assert_eq!(old_edges, fx.profiles[fid.index()].edge_counts().len());
+
+    let func = fx.module.func_mut(fid);
+    let flag = func.new_vreg();
+    let insts = &mut func.block_mut(block).insts;
+    let at = insts.len() - 1;
+    insts.insert(
+        at,
+        Inst::new(InstKind::LoadImm {
+            dst: Reg::Virt(flag),
+            imm: 0,
+        }),
+    );
+    insts[at + 1].kind = InstKind::Branch {
+        cond: Cond::Eq,
+        lhs: Reg::Virt(flag),
+        rhs: Reg::Virt(flag),
+        taken: target,
+        fallthrough: next,
+    };
+    let func = fx.module.func(fid);
+    let errors = verify_function(func, RegDiscipline::Virtual);
+    assert!(errors.is_empty(), "{errors:?}");
+    assert_eq!(fx.module.edge_count(fid), old_edges + 1);
+    assert_eq!(fx.module.edge_count(fid), Cfg::compute(func).num_edges());
+
+    let stats = fx.session.arena_stats();
+    match fx.session.optimize_profiled(&fx.module, &fx.profiles) {
+        Err(DriverError::Config(msg)) => {
+            let name = fx.module.func(fid).name();
+            let expected = format!(
+                "profile for function #{} (`{name}`) has {old_edges} edge count(s) but its \
+                 CFG has {} edge(s)",
+                fid.index(),
+                old_edges + 1
+            );
+            assert!(msg.starts_with(&expected), "{msg}");
+        }
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("profiles of the old shape were accepted"),
+    }
+    let after = fx.session.arena_stats();
+    assert_eq!((after.hits, after.misses), (stats.hits, stats.misses));
+
+    fx.profiles = fx.session.resolve_profiles(&fx.module).expect("profiles");
+    let (run, provenance) = observed(&fx, &fx.module);
+    assert_eq!(provenance[fid.index()], Provenance::Cold);
     assert_matches_fresh(&fx, &fx.module, &run);
 }

@@ -91,10 +91,21 @@ impl Cfg {
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut exit_blocks = Vec::new();
         succ_off.push(0);
+        // Each block's layout successor from one pass over the layout
+        // (`NONE` for the last block); the buffer is then reused for
+        // the predecessor offsets.
+        const NONE: u32 = u32::MAX;
+        let mut layout_next = vec![NONE; n + 1];
+        for pair in func.layout().windows(2) {
+            layout_next[pair[0].index()] = pair[1].index() as u32;
+        }
 
         for b in func.block_ids() {
             let block = func.block(b);
-            let next = func.layout_next(b);
+            let next = match layout_next[b.index()] {
+                NONE => None,
+                i => Some(BlockId::from_index(i as usize)),
+            };
             let mut push = |to: BlockId, kind: EdgeKind, pos: SuccPos| {
                 edges.push(CfgEdge {
                     from: b,
@@ -140,7 +151,8 @@ impl Cfg {
         // every block's list in ascending edge id and `pred_off[b]` at
         // its start.
         let succs: Vec<EdgeId> = (0..m).map(EdgeId::from_index).collect();
-        let mut pred_off = vec![0u32; n + 1];
+        let mut pred_off = layout_next;
+        pred_off.fill(0);
         for e in &edges {
             pred_off[e.to.index()] += 1;
         }

@@ -1,13 +1,12 @@
 //! Derived CFG structures, computed once per function and reused by
 //! every analysis and placement technique.
 //!
-//! The [`Cfg`] snapshot stores its adjacency as edge ids, and every pass
-//! that needs an order, an exit test, or an edge classification would
-//! recompute it locally. [`DerivedCfg`] flattens all of that into dense,
-//! index-addressed tables:
+//! The [`Cfg`] snapshot stores its adjacency as edge ids (in CSR form,
+//! read through [`Cfg::succ_edges`] and [`Cfg::pred_edges`]), and every
+//! pass that needs an order, an exit test, or an edge classification
+//! would recompute it locally. [`DerivedCfg`] flattens all of that into
+//! dense, index-addressed tables:
 //!
-//! * predecessor/successor adjacency in CSR form (one offsets array, one
-//!   contiguous edge-id array each);
 //! * reverse postorder and postorder over the reachable blocks;
 //! * per-edge classification bits (critical, jump, needs-jump-block) and
 //!   flat endpoint arrays;
@@ -22,33 +21,9 @@ use crate::bitset::DenseBitSet;
 use crate::cfg::{Cfg, EdgeKind};
 use crate::ids::{BlockId, EdgeId};
 
-/// Compressed-sparse-row adjacency: the edge ids of block `b` occupy
-/// `items[offsets[b] .. offsets[b + 1]]`.
-#[derive(Clone, Debug)]
-pub struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    /// The edge ids adjacent to block `b`.
-    pub fn row(&self, b: usize) -> &[u32] {
-        &self.items[self.offsets[b] as usize..self.offsets[b + 1] as usize]
-    }
-
-    /// Number of rows (blocks).
-    pub fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
 /// Dense, flat derived structures of one [`Cfg`] snapshot.
 #[derive(Clone, Debug)]
 pub struct DerivedCfg {
-    /// Successor edge ids per block, CSR.
-    pub succ: Csr,
-    /// Predecessor edge ids per block, CSR.
-    pub pred: Csr,
     /// Edge sources, indexed by [`EdgeId`].
     pub edge_from: Vec<u32>,
     /// Edge targets, indexed by [`EdgeId`].
@@ -81,42 +56,16 @@ impl DerivedCfg {
             edge_to.push(e.to.index() as u32);
         }
 
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut succ_items = Vec::with_capacity(m);
-        let mut pred_offsets = Vec::with_capacity(n + 1);
-        let mut pred_items = Vec::with_capacity(m);
-        succ_offsets.push(0);
-        pred_offsets.push(0);
-        for bi in 0..n {
-            let b = BlockId::from_index(bi);
-            for &e in cfg.succ_edges(b) {
-                succ_items.push(e.index() as u32);
-            }
-            succ_offsets.push(succ_items.len() as u32);
-            for &e in cfg.pred_edges(b) {
-                pred_items.push(e.index() as u32);
-            }
-            pred_offsets.push(pred_items.len() as u32);
-        }
-        let succ = Csr {
-            offsets: succ_offsets,
-            items: succ_items,
-        };
-        let pred = Csr {
-            offsets: pred_offsets,
-            items: pred_items,
-        };
-
-        // Reverse postorder via an iterative DFS over the CSR.
+        // Reverse postorder via an iterative DFS over the CFG's CSR.
         let mut rpo = Vec::with_capacity(n);
         {
             let mut seen = vec![false; n];
             let mut stack: Vec<(u32, u32)> = vec![(cfg.entry().index() as u32, 0)];
             seen[cfg.entry().index()] = true;
             while let Some(&mut (b, ref mut ci)) = stack.last_mut() {
-                let row = succ.row(b as usize);
+                let row = cfg.succ_edges(BlockId::from_index(b as usize));
                 if (*ci as usize) < row.len() {
-                    let e = row[*ci as usize] as usize;
+                    let e = row[*ci as usize].index();
                     *ci += 1;
                     let t = edge_to[e] as usize;
                     if !seen[t] {
@@ -153,8 +102,6 @@ impl DerivedCfg {
         }
 
         DerivedCfg {
-            succ,
-            pred,
             edge_from,
             edge_to,
             rpo,
@@ -231,15 +178,8 @@ mod tests {
         }
         for bi in 0..cfg.num_blocks() {
             let blk = BlockId::from_index(bi);
-            let succs: Vec<usize> = cfg.succ_edges(blk).iter().map(|e| e.index()).collect();
-            let got: Vec<usize> = derived.succ.row(bi).iter().map(|&e| e as usize).collect();
-            assert_eq!(succs, got);
-            let preds: Vec<usize> = cfg.pred_edges(blk).iter().map(|e| e.index()).collect();
-            let got: Vec<usize> = derived.pred.row(bi).iter().map(|&e| e as usize).collect();
-            assert_eq!(preds, got);
             assert_eq!(derived.is_exit[bi], cfg.exit_blocks().contains(&blk));
         }
-        assert_eq!(derived.succ.num_rows(), cfg.num_blocks());
 
         // RPO starts at the entry, covers every reachable block, and
         // postorder() is its exact reverse.

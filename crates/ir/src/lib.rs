@@ -71,7 +71,7 @@ pub use bitset::{BitMatrix, BitRow, DenseBitSet, UnionFind};
 pub use block::Block;
 pub use builder::FunctionBuilder;
 pub use cfg::{Cfg, CfgEdge, EdgeKind, SuccPos};
-pub use derived::{Csr, DerivedCfg};
+pub use derived::DerivedCfg;
 pub use edit::{insert_at_bottom, insert_at_top, place_on_edge, EdgePlacement};
 pub use function::{FrameInfo, Function};
 pub use ids::{BlockId, EdgeId, FrameSlot, FuncId, PReg, Reg, VReg};

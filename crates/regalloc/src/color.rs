@@ -194,10 +194,12 @@ pub fn color(graph: &InterferenceGraph, target: &Target, no_spill: &DenseBitSet)
     // representative's row that names a merged-away neighbor is
     // re-pointed through the alias map. Rows of merged-away nodes are
     // never read again. (Saturating sums of non-negative weights do not
-    // depend on their order.)
-    let mut weight: Vec<u64> = graph.weight[..nv].to_vec();
-    let mut crosses = graph.crosses_call.clone();
+    // depend on their order.) Weights and flags stay borrowed from the
+    // graph unless a move was coalesced, as the matrix does.
+    let mut weight: Cow<'_, [u64]> = Cow::Borrowed(&graph.weight[..nv]);
+    let mut crosses: Cow<'_, DenseBitSet> = Cow::Borrowed(&graph.crosses_call);
     if coalesced > 0 {
+        let (weight, crosses) = (weight.to_mut(), crosses.to_mut());
         let mut merged_away = DenseBitSet::new(nn);
         for v in 0..nv {
             let r = alias.find(v);

@@ -63,10 +63,10 @@ fn allocs() -> u64 {
 }
 
 /// The measured mean, allocations per function (clone included), at
-/// the time the flat liveness, the CSR CFG and the borrowed coloring
-/// matrix landed. Lower it when a change lowers the count; never raise
-/// it to make a change pass.
-const MAX_MEAN_ALLOCS: f64 = 73.4;
+/// the time coloring came to borrow the graph's weights and call flags
+/// as it borrows its matrix (71.27; 73.39 before). Lower it when a
+/// change lowers the count; never raise it to make a change pass.
+const MAX_MEAN_ALLOCS: f64 = 71.3;
 
 #[test]
 fn clone_and_allocate_stays_within_the_pinned_allocation_count() {

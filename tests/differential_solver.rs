@@ -75,7 +75,7 @@ fn bit_parallel_solver_matches_per_register_on_stress_modules() {
         let cyclic = sccs(&cfg);
         let derived = DerivedCfg::compute(&cfg);
         let mut words = RegWords::from_busy(cfg.num_blocks(), &usage);
-        spillopt_core::solver::chow_grow_all(&derived, cfg.entry().index(), &cyclic, &mut words);
+        spillopt_core::solver::chow_grow_all(&cfg, &derived, &cyclic, &mut words);
         for (bit, (_, busy)) in usage.regs().enumerate() {
             let reference = spillopt_core::dataflow::chow_grow(&cfg, &cyclic, busy);
             assert_eq!(
