@@ -108,7 +108,6 @@ pub use location::{Placement, SpillKind, SpillLoc, SpillPoint};
 pub use modified::{modified_shrink_wrap, modified_shrink_wrap_derived, InitialSets};
 pub use overhead::{
     placement_cost, placement_cost_with, placement_model_cost, predicted_spill_counts,
-    static_overhead,
 };
 pub use paper_example::{fig1_example, paper_example, Fig1Example, PaperExample};
 pub use pipeline::{

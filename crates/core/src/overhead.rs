@@ -3,9 +3,8 @@
 use crate::cost::{location_cost, Cost, CostModel, SpillCostModel};
 use crate::location::{Placement, SpillKind, SpillLoc};
 use crate::sets::EdgeShares;
-use spillopt_ir::{Cfg, EdgeId, PReg};
+use spillopt_ir::{Cfg, EdgeId};
 use spillopt_profile::{EdgeProfile, SpillCounts};
-use std::collections::HashMap;
 
 /// The predicted dynamic cost of a whole placement under a model.
 ///
@@ -188,21 +187,11 @@ pub fn predicted_spill_counts(
     out
 }
 
-/// Per-register static counts (number of save/restore instructions), the
-/// *static overhead* the paper mentions but does not optimize.
-pub fn static_overhead(placement: &Placement) -> HashMap<PReg, usize> {
-    let mut m = HashMap::new();
-    for p in placement.points() {
-        *m.entry(p.reg).or_insert(0) += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::location::{SpillKind, SpillPoint};
-    use spillopt_ir::{Cond, FunctionBuilder, Reg};
+    use spillopt_ir::{Cond, FunctionBuilder, PReg, Reg};
 
     #[test]
     fn jump_penalty_charged_once_per_edge() {
@@ -251,7 +240,5 @@ mod tests {
             placement_cost(CostModel::JumpEdge, &cfg, &profile, &placement),
             Cost::from_count(21)
         );
-        let so = static_overhead(&placement);
-        assert_eq!(so[&PReg::new(11)], 1);
     }
 }

@@ -8,48 +8,30 @@
 //! shrinkwrap/baseline) targets. Prints suggested `flavor_weights`.
 
 use spillopt_benchgen::{all_benchmarks, build_bench, BenchSpec};
-use spillopt_core::{
-    chow_shrink_wrap, entry_exit_placement, hierarchical_placement, placement_cost,
-    CalleeSavedUsage, CostModel,
-};
+use spillopt_core::SpillCostModel;
+use spillopt_driver::{OptimizerBuilder, ProfileSource, Strategy};
 use spillopt_harness::experiments::PAPER_TABLE1;
-use spillopt_ir::{Cfg, Target};
-use spillopt_profile::Machine;
-use spillopt_pst::Pst;
-use spillopt_regalloc::allocate;
+use spillopt_ir::Target;
 
 /// Per-flavor aggregates: (total baseline, total optimized, total chow)
-/// per function, averaged.
+/// jump-edge model cost per function, averaged — one session run's
+/// per-strategy totals.
 fn flavor_stats(spec: &BenchSpec, weights: (f64, f64, f64, f64), target: &Target) -> [f64; 3] {
     let mut spec = spec.clone();
     spec.flavor_weights = weights;
     let bench = build_bench(&spec, target);
-    let mut vm = Machine::new(&bench.module, target);
-    vm.set_fuel(1 << 30);
-    for (f, args) in &bench.train_runs {
-        let _ = vm.call(*f, args);
-    }
-    let mut totals = [0f64; 3];
-    for f in bench.module.func_ids() {
-        let profile = vm.edge_profile(f);
-        let mut func = bench.module.func(f).clone();
-        allocate(&mut func, target, Some(&profile));
-        let cfg = Cfg::compute(&func);
-        let usage = CalleeSavedUsage::from_function(&func, &cfg, target);
-        if usage.is_empty() {
-            continue;
-        }
-        let pst = Pst::compute(&cfg);
-        let ee = entry_exit_placement(&cfg, &usage);
-        let sw = chow_shrink_wrap(&cfg, &usage);
-        let opt =
-            hierarchical_placement(&cfg, &pst, &usage, &profile, CostModel::JumpEdge).placement;
-        totals[0] += placement_cost(CostModel::JumpEdge, &cfg, &profile, &ee).as_f64();
-        totals[1] += placement_cost(CostModel::JumpEdge, &cfg, &profile, &opt).as_f64();
-        totals[2] += placement_cost(CostModel::JumpEdge, &cfg, &profile, &sw).as_f64();
-    }
+    let report = OptimizerBuilder::new()
+        .target(target.clone())
+        .cost_model(SpillCostModel::UNIT)
+        .threads(1)
+        .profile(ProfileSource::Workload(bench.train_runs))
+        .build()
+        .and_then(|session| session.optimize(&bench.module))
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+        .report;
     let n = bench.module.num_funcs() as f64;
-    [totals[0] / n, totals[1] / n, totals[2] / n]
+    [Strategy::Baseline, Strategy::HierJump, Strategy::Shrinkwrap]
+        .map(|s| report.total_cost(s).as_f64() / n)
 }
 
 fn main() {

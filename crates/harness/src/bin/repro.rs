@@ -11,8 +11,9 @@
 //! repro targets NAME one benchmark across every registered backend target
 //! ```
 
+use spillopt_driver::Strategy;
 use spillopt_harness::experiments;
-use spillopt_harness::runner::{run_named_benchmark, Technique};
+use spillopt_harness::runner::run_named_benchmark;
 use spillopt_ir::Target;
 
 fn main() {
@@ -70,7 +71,7 @@ fn main() {
                         "benchmark {name}: {} functions ({} using callee-saved), {} insts",
                         r.funcs, r.funcs_with_callee_saved, r.module_insts
                     );
-                    for t in Technique::all() {
+                    for t in Strategy::all() {
                         let x = r.of(t);
                         println!(
                             "  {:>15}: overhead {:>12}  (callee-saved {:>12}, jumps {:>8}, static {:>4}, pass {:?})",
@@ -83,9 +84,9 @@ fn main() {
                         );
                     }
                     println!(
-                        "  ratios: optimized {:.3}  shrinkwrap {:.3}",
-                        r.ratio(Technique::Optimized),
-                        r.ratio(Technique::Shrinkwrap)
+                        "  ratios: hier-jump {:.3}  shrinkwrap {:.3}",
+                        r.ratio(Strategy::HierJump),
+                        r.ratio(Strategy::Shrinkwrap)
                     );
                 }
                 Err(e) => {

@@ -1,13 +1,14 @@
 //! The experiments: one per table and figure of the paper.
 
 use crate::report::{pct, Table};
-use crate::runner::{run_benchmark, BenchResult, PipelineError, Technique};
+use crate::runner::{run_benchmark, BenchResult, PipelineError};
 use spillopt_benchgen::all_benchmarks;
 use spillopt_core::SpillCostModel;
 use spillopt_core::{
     chow_shrink_wrap, entry_exit_placement, fig1_example, hierarchical_placement, paper_example,
     placement_model_cost, CostModel, EdgeShares,
 };
+use spillopt_driver::Strategy;
 use spillopt_ir::Target;
 use spillopt_pst::Pst;
 
@@ -85,9 +86,9 @@ pub fn cross_target(name: &str) -> Result<Table, PipelineError> {
             tspec.name.to_string(),
             tspec.callee_saved.len().to_string(),
             tspec.costs.pair_size.to_string(),
-            pct(r.ratio(Technique::Optimized)),
-            pct(r.ratio(Technique::Shrinkwrap)),
-            r.of(Technique::Optimized).dynamic_overhead.to_string(),
+            pct(r.ratio(Strategy::HierJump)),
+            pct(r.ratio(Strategy::Shrinkwrap)),
+            r.of(Strategy::HierJump).dynamic_overhead.to_string(),
         ]);
     }
     Ok(t)
@@ -232,13 +233,11 @@ pub fn fig5(results: &[BenchResult]) -> String {
     for r in results {
         t.row(vec![
             r.name.clone(),
-            r.of(Technique::Baseline).dynamic_overhead.to_string(),
-            r.of(Technique::Shrinkwrap).dynamic_overhead.to_string(),
-            r.of(Technique::Optimized).dynamic_overhead.to_string(),
-            r.of(Technique::OptimizedExecModel)
-                .dynamic_overhead
-                .to_string(),
-            r.of(Technique::Optimized).jump_overhead.to_string(),
+            r.of(Strategy::Baseline).dynamic_overhead.to_string(),
+            r.of(Strategy::Shrinkwrap).dynamic_overhead.to_string(),
+            r.of(Strategy::HierJump).dynamic_overhead.to_string(),
+            r.of(Strategy::HierExec).dynamic_overhead.to_string(),
+            r.of(Strategy::HierJump).jump_overhead.to_string(),
         ]);
     }
     format!(
@@ -267,8 +266,8 @@ pub fn table1(results: &[BenchResult]) -> String {
             .find(|(n, _, _)| *n == r.name)
             .copied()
             .unwrap_or((/*name*/ "", f64::NAN, f64::NAN));
-        let opt = r.ratio(Technique::Optimized);
-        let sw = r.ratio(Technique::Shrinkwrap);
+        let opt = r.ratio(Strategy::HierJump);
+        let sw = r.ratio(Strategy::Shrinkwrap);
         sum_opt += opt;
         sum_sw += sw;
         t.row(vec![
@@ -295,7 +294,8 @@ pub fn table1(results: &[BenchResult]) -> String {
 }
 
 /// Table 2: incremental placement-pass time of shrink-wrapping vs the
-/// hierarchical algorithm.
+/// hierarchical algorithm, as the recorder spans of each benchmark's
+/// optimizing session measured it ([`crate::runner::StrategyResult::pass_time`]).
 pub fn table2(results: &[BenchResult]) -> String {
     let mut t = Table::new(vec![
         "benchmark",
@@ -307,9 +307,9 @@ pub fn table2(results: &[BenchResult]) -> String {
     let mut sum_ratio = 0.0;
     let mut counted = 0usize;
     for r in results {
-        let base = r.of(Technique::Baseline).pass_time;
-        let sw = r.of(Technique::Shrinkwrap).pass_time.saturating_sub(base);
-        let opt = r.of(Technique::Optimized).pass_time.saturating_sub(base);
+        let base = r.of(Strategy::Baseline).pass_time;
+        let sw = r.of(Strategy::Shrinkwrap).pass_time.saturating_sub(base);
+        let opt = r.of(Strategy::HierJump).pass_time.saturating_sub(base);
         let ratio = if sw.as_nanos() > 0 {
             opt.as_secs_f64() / sw.as_secs_f64()
         } else {
@@ -340,10 +340,11 @@ pub fn table2(results: &[BenchResult]) -> String {
     format!(
         "Table 2 — incremental placement-pass time vs entry/exit placement\n\
          (the paper reports whole-compiler incremental seconds on an HP C3000;\n\
-         we time the placement decisions on shared precomputed analyses —\n\
-         SCCs and the PST are amortized outside every technique's timing, as\n\
-         in the module driver — so the comparable number is the ratio:\n\
-         paper average 5.44)\n\n{}\nmeasured average ratio: {avg:.2}\n",
+         we sum the optimizing session's recorder spans per function —\n\
+         shrinkwrap = place_chow, optimized = place_hier_seed + place_hier_jump,\n\
+         each minus place_entry_exit; SCCs and the PST are computed before\n\
+         those spans open, outside every technique's time — so the comparable\n\
+         number is the ratio: paper average 5.44)\n\n{}\nmeasured average ratio: {avg:.2}\n",
         t.render()
     )
 }
@@ -352,9 +353,9 @@ pub fn table2(results: &[BenchResult]) -> String {
 pub fn guarantee_summary(results: &[BenchResult]) -> String {
     let mut lines = Vec::new();
     for r in results {
-        let base = r.of(Technique::Baseline).dynamic_overhead;
-        let sw = r.of(Technique::Shrinkwrap).dynamic_overhead;
-        let opt = r.of(Technique::Optimized).dynamic_overhead;
+        let base = r.of(Strategy::Baseline).dynamic_overhead;
+        let sw = r.of(Strategy::Shrinkwrap).dynamic_overhead;
+        let opt = r.of(Strategy::HierJump).dynamic_overhead;
         let ok = opt <= base && opt <= sw;
         lines.push(format!(
             "{:>8}: optimized {} ≤ min(baseline {}, shrinkwrap {}) — {}",

@@ -1,61 +1,21 @@
-//! The full experimental pipeline for one benchmark: generate → profile
-//! (train) → allocate → place (each technique) → execute (ref) → measure.
+//! One benchmark, measured: generate → optimize through the driver's
+//! [`Session`](spillopt_driver::Session) (train-workload profiles,
+//! Chaitin/Briggs allocation, every placement technique, validity
+//! checks) → materialize each strategy with
+//! [`ModuleRun::apply`](spillopt_driver::ModuleRun::apply) → execute the
+//! ref workload on the interpreter → count.
 
-use spillopt_benchgen::{build_bench, BenchSpec, GeneratedBench};
-use spillopt_core::{
-    chow_shrink_wrap_with, entry_exit_placement, hierarchical_placement_seeded, insert_placement,
-    modified_shrink_wrap, CalleeSavedUsage, CostModel, Placement, SpillCostModel,
-};
-use spillopt_ir::analysis::loops::{sccs, CyclicRegion};
-use spillopt_ir::{Cfg, FuncId, Module, RegDiscipline, Target};
-use spillopt_profile::{EdgeProfile, ExecCounts, Machine};
-use spillopt_pst::Pst;
-use spillopt_regalloc::allocate;
-use std::time::{Duration, Instant};
+use spillopt_benchgen::{build_bench, BenchSpec};
+use spillopt_core::SpillCostModel;
+use spillopt_driver::{OptimizerBuilder, ProfileSource, Strategy};
+use spillopt_ir::{FuncId, Module, Target};
+use spillopt_obs::Recording;
+use spillopt_profile::{ExecCounts, Machine};
+use std::time::Duration;
 
-/// The placement techniques compared by the paper's evaluation, plus the
-/// execution-count-model ablation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Technique {
-    /// Save at entry, restore at exits (the paper's *Baseline*).
-    Baseline,
-    /// Chow's shrink-wrapping (the paper's *Shrinkwrap*).
-    Shrinkwrap,
-    /// Hierarchical placement, jump-edge cost model (the paper's
-    /// *Optimized*).
-    Optimized,
-    /// Hierarchical placement, execution-count cost model (ablation; the
-    /// paper does not evaluate it because spill code on jump edges is not
-    /// executable without jump blocks — we insert the jump blocks and
-    /// measure what the model ignored).
-    OptimizedExecModel,
-}
-
-impl Technique {
-    /// All techniques, in reporting order.
-    pub fn all() -> [Technique; 4] {
-        [
-            Technique::Baseline,
-            Technique::Shrinkwrap,
-            Technique::Optimized,
-            Technique::OptimizedExecModel,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Technique::Baseline => "baseline",
-            Technique::Shrinkwrap => "shrinkwrap",
-            Technique::Optimized => "optimized",
-            Technique::OptimizedExecModel => "optimized-exec",
-        }
-    }
-}
-
-/// Measured outcome of one technique on one benchmark.
+/// Measured outcome of one strategy on one benchmark.
 #[derive(Clone, Debug, Default)]
-pub struct TechniqueResult {
+pub struct StrategyResult {
     /// Dynamic spill-code overhead (the paper's Figure 5 metric: executed
     /// allocator spill loads/stores + callee-saved saves/restores).
     pub dynamic_overhead: u64,
@@ -66,18 +26,21 @@ pub struct TechniqueResult {
     pub jump_overhead: u64,
     /// Static save/restore instructions placed.
     pub static_count: usize,
-    /// Placement pass time (placement computation only, summed over
-    /// functions).
+    /// Placement pass time: the session's recorder spans for the
+    /// strategy's own work, summed over functions (`place_entry_exit`;
+    /// `place_chow`; `place_hier_seed` plus `place_hier_exec` or
+    /// `place_hier_jump`). The recorder is process-wide, so a placement
+    /// running on another thread meanwhile would be counted too.
     pub pass_time: Duration,
 }
 
-/// Measured outcome of one benchmark across all techniques.
+/// Measured outcome of one benchmark across all strategies.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
     /// Benchmark name.
     pub name: String,
-    /// Results per technique (indexed via [`Technique::all`] order).
-    pub techniques: Vec<(Technique, TechniqueResult)>,
+    /// Results per strategy, in [`Strategy::all`] order.
+    pub strategies: Vec<(Strategy, StrategyResult)>,
     /// Functions that used at least one callee-saved register.
     pub funcs_with_callee_saved: usize,
     /// Total functions.
@@ -90,25 +53,25 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// Result of one technique.
-    pub fn of(&self, t: Technique) -> &TechniqueResult {
+    /// Result of one strategy.
+    pub fn of(&self, s: Strategy) -> &StrategyResult {
         &self
-            .techniques
+            .strategies
             .iter()
-            .find(|(x, _)| *x == t)
-            .expect("technique present")
+            .find(|(x, _)| *x == s)
+            .expect("strategy present")
             .1
     }
 
-    /// The paper's Table 1 ratio: technique overhead / baseline overhead
+    /// The paper's Table 1 ratio: strategy overhead / baseline overhead
     /// (1.0 when the baseline overhead is zero — no callee-saved use, as
     /// in mcf).
-    pub fn ratio(&self, t: Technique) -> f64 {
-        let base = self.of(Technique::Baseline).dynamic_overhead;
+    pub fn ratio(&self, s: Strategy) -> f64 {
+        let base = self.of(Strategy::Baseline).dynamic_overhead;
         if base == 0 {
             1.0
         } else {
-            self.of(t).dynamic_overhead as f64 / base as f64
+            self.of(s).dynamic_overhead as f64 / base as f64
         }
     }
 }
@@ -132,19 +95,21 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Runs the full measured pipeline for one benchmark spec, with the
-/// hierarchical placement decisions priced by `costs` (the measured
-/// overheads stay what the interpreter counts — only the placement
-/// choices change; [`SpillCostModel::UNIT`] reproduces the paper's
-/// PA-RISC accounting).
+/// Runs the measured pipeline for one benchmark spec, with the placement
+/// decisions priced by `costs` (the measured overheads stay what the
+/// interpreter counts — only the placement choices change;
+/// [`SpillCostModel::UNIT`] reproduces the paper's PA-RISC accounting).
 ///
-/// This is the harness's one entry point — the measured counterpart of
-/// the driver's `Session` facade (which predicts costs; this executes
-/// the placed module on the interpreter and counts).
+/// The placements are the ones `spillopt optimize` ships: one serial
+/// session optimizes the module once, and each strategy's module is
+/// that run's [`ModuleRun::apply`](spillopt_driver::ModuleRun::apply).
+/// The session rejects invalid placements and `apply` verifies every
+/// emitted function; this adds the interpreter's verdict that program
+/// behaviour is unchanged.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if any stage fails or any technique changes
+/// Returns [`PipelineError`] if any stage fails or any strategy changes
 /// program behaviour.
 pub fn run_benchmark(
     spec: &BenchSpec,
@@ -157,109 +122,61 @@ pub fn run_benchmark(
         message,
     };
 
-    // --- Train run: profiles on the virtual module. ---
-    let mut vm = Machine::new(&bench.module, target);
-    vm.set_fuel(1 << 30);
-    for (f, args) in &bench.train_runs {
-        vm.call(*f, args)
-            .map_err(|e| fail(format!("train run failed: {e}")))?;
-    }
-    let train_profiles: Vec<EdgeProfile> = bench
-        .module
-        .func_ids()
-        .map(|f| vm.edge_profile(f))
-        .collect();
-
-    // --- Reference (ref) outputs on the virtual module. ---
-    let reference = execute(&bench.module, target, &bench.ref_runs)
+    let (reference, _) = execute_counted(&bench.module, target, &bench.ref_runs)
         .map_err(|e| fail(format!("ref run failed: {e}")))?;
 
-    // --- Register allocation (shared by all techniques). ---
-    let mut alloc_module = bench.module.clone();
-    for f in bench.module.func_ids() {
-        allocate(
-            alloc_module.func_mut(f),
-            target,
-            Some(&train_profiles[f.index()]),
-        );
-        let errs = spillopt_ir::verify_function(alloc_module.func(f), RegDiscipline::Physical);
-        if !errs.is_empty() {
-            return Err(fail(format!("post-RA verification failed: {errs:?}")));
-        }
-    }
+    let session = OptimizerBuilder::new()
+        .target(target.clone())
+        .cost_model(*costs)
+        .threads(1)
+        .profile(ProfileSource::Workload(bench.train_runs))
+        .build()
+        .map_err(|e| fail(e.to_string()))?;
+    // A one-thread session runs on this thread, and the SCCs and PST are
+    // computed before the placement spans open, so the spans time each
+    // technique's incremental work on analyses the compiler has anyway.
+    let recording = Recording::start();
+    let run = session.optimize(&bench.module);
+    let phases = recording.finish().metrics().phases;
+    let run = run.map_err(|e| fail(e.to_string()))?;
+    let span = |name: &str| {
+        let ns = phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.total_ns);
+        Duration::from_nanos(ns)
+    };
 
-    // Per-function placement inputs. The CFG-derived analyses (SCCs for
-    // Chow's artificial loop flow, the PST for the hierarchical passes)
-    // are computed once per function here and borrowed by every
-    // technique below, mirroring the module driver's shared
-    // `AnalysisCache`.
-    let cfgs: Vec<Cfg> = alloc_module
-        .func_ids()
-        .map(|f| Cfg::compute(alloc_module.func(f)))
-        .collect();
-    let usages: Vec<CalleeSavedUsage> = alloc_module
-        .func_ids()
-        .map(|f| CalleeSavedUsage::from_function(alloc_module.func(f), &cfgs[f.index()], target))
-        .collect();
-    let analyses: Vec<Option<(Vec<CyclicRegion>, Pst)>> = alloc_module
-        .func_ids()
-        .map(|f| {
-            let i = f.index();
-            if usages[i].is_empty() {
-                None
-            } else {
-                Some((sccs(&cfgs[i]), Pst::compute(&cfgs[i])))
-            }
-        })
-        .collect();
-    let funcs_with_callee_saved = usages.iter().filter(|u| !u.is_empty()).count();
-    let module_insts = alloc_module.num_insts();
-
-    let mut techniques = Vec::new();
-    for technique in Technique::all() {
-        let mut placed = alloc_module.clone();
-        let mut static_count = 0usize;
-        let mut pass_time = Duration::ZERO;
-        for f in bench.module.func_ids() {
-            let cfg = &cfgs[f.index()];
-            let usage = &usages[f.index()];
-            if usage.is_empty() {
-                continue;
-            }
-            let profile = &train_profiles[f.index()];
-            let (cyclic, pst) = analyses[f.index()]
-                .as_ref()
-                .expect("analyses for used func");
-            let (placement, elapsed) =
-                time_placement(technique, cfg, cyclic, pst, usage, profile, costs);
-            pass_time += elapsed;
-            let errs = spillopt_core::check_placement(cfg, usage, &placement);
-            if !errs.is_empty() {
-                return Err(fail(format!(
-                    "{}: invalid placement in {}: {errs:?}",
-                    technique.name(),
-                    placed.func(f).name()
-                )));
-            }
-            static_count += placement.static_count();
-            insert_placement(placed.func_mut(f), cfg, &placement);
-        }
-
-        let (outputs, counts) = execute_counted(&placed, target, &bench.ref_runs)
-            .map_err(|e| fail(format!("{}: execution failed: {e}", technique.name())))?;
+    let mut strategies = Vec::new();
+    for strategy in Strategy::all() {
+        let (outputs, counts) =
+            execute_counted(&run.apply(Some(strategy)), target, &bench.ref_runs)
+                .map_err(|e| fail(format!("{}: execution failed: {e}", strategy.name())))?;
         if outputs != reference {
             return Err(fail(format!(
                 "{}: program behaviour changed",
-                technique.name()
+                strategy.name()
             )));
         }
-        techniques.push((
-            technique,
-            TechniqueResult {
+        let pass_time = match strategy {
+            Strategy::Baseline => span("place_entry_exit"),
+            Strategy::Shrinkwrap => span("place_chow"),
+            Strategy::HierExec => span("place_hier_seed") + span("place_hier_exec"),
+            Strategy::HierJump => span("place_hier_seed") + span("place_hier_jump"),
+        };
+        strategies.push((
+            strategy,
+            StrategyResult {
                 dynamic_overhead: counts.spill_code_overhead() * bench.scale,
                 callee_saved_overhead: counts.callee_save_overhead() * bench.scale,
                 jump_overhead: counts.jump_block_jumps * bench.scale,
-                static_count,
+                static_count: run
+                    .report
+                    .functions
+                    .iter()
+                    .filter_map(|f| f.strategy(strategy))
+                    .map(|s| s.static_count)
+                    .sum(),
                 pass_time,
             },
         ));
@@ -267,76 +184,16 @@ pub fn run_benchmark(
 
     Ok(BenchResult {
         name: bench.name.clone(),
-        techniques,
-        funcs_with_callee_saved,
+        strategies,
+        funcs_with_callee_saved: run.report.placed_functions(),
         funcs: bench.module.num_funcs(),
-        module_insts,
+        module_insts: run.report.functions.iter().map(|f| f.insts).sum(),
         scale: bench.scale,
     })
 }
 
-/// Times the placement computation proper. The analyses (`cyclic`, `pst`)
-/// are shared across techniques and amortized outside the timed section:
-/// the reported pass time is the paper's *incremental* cost of choosing a
-/// technique, given analyses the compiler needs anyway.
-fn time_placement(
-    technique: Technique,
-    cfg: &Cfg,
-    cyclic: &[CyclicRegion],
-    pst: &Pst,
-    usage: &CalleeSavedUsage,
-    profile: &EdgeProfile,
-    costs: &SpillCostModel,
-) -> (Placement, Duration) {
-    // The hierarchical variants end with a never-worse comparison
-    // against shrink-wrapping; that baseline is computed *outside* the
-    // timed section (a real compiler pipeline has it anyway, and the
-    // reported time stays the incremental cost of the technique).
-    let chow = match technique {
-        Technique::Optimized | Technique::OptimizedExecModel => {
-            Some(chow_shrink_wrap_with(cfg, cyclic, usage))
-        }
-        _ => None,
-    };
-    let start = Instant::now();
-    let placement = match technique {
-        Technique::Baseline => entry_exit_placement(cfg, usage),
-        Technique::Shrinkwrap => chow_shrink_wrap_with(cfg, cyclic, usage),
-        Technique::Optimized | Technique::OptimizedExecModel => {
-            let model = if technique == Technique::Optimized {
-                CostModel::JumpEdge
-            } else {
-                CostModel::ExecutionCount
-            };
-            hierarchical_placement_seeded(
-                cfg,
-                pst,
-                usage,
-                profile,
-                model,
-                costs,
-                chow.as_ref().expect("computed above"),
-                // The initial sets (lines 2-3) are the technique's own
-                // work, so they stay inside the timed section.
-                modified_shrink_wrap(cfg, usage),
-            )
-            .placement
-        }
-    };
-    (placement, start.elapsed())
-}
-
-/// Executes a workload and returns the outputs.
-pub fn execute(
-    module: &Module,
-    target: &Target,
-    runs: &[(FuncId, Vec<i64>)],
-) -> Result<Vec<i64>, spillopt_profile::ExecError> {
-    Ok(execute_counted(module, target, runs)?.0)
-}
-
 /// Executes a workload and returns outputs plus dynamic counters.
-pub fn execute_counted(
+fn execute_counted(
     module: &Module,
     target: &Target,
     runs: &[(FuncId, Vec<i64>)],
@@ -350,20 +207,6 @@ pub fn execute_counted(
     Ok((out, m.counts().clone()))
 }
 
-/// Profiles a workload per function (used by examples and benches).
-pub fn profile_workload(
-    module: &Module,
-    target: &Target,
-    runs: &[(FuncId, Vec<i64>)],
-) -> Result<Vec<EdgeProfile>, spillopt_profile::ExecError> {
-    let mut m = Machine::new(module, target);
-    m.set_fuel(1 << 30);
-    for (f, args) in runs {
-        m.call(*f, args)?;
-    }
-    Ok(module.func_ids().map(|f| m.edge_profile(f)).collect())
-}
-
 /// Convenience: generate and run one named benchmark under the paper's
 /// unit cost model.
 ///
@@ -374,11 +217,4 @@ pub fn run_named_benchmark(name: &str, target: &Target) -> Result<BenchResult, P
     let spec = spillopt_benchgen::benchmark_by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
     run_benchmark(&spec, target, &SpillCostModel::UNIT)
-}
-
-/// Returns a generated benchmark for external tooling (benches).
-pub fn generated(name: &str, target: &Target) -> GeneratedBench {
-    let spec = spillopt_benchgen::benchmark_by_name(name)
-        .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    build_bench(&spec, target)
 }

@@ -259,6 +259,11 @@ pub fn verify_function(func: &Function, discipline: RegDiscipline) -> Vec<Verify
 
     let num_blocks = func.num_blocks();
     let mut has_return = false;
+    // Each block's layout successor, read in one pass over the layout.
+    let mut layout_next = vec![None; num_blocks];
+    for pair in func.layout().windows(2) {
+        layout_next[pair[0].index()] = Some(pair[1]);
+    }
 
     for b in func.block_ids() {
         let block = func.block(b);
@@ -335,7 +340,7 @@ pub fn verify_function(func: &Function, discipline: RegDiscipline) -> Vec<Verify
                     });
                 }
                 if taken.index() < num_blocks && fallthrough.index() < num_blocks {
-                    let next = func.layout_next(b);
+                    let next = layout_next[b.index()];
                     if next != Some(*fallthrough) {
                         errors.push(VerifyError::BadFallthrough {
                             func: name.clone(),
@@ -349,7 +354,7 @@ pub fn verify_function(func: &Function, discipline: RegDiscipline) -> Vec<Verify
             Some(InstKind::Return { .. }) => {}
             Some(_) => unreachable!(),
             None => {
-                if func.layout_next(b).is_none() {
+                if layout_next[b.index()].is_none() {
                     errors.push(VerifyError::FallthroughAtEnd {
                         func: name.clone(),
                         block: b,

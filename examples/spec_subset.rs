@@ -5,7 +5,8 @@
 //! cargo run --release --example spec_subset [bench ...]
 //! ```
 
-use spillopt_harness::runner::{run_named_benchmark, Technique};
+use spillopt_driver::Strategy;
+use spillopt_harness::runner::run_named_benchmark;
 use spillopt_ir::Target;
 
 fn main() {
@@ -23,9 +24,9 @@ fn main() {
                     "{:>8}: optimized {:>6.1}%  shrinkwrap {:>6.1}%  \
                      (baseline overhead {}, {} of {} functions use callee-saved regs)",
                     r.name,
-                    r.ratio(Technique::Optimized) * 100.0,
-                    r.ratio(Technique::Shrinkwrap) * 100.0,
-                    r.of(Technique::Baseline).dynamic_overhead,
+                    r.ratio(Strategy::HierJump) * 100.0,
+                    r.ratio(Strategy::Shrinkwrap) * 100.0,
+                    r.of(Strategy::Baseline).dynamic_overhead,
                     r.funcs_with_callee_saved,
                     r.funcs,
                 );

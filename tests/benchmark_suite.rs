@@ -1,7 +1,8 @@
 //! End-to-end checks over the synthetic SPEC suite (a fast subset; the
 //! full Figure 5 / Table 1 run lives in the `repro` binary).
 
-use spillopt_harness::runner::{run_named_benchmark, Technique};
+use spillopt_driver::Strategy;
+use spillopt_harness::runner::run_named_benchmark;
 use spillopt_ir::Target;
 
 #[test]
@@ -10,8 +11,8 @@ fn mcf_has_trivial_callee_saved_overhead() {
     // perform a register allocation that uses only the caller-saved
     // registers" — ratios are 100%/100%.
     let r = run_named_benchmark("mcf", &Target::default()).expect("pipeline");
-    assert!((r.ratio(Technique::Optimized) - 1.0).abs() < 1e-9);
-    assert!((r.ratio(Technique::Shrinkwrap) - 1.0).abs() < 1e-9);
+    assert!((r.ratio(Strategy::HierJump) - 1.0).abs() < 1e-9);
+    assert!((r.ratio(Strategy::Shrinkwrap) - 1.0).abs() < 1e-9);
     assert!(
         r.funcs_with_callee_saved * 4 <= r.funcs,
         "mcf should rarely use callee-saved registers: {}/{}",
@@ -24,8 +25,8 @@ fn mcf_has_trivial_callee_saved_overhead() {
 fn gzip_shows_the_papers_shape() {
     // Optimized wins; shrink-wrapping is counterproductive (ratio > 1).
     let r = run_named_benchmark("gzip", &Target::default()).expect("pipeline");
-    let opt = r.ratio(Technique::Optimized);
-    let sw = r.ratio(Technique::Shrinkwrap);
+    let opt = r.ratio(Strategy::HierJump);
+    let sw = r.ratio(Strategy::Shrinkwrap);
     assert!(opt < 1.0, "optimized must win: {opt}");
     assert!(sw > 1.0, "shrink-wrapping must lose to entry/exit: {sw}");
     assert!(opt <= sw + 1e-9);
@@ -35,8 +36,8 @@ fn gzip_shows_the_papers_shape() {
 fn crafty_shows_a_large_optimized_win() {
     // Paper: > 50% reduction for crafty while shrink-wrapping manages 7%.
     let r = run_named_benchmark("crafty", &Target::default()).expect("pipeline");
-    let opt = r.ratio(Technique::Optimized);
-    let sw = r.ratio(Technique::Shrinkwrap);
+    let opt = r.ratio(Strategy::HierJump);
+    let sw = r.ratio(Strategy::Shrinkwrap);
     assert!(opt < 0.7, "crafty optimized ratio too weak: {opt}");
     assert!(sw > 0.8, "crafty shrink-wrap should gain little: {sw}");
 }
@@ -51,9 +52,9 @@ fn guarantee_holds_across_the_fast_subset() {
     // uses ref (tiny divergences are legitimate; we allow 1%).
     for name in ["mcf", "gzip", "vpr", "bzip2"] {
         let r = run_named_benchmark(name, &Target::default()).expect("pipeline");
-        let opt = r.of(Technique::Optimized).callee_saved_overhead as f64;
-        let base = r.of(Technique::Baseline).callee_saved_overhead as f64;
-        let sw = r.of(Technique::Shrinkwrap).callee_saved_overhead as f64;
+        let opt = r.of(Strategy::HierJump).callee_saved_overhead as f64;
+        let base = r.of(Strategy::Baseline).callee_saved_overhead as f64;
+        let sw = r.of(Strategy::Shrinkwrap).callee_saved_overhead as f64;
         assert!(opt <= base * 1.01 + 1.0, "{name}: {opt} > baseline {base}");
         assert!(opt <= sw * 1.01 + 1.0, "{name}: {opt} > shrink-wrap {sw}");
     }
@@ -66,8 +67,8 @@ fn static_overhead_ranking_matches_the_paper() {
     // static overhead).
     for name in ["gzip", "vpr"] {
         let r = run_named_benchmark(name, &Target::default()).expect("pipeline");
-        let base = r.of(Technique::Baseline).static_count;
-        let sw = r.of(Technique::Shrinkwrap).static_count;
+        let base = r.of(Strategy::Baseline).static_count;
+        let sw = r.of(Strategy::Shrinkwrap).static_count;
         assert!(base <= sw, "{name}: entry/exit has lowest static count");
     }
 }

@@ -102,3 +102,24 @@ fn walkthrough_experiment_renders() {
     let out = spillopt_harness::experiments::fig2_walkthrough();
     assert_eq!(out, include_str!("golden/fig2_walkthrough.txt"));
 }
+
+#[test]
+fn paper_tables_render() {
+    // Figure 5, Table 1, the guarantee summary over all eleven
+    // benchmarks, and Table 1's ratios across every registered target
+    // (`repro fig5`, `repro table1`, `repro targets crafty`), byte for
+    // byte. Every number is an interpreter count on the placed module,
+    // so the text pins what the measured pipeline places.
+    use spillopt_harness::experiments;
+    let results =
+        experiments::run_all_benchmarks(&spillopt_ir::Target::default()).expect("pipeline");
+    let crafty = experiments::cross_target("crafty").expect("pipeline");
+    let out = format!(
+        "{}\n{}\n{}\n{}",
+        experiments::fig5(&results),
+        experiments::table1(&results),
+        experiments::guarantee_summary(&results),
+        crafty.render()
+    );
+    assert_eq!(out, include_str!("golden/paper_tables.txt"));
+}
